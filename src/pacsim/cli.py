@@ -1,8 +1,8 @@
 """Command-line interface.
 
-  pacsim run <config.yaml> [--out DIR] [--seed N]     single experiment
-  pacsim suite <config.yaml> [--out DIR] [--seed N]   batch with summary.csv
-  pacsim compare <stepsA.csv> <stepsB.csv>            Wilcoxon on residuals
+  pacsim run <config.yaml> [--out DIR]          single experiment
+  pacsim suite <config.yaml> [--out DIR]        batch with summary.csv
+  pacsim compare <stepsA.csv> <stepsB.csv>      Wilcoxon on residuals
 
 Exit status is nonzero when a run diverges.
 """
@@ -28,19 +28,14 @@ def _load_yaml(path: str) -> dict:
     return data
 
 
-def _configs_from_file(path: str, seed: int | None) -> list[ExperimentConfig]:
+def _configs_from_file(path: str) -> list[ExperimentConfig]:
     data = _load_yaml(path)
     raw_list = data["experiments"] if "experiments" in data else [data]
-    configs = []
-    for raw in raw_list:
-        if seed is not None:
-            raw = {**raw, "seed": seed}
-        configs.append(ExperimentConfig.from_dict(raw))
-    return configs
+    return [ExperimentConfig.from_dict(raw) for raw in raw_list]
 
 
 def _cmd_run(args) -> int:
-    configs = _configs_from_file(args.config, args.seed)
+    configs = _configs_from_file(args.config)
     if len(configs) != 1:
         print("run expects a single-experiment config; use `suite` for batches", file=sys.stderr)
         return 2
@@ -55,7 +50,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    configs = _configs_from_file(args.config, args.seed)
+    configs = _configs_from_file(args.config)
     try:
         results = run_suite(configs, out_dir=args.out)
     except DivergenceError as exc:
@@ -91,13 +86,11 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a single experiment")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_suite = sub.add_parser("suite", help="run a batch of experiments")
     p_suite.add_argument("config")
     p_suite.add_argument("--out", default="out")
-    p_suite.add_argument("--seed", type=int, default=None)
     p_suite.set_defaults(func=_cmd_suite)
 
     p_cmp = sub.add_parser("compare", help="Wilcoxon signed-rank test on two step logs")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolution, palm
-from .palm import DIM, HyperplaneRule, PalmNetwork, extended_input, network_output
+from .palm import DIM, PalmNetwork, extended_input, network_output
 
 
 class ControllerFault(RuntimeError):
@@ -129,16 +129,15 @@ def adapt_weights(
 ) -> None:
     """Sliding-mode update: w_j <- w_j - dt * gamma * (e p12 + de p22) * lam_j * x_e.
 
-    psi_j = lam_j * x_e reproduces the defuzzified output u_palm = psi' w.
-    Entries are clipped to the weight bound afterwards.
+    psi_j = lam_j * x_e reproduces the defuzzified output u_palm = psi' w;
+    all rows move in one rank-1 update. Entries are clipped to the weight
+    bound afterwards.
     """
     g = step.e * P.p12 + step.e_dot * P.p22
-    scale = dt * s.gamma * g
-    lam = step.firing.normalized
-    for j, rule in enumerate(net.rules):
-        rule.weights -= scale * lam[j] * x_e
-        np.clip(rule.weights, -weight_limit, weight_limit, out=rule.weights)
-    if not net.check_finite():
+    w = net.weights
+    w -= np.outer(dt * s.gamma * g * step.firing.normalized, x_e)
+    np.clip(w, -weight_limit, weight_limit, out=w)
+    if not np.isfinite(w).all():
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
@@ -174,15 +173,6 @@ class ControllerConfig:
     learn_rates: tuple[float, float, float] = (0.0, 0.0, 0.0)
     alpha_max: tuple[float, float, float] = (1.0, 0.5, 0.01)
     evolution_enabled: bool = True
-    sigma_floor_rel: float = 0.2
-    sigma_floor_abs: float = 0.01
-    # restart the drift detectors after each structural edit (the underlying
-    # process-control method re-baselines after a detection)
-    detector_restart: bool = True
-    grow_init: str = "interpolant"  # or "duplicate"
-    # x_e fourth entry: the reference by default; "output" switches to the
-    # measured plant output (a documented reading of the rule input).
-    fourth_input: str = "reference"
 
 
 class ParsimoniousController:
@@ -191,11 +181,7 @@ class ParsimoniousController:
     def __init__(self, config: ControllerConfig | None = None):
         self.config = config or ControllerConfig()
         c = self.config
-        if c.grow_init not in ("interpolant", "duplicate"):
-            raise ValueError(f"unknown grow_init {c.grow_init!r}")
-        if c.fourth_input not in ("reference", "output"):
-            raise ValueError(f"unknown fourth_input {c.fourth_input!r}")
-        self.net = PalmNetwork(eta=c.eta, rules=[HyperplaneRule(np.zeros(DIM))])
+        self.net = PalmNetwork(eta=c.eta, weights=np.zeros((1, DIM)))
         self.sliding = SlidingState(
             alpha1=c.alpha1,
             alpha2=c.alpha2,
@@ -205,9 +191,7 @@ class ParsimoniousController:
             alpha_max=tuple(c.alpha_max),
             sat_limit=c.sat_limit,
         )
-        self.evo = evolution.EvolutionState(
-            sigma_floor_rel=c.sigma_floor_rel, sigma_floor_abs=c.sigma_floor_abs
-        )
+        self.evo = evolution.EvolutionState()
         self.P = p_matrix(self.sliding.alpha1, self.sliding.alpha2)
         self._e_prev: float | None = None
         self.steps = 0
@@ -236,8 +220,7 @@ class ParsimoniousController:
         s_l = sliding_value(e, e_dot, s.err_integral, s)
         u_src = robustifying_term(s_l, s)
 
-        fourth = y_r if c.fourth_input == "reference" else y
-        x_e = extended_input(e, e_dot, fourth)
+        x_e = extended_input(e, e_dot, y_r)
         u_palm, firing = network_output(x_e, self.net, y_r)
         u = u_src - u_palm
 
@@ -269,10 +252,7 @@ class ParsimoniousController:
         prune = evolution.check_prune(self.evo, variance)
         changed = False
         if grow:
-            if self.config.grow_init == "duplicate":
-                evolution.grow_rule_duplicate(self.net, firing.normalized)
-            else:
-                evolution.grow_rule(self.net, x_e, y_r)
+            evolution.grow_rule(self.net, firing.normalized)
             self.evo.grow_count += 1
             diag.grew = changed = True
             self.events.append((self._time, "GROW", self.net.rule_count, bias, variance))
@@ -282,8 +262,9 @@ class ParsimoniousController:
             diag.pruned = changed = True
             self.events.append((self._time, "PRUNE", self.net.rule_count, bias, variance))
         if changed:
-            if self.config.detector_restart:
-                self.evo.restart_detectors()
+            # re-baseline the drift detectors, as the underlying
+            # process-control method does after a detection
+            self.evo.restart_detectors()
             # refresh the firing vector so the adaptation sees the edited rule set
             _, firing = network_output(x_e, self.net, y_r)
         return firing

@@ -12,10 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .palm import DIM, HyperplaneRule, PalmNetwork
+from .palm import DIM, PalmNetwork
 
-# New-rule weights must stay strictly inside the unit box.
-_UNIT_OPEN = np.nextafter(1.0, 0.0)
+# Floors of the sigma-rule spread. The stored minimum of a standard deviation
+# starts at zero (the first Welford sample always has zero spread), and
+# without a floor any later fluctuation fires the rule immediately. The
+# relative floor scales with the matching mean minimum.
+SIGMA_FLOOR_REL = 0.2
+SIGMA_FLOOR_ABS = 0.01
 
 
 class RunningStat:
@@ -42,25 +46,39 @@ class RunningStat:
 
 
 @dataclass
+class SigmaRule:
+    """Drift detector on one signal: running statistics and their recorded minima."""
+
+    stat: RunningStat = field(default_factory=RunningStat)
+    mu_min: float | None = None
+    sigma_min: float | None = None
+
+    def fires(self, x: float, factor: float) -> bool:
+        """Push x and test mean + std > mu_min + factor * floored sigma_min.
+
+        On fire the minima reset to the current statistics.
+        """
+        self.stat.push(x)
+        mu, sigma = self.stat.mean, self.stat.std
+        if self.mu_min is None or mu < self.mu_min:
+            self.mu_min = mu
+        if self.sigma_min is None or sigma < self.sigma_min:
+            self.sigma_min = sigma
+        spread = max(self.sigma_min, SIGMA_FLOOR_REL * abs(self.mu_min), SIGMA_FLOOR_ABS)
+        fired = mu + sigma > self.mu_min + factor * spread
+        if fired:
+            self.mu_min, self.sigma_min = mu, sigma
+        return fired
+
+
+@dataclass
 class EvolutionState:
-    """Running input mean plus the grow/prune statistics and their minima.
+    """Running input mean plus the grow and prune detectors."""
 
-    sigma_floor_rel regularizes the sigma-rule thresholds: the stored minima
-    of the standard deviations start at zero (the first Welford sample always
-    has zero spread), and without a floor any later fluctuation fires the
-    rule immediately. The floor is relative to the matching mean minimum.
-    """
-
-    sigma_floor_rel: float = 0.2
-    sigma_floor_abs: float = 0.01
     mu_e: np.ndarray = field(default_factory=lambda: np.zeros(DIM))
     k: int = 0
-    bias_stat: RunningStat = field(default_factory=RunningStat)
-    var_stat: RunningStat = field(default_factory=RunningStat)
-    mu_ba_min: float | None = None
-    sigma_ba_min: float | None = None
-    mu_var_min: float | None = None
-    sigma_var_min: float | None = None
+    grow: SigmaRule = field(default_factory=SigmaRule)
+    prune: SigmaRule = field(default_factory=SigmaRule)
     grow_count: int = 0
     prune_count: int = 0
 
@@ -71,10 +89,8 @@ class EvolutionState:
         multi-regime history otherwise keeps their spread permanently above
         any threshold. The input mean is not touched.
         """
-        self.bias_stat = RunningStat()
-        self.var_stat = RunningStat()
-        self.mu_ba_min = self.sigma_ba_min = None
-        self.mu_var_min = self.sigma_var_min = None
+        self.grow = SigmaRule()
+        self.prune = SigmaRule()
 
 
 def update_input_mean(state: EvolutionState, x_e: np.ndarray) -> None:
@@ -92,64 +108,12 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
     """
     if state.k < 1:
         raise ValueError("input mean not yet populated")
-    w = net.weights_matrix()
+    w = net.weights
     e_y = float(np.sum(w @ state.mu_e))
     e_y2 = float(np.sum(w @ (state.mu_e * state.mu_e)))
     bias2 = (e_y - y_r) ** 2
     variance = max(e_y2 - e_y * e_y, 0.0)
     return bias2, variance
-
-
-def _threshold(mu_min: float, sigma_min: float, factor: float, floor_rel: float, floor_abs: float) -> float:
-    return mu_min + factor * max(sigma_min, floor_rel * abs(mu_min), floor_abs)
-
-
-def check_grow(state: EvolutionState, bias: float) -> bool:
-    """Update the bias statistics and test the growing condition.
-
-    Fires when mean+std of the bias signal rises above the recorded minima,
-    scaled by the dynamic confidence factor gamma = 1.3*exp(-bias^2) + 0.7.
-    On fire the minima reset to the current statistics.
-    """
-    st = state.bias_stat
-    st.push(bias)
-    mu, sigma = st.mean, st.std
-    if state.mu_ba_min is None or mu < state.mu_ba_min:
-        state.mu_ba_min = mu
-    if state.sigma_ba_min is None or sigma < state.sigma_ba_min:
-        state.sigma_ba_min = sigma
-    gamma = 1.3 * math.exp(-bias * bias) + 0.7
-    fired = mu + sigma > _threshold(
-        state.mu_ba_min, state.sigma_ba_min, gamma, state.sigma_floor_rel, state.sigma_floor_abs
-    )
-    if fired:
-        state.mu_ba_min = mu
-        state.sigma_ba_min = sigma
-    return fired
-
-
-def check_prune(state: EvolutionState, variance: float) -> bool:
-    """Update the variance statistics and test the pruning condition.
-
-    Same sigma rule on the variance signal with factor 2*pi,
-    pi = 1.3*exp(-var) + 0.7; the extra 2 keeps a prune from chasing
-    directly after a grow.
-    """
-    st = state.var_stat
-    st.push(variance)
-    mu, sigma = st.mean, st.std
-    if state.mu_var_min is None or mu < state.mu_var_min:
-        state.mu_var_min = mu
-    if state.sigma_var_min is None or sigma < state.sigma_var_min:
-        state.sigma_var_min = sigma
-    pi = 1.3 * math.exp(-variance) + 0.7
-    fired = mu + sigma > _threshold(
-        state.mu_var_min, state.sigma_var_min, 2.0 * pi, state.sigma_floor_rel, state.sigma_floor_abs
-    )
-    if fired:
-        state.mu_var_min = mu
-        state.sigma_var_min = sigma
-    return fired
 
 
 def growth_factor(bias: float) -> float:
@@ -162,39 +126,39 @@ def pruning_factor(variance: float) -> float:
     return 1.3 * math.exp(-variance) + 0.7
 
 
-def interpolant_rule(x_e: np.ndarray, y_r: float) -> HyperplaneRule:
-    """Minimum-norm weights solving dot(w, x_e) = y_r, clipped inside (-1, 1)."""
-    w = y_r * x_e / float(np.dot(x_e, x_e))
-    return HyperplaneRule(np.clip(w, -_UNIT_OPEN, _UNIT_OPEN))
+def check_grow(state: EvolutionState, bias: float) -> bool:
+    """Sigma rule on the bias signal, scaled by the growth factor."""
+    return state.grow.fires(bias, growth_factor(bias))
 
 
-def grow_rule(net: PalmNetwork, x_e: np.ndarray, y_r: float) -> None:
-    """Append the minimum-norm interpolant of the current sample."""
-    net.add_rule(interpolant_rule(x_e, y_r))
+def check_prune(state: EvolutionState, variance: float) -> bool:
+    """Sigma rule on the variance signal with factor 2 * pruning factor.
+
+    The extra 2 keeps a prune from chasing directly after a grow.
+    """
+    return state.prune.fires(variance, 2.0 * pruning_factor(variance))
 
 
-def grow_rule_duplicate(net: PalmNetwork, firing: np.ndarray) -> None:
-    """Append a copy of the highest-firing rule.
+def grow_rule(net: PalmNetwork, firing: np.ndarray) -> None:
+    """Append a copy of the highest-firing rule; ties go to the lowest index.
 
     The defuzzified output only moves toward the duplicated consequent by
     that rule's firing share, so the new degree of freedom arrives without a
     large control transient; the copies then specialize under
     firing-weighted adaptation.
     """
-    winner = int(np.argmax(firing))
-    net.add_rule(net.rules[winner].copy())
+    net.add_rule(net.weights[int(np.argmax(firing))])
 
 
 def rule_significances(net: PalmNetwork, state: EvolutionState) -> np.ndarray:
     """Expected contribution of each rule: dot(weights, input mean)."""
-    return net.weights_matrix() @ state.mu_e
+    return net.weights @ state.mu_e
 
 
 def prune_rule(net: PalmNetwork, state: EvolutionState) -> int:
     """Remove the rule with the smallest |significance|; ties go to the lowest index."""
     if net.rule_count < 2:
         raise ValueError("refusing to prune the last rule")
-    hs = np.abs(rule_significances(net, state))
-    idx = int(np.argmin(hs))  # argmin returns the first minimum, our tie-break
+    idx = int(np.argmin(np.abs(rule_significances(net, state))))  # argmin returns the first minimum
     net.remove_rule(idx)
     return idx

@@ -49,7 +49,6 @@ class ExperimentConfig:
     trajectory: str | dict = "hexacopter_constant"
     duration: float = 100.0
     dt: float = 0.01
-    seed: int = 0
     controller_params: dict = field(default_factory=dict)
     plant_params: dict = field(default_factory=dict)
     disturbances: dict = field(default_factory=dict)

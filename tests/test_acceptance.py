@@ -17,7 +17,7 @@ import pytest
 from pacsim.controller import ControllerConfig, ParsimoniousController, lyapunov_p_matrix, p_matrix
 from pacsim.evolution import EvolutionState, check_grow, check_prune, growth_factor, pruning_factor
 from pacsim.experiment import ExperimentConfig, run_experiment, run_suite
-from pacsim.palm import HyperplaneRule, PalmNetwork, network_output
+from pacsim.palm import PalmNetwork, network_output
 from pacsim.pid import PidConfig, PidController
 from pacsim.plants import (
     DoubleIntegrator,
@@ -40,8 +40,6 @@ PAC_PARAMS = dict(
     sat_limit=10.0,
     learn_rates=(0.1, 0.5, 0.001),
     alpha_max=(0.5, 0.5, 0.01),
-    grow_init="duplicate",
-    sigma_floor_rel=0.2,
 )
 
 DINT_PARAMS = dict(PAC_PARAMS, gamma=1e-3, actuator_limit=10.0)
@@ -65,8 +63,8 @@ def test_fuzzy_core_suite():
     for _ in range(10_000):
         r = int(rng.integers(1, 5))
         eta = float(rng.uniform(1, 100))
-        rules = [HyperplaneRule(rng.uniform(-3, 3, size=4)) for _ in range(r)]
-        net = PalmNetwork(eta=eta, rules=rules)
+        weights = rng.uniform(-3, 3, size=(r, 4))
+        net = PalmNetwork(eta=eta, weights=weights)
         x_e = np.concatenate([[1.0], rng.uniform(-4, 4, size=3)])
         y_r = float(rng.uniform(-8, 8))
         _, firing = network_output(x_e, net, y_r)
@@ -74,9 +72,9 @@ def test_fuzzy_core_suite():
         if np.any(firing.raw < math.exp(-eta) - 1e-15) or np.any(firing.raw > 1.0 + 1e-15):
             bounds_ok = False
         # duplicate invariance: copies of one rule act as that single rule
-        uni = PalmNetwork(eta=eta, rules=[rules[0].copy()])
+        uni = PalmNetwork(eta=eta, weights=weights[:1])
         u1, _ = network_output(x_e, uni, y_r)
-        uni.add_rule(rules[0].copy())
+        uni.add_rule(weights[0])
         u2, _ = network_output(x_e, uni, y_r)
         worst_dup = max(worst_dup, abs(u1 - u2))
 
@@ -86,11 +84,10 @@ def test_fuzzy_core_suite():
     mc_ok = True
     for _ in range(3):
         w = rng.uniform(-1, 1, size=4)
-        rule = HyperplaneRule(w)
         x = rng.uniform(-2, 2, size=3)
         y_r = float(rng.uniform(2, 5))
         x_e = np.concatenate([[1.0], x])
-        d_formula = point_to_plane_distance(x_e, rule, y_r)
+        d_formula = point_to_plane_distance(x_e, w, y_r)
         point = np.concatenate([x, [y_r]])
         center, width = x, 5.0
         best = None
@@ -203,7 +200,7 @@ def _run_double_integrator(params, seconds=100.0, dt=0.01, y_r=1.0):
         log["e"].append(diag.e)
         log["e_dot"].append(diag.e_dot)
         log["u"].append(u)
-        log["w"].append(ctl.net.weights_matrix().copy())
+        log["w"].append(ctl.net.weights.copy())
         log["y"].append(plant.output())
     return ctl, log
 
@@ -360,8 +357,8 @@ def test_impulse_noise_rejection():
 
 def test_parameter_count_identity():
     ctl = ParsimoniousController(ControllerConfig(**PAC_PARAMS))
-    ctl.net.add_rule(HyperplaneRule(np.array([0.1, 0.0, 0.0, 0.2])))
-    ctl.net.add_rule(HyperplaneRule(np.array([-0.1, 0.1, 0.0, 0.0])))
+    ctl.net.add_rule(np.array([0.1, 0.0, 0.0, 0.2]))
+    ctl.net.add_rule(np.array([-0.1, 0.1, 0.0, 0.0]))
     ok = ctl.rule_count == 3 and ctl.parameter_count == 12
     _report("snapshot with 3 rules reports exactly 12 adaptable parameters", ok)
 

@@ -17,7 +17,7 @@ from pacsim.controller import (
     robustifying_term,
     sliding_value,
 )
-from pacsim.palm import FiringVector, HyperplaneRule, PalmNetwork
+from pacsim.palm import FiringVector, PalmNetwork
 from pacsim.plants import DoubleIntegrator
 
 
@@ -103,27 +103,27 @@ def _firing(lams):
 
 
 def test_adapt_weights_no_error_no_change():
-    net = PalmNetwork(rules=[HyperplaneRule([0.1, 0.2, 0.3, 0.4])])
+    net = PalmNetwork(weights=[[0.1, 0.2, 0.3, 0.4]])
     step = ControlStep(e=0.0, e_dot=0.0, s_l=0.0, u_src=0.0, u_palm=0.0, u=0.0, firing=_firing([1.0]))
-    before = net.rules[0].weights.copy()
+    before = net.weights[0].copy()
     adapt_weights(net, step, SlidingState(gamma=1.0), p_matrix(1e-2, 1e-3), np.array([1.0, 0, 0, 1.0]), 1.0, 10.0)
-    np.testing.assert_array_equal(net.rules[0].weights, before)
+    np.testing.assert_array_equal(net.weights[0], before)
 
 
 def test_adapt_weights_hand_arithmetic():
     # g = e*p12 + de*p22 = 2 with the crafted P below
-    net = PalmNetwork(rules=[HyperplaneRule(np.zeros(4))])
+    net = PalmNetwork(weights=np.zeros((1, 4)))
     step = ControlStep(e=2.0, e_dot=0.0, s_l=0.0, u_src=0.0, u_palm=0.0, u=0.0, firing=_firing([1.0]))
     P = PMatrix(p11=1.0, p12=1.0, p21=1.0, p22=1.0)
     x_e = np.array([1.0, 0.0, 0.0, 1.0])
     adapt_weights(net, step, SlidingState(gamma=1.0), P, x_e, 1.0, 10.0)
-    np.testing.assert_allclose(net.rules[0].weights, [-2.0, 0.0, 0.0, -2.0])
+    np.testing.assert_allclose(net.weights[0], [-2.0, 0.0, 0.0, -2.0])
 
 
 def test_adapt_weights_direction_opposes_g():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        net = PalmNetwork(rules=[HyperplaneRule(np.zeros(4))])
+        net = PalmNetwork(weights=np.zeros((1, 4)))
         e, ed = rng.uniform(-1, 1, size=2)
         P = p_matrix(1e-2, 1e-3)
         g = e * P.p12 + ed * P.p22
@@ -131,14 +131,31 @@ def test_adapt_weights_direction_opposes_g():
         step = ControlStep(e=e, e_dot=ed, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([1.0]))
         adapt_weights(net, step, SlidingState(gamma=1.0), P, x_e, 0.01, 10.0)
         if g != 0:
-            assert np.all(np.sign(net.rules[0].weights) == -np.sign(g) * np.sign(x_e))
+            assert np.all(np.sign(net.weights[0]) == -np.sign(g) * np.sign(x_e))
 
 
 def test_adapt_weights_clipped_to_limit():
-    net = PalmNetwork(rules=[HyperplaneRule(np.zeros(4))])
+    net = PalmNetwork(weights=np.zeros((1, 4)))
     step = ControlStep(e=100.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([1.0]))
     adapt_weights(net, step, SlidingState(gamma=100.0), p_matrix(1e-2, 1e-3), np.ones(4), 1.0, 10.0)
-    assert np.all(np.abs(net.rules[0].weights) <= 10.0)
+    assert np.all(np.abs(net.weights[0]) <= 10.0)
+
+
+def test_adapt_weights_many_rules_match_per_row_update():
+    rng = np.random.default_rng(33)
+    for r in (2, 7, 40):
+        w0 = rng.uniform(-3, 3, size=(r, 4))
+        net = PalmNetwork(weights=w0)
+        lam = rng.dirichlet(np.ones(r))
+        e, ed = rng.uniform(-2, 2, size=2)
+        step = ControlStep(e=e, e_dot=ed, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
+        P = p_matrix(1e-2, 1e-3)
+        x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
+        adapt_weights(net, step, SlidingState(gamma=0.5), P, x_e, 0.01, 2.5)
+        g = e * P.p12 + ed * P.p22
+        for j in range(r):
+            want = [max(-2.5, min(2.5, w0[j, q] - 0.01 * 0.5 * g * lam[j] * x_e[q])) for q in range(4)]
+            np.testing.assert_allclose(net.weights[j], want, rtol=0.0, atol=1e-12)
 
 
 def test_adapt_sliding_params_fixed_mode():
@@ -313,8 +330,6 @@ def test_closed_loop_matches_independent_reference_simulation():
         sat_limit=10.0,
         learn_rates=rho,
         alpha_max=amax,
-        grow_init="duplicate",
-        sigma_floor_rel=0.2,
     )
     ctl = ParsimoniousController(cfg)
     plant = DoubleIntegrator()
@@ -342,7 +357,7 @@ def test_antecedent_exponent_bounded_by_eta():
 
 def test_controller_run_is_deterministic():
     def run():
-        ctl = ParsimoniousController(ControllerConfig(gamma=3e-3, learn_rates=(0.1, 0.5, 0.001), grow_init="duplicate"))
+        ctl = ParsimoniousController(ControllerConfig(gamma=3e-3, learn_rates=(0.1, 0.5, 0.001)))
         plant = DoubleIntegrator()
         trace = []
         for _ in range(2000):

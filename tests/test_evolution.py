@@ -9,14 +9,13 @@ from pacsim.evolution import (
     check_prune,
     grow_rule,
     growth_factor,
-    interpolant_rule,
     network_bias_variance,
     prune_rule,
     pruning_factor,
     rule_significances,
     update_input_mean,
 )
-from pacsim.palm import HyperplaneRule, PalmNetwork, extended_input, rule_consequent
+from pacsim.palm import PalmNetwork, extended_input
 
 
 def test_input_mean_first_sample():
@@ -44,7 +43,7 @@ def test_input_mean_matches_batch_mean():
 
 
 def test_bias_variance_zero_network():
-    net = PalmNetwork(rules=[HyperplaneRule(np.zeros(4))])
+    net = PalmNetwork(weights=np.zeros((1, 4)))
     state = EvolutionState()
     update_input_mean(state, extended_input(0.0, 0.0, 0.0))
     bias2, variance = network_bias_variance(net, state, 0.0)
@@ -54,7 +53,7 @@ def test_bias_variance_zero_network():
 @pytest.mark.parametrize("c,y_r", [(0.3, 1.0), (0.9, -2.0), (0.5, 0.5)])
 def test_bias_variance_single_intercept_rule(c, y_r):
     # symbolic: E[Y] = c, E[Y^2] = c, so var = c - c^2, bias2 = (c - y_r)^2
-    net = PalmNetwork(rules=[HyperplaneRule([c, 0.0, 0.0, 0.0])])
+    net = PalmNetwork(weights=[[c, 0.0, 0.0, 0.0]])
     state = EvolutionState()
     update_input_mean(state, extended_input(0.7, -0.4, 1.3))
     bias2, variance = network_bias_variance(net, state, y_r)
@@ -67,7 +66,7 @@ def test_bias_two_ways_algebraic_identity():
     rng = np.random.default_rng(8)
     for _ in range(100):
         w = rng.uniform(-1, 1, size=(3, 4))
-        net = PalmNetwork(rules=[HyperplaneRule(r) for r in w])
+        net = PalmNetwork(weights=w)
         state = EvolutionState()
         update_input_mean(state, np.concatenate([[1.0], rng.uniform(-2, 2, 3)]))
         y_r = rng.uniform(-3, 3)
@@ -108,17 +107,17 @@ def test_constant_stream_never_grows_or_prunes():
 
 
 def test_grow_fires_on_upward_drift():
-    state = EvolutionState(sigma_floor_rel=0.1)
+    state = EvolutionState()
     fired = [check_grow(state, 1.0 + 0.2 * k) for k in range(50)]
     assert any(fired)
 
 
 def test_minima_reset_on_grow():
-    state = EvolutionState(sigma_floor_rel=0.1)
+    state = EvolutionState()
     for k in range(50):
         if check_grow(state, 1.0 + 0.2 * k):
-            assert state.mu_ba_min == state.bias_stat.mean
-            assert state.sigma_ba_min == state.bias_stat.std
+            assert state.grow.mu_min == state.grow.stat.mean
+            assert state.grow.sigma_min == state.grow.stat.std
             break
     else:
         pytest.fail("grow never fired")
@@ -130,65 +129,59 @@ def test_minima_never_exceed_running_stats():
     for _ in range(500):
         check_grow(state, float(rng.uniform(0, 3)))
         check_prune(state, float(rng.uniform(0, 2)))
-        assert state.mu_ba_min <= state.bias_stat.mean + 1e-12
-        assert state.sigma_ba_min <= state.bias_stat.std + 1e-12
-        assert state.mu_var_min <= state.var_stat.mean + 1e-12
-        assert state.sigma_var_min <= state.var_stat.std + 1e-12
-
-
-def test_grow_rule_intercept_only():
-    net = PalmNetwork(rules=[HyperplaneRule(np.zeros(4))])
-    x_e = np.array([1.0, 0.0, 0.0, 0.0])
-    grow_rule(net, x_e, 0.5)
-    np.testing.assert_allclose(net.rules[-1].weights, [0.5, 0.0, 0.0, 0.0])
-    assert rule_consequent(x_e, net.rules[-1]) == pytest.approx(0.5)
-
-
-def test_grow_rule_minimum_norm_arithmetic():
-    x_e = np.array([1.0, 0.0, 0.0, 10.0])
-    rule = interpolant_rule(x_e, 9.0)
-    np.testing.assert_allclose(rule.weights, [9.0 / 101.0, 0.0, 0.0, 90.0 / 101.0], rtol=1e-12)
-
-
-def test_grow_rule_clips_inside_open_unit_box():
-    rule = interpolant_rule(np.array([1.0, 0.0, 0.0, 0.0]), 3.0)
-    assert np.all(np.abs(rule.weights) < 1.0)
+        assert state.grow.mu_min <= state.grow.stat.mean + 1e-12
+        assert state.grow.sigma_min <= state.grow.stat.std + 1e-12
+        assert state.prune.mu_min <= state.prune.stat.mean + 1e-12
+        assert state.prune.sigma_min <= state.prune.stat.std + 1e-12
 
 
 def test_grow_increases_parameter_count_by_dim():
-    net = PalmNetwork(rules=[HyperplaneRule(np.zeros(4))])
+    net = PalmNetwork(weights=np.zeros((1, 4)))
     before = net.parameter_count
-    grow_rule(net, np.array([1.0, 1.0, 0.0, 2.0]), 1.5)
+    grow_rule(net, np.array([1.0]))
     assert net.parameter_count == before + 4
 
 
+def test_grow_rule_duplicates_highest_firing_rule():
+    w = np.array([[0.1, 0.0, 0.0, 0.0], [0.2, 0.3, 0.0, 0.0], [0.4, 0.0, 0.5, 0.6]])
+    for firing, winner in (([0.2, 0.7, 0.1], 1), ([0.1, 0.45, 0.45], 1), ([0.4, 0.2, 0.4], 0)):
+        net = PalmNetwork(weights=w)
+        grow_rule(net, np.array(firing))
+        assert net.rule_count == 4
+        np.testing.assert_array_equal(net.weights[:3], w)
+        np.testing.assert_array_equal(net.weights[3], w[winner])
+        # the appended row is a copy, not a view of its source
+        net.weights[3, 0] = 9.0
+        assert net.weights[winner, 0] == w[winner, 0]
+
+
 def test_prune_removes_lowest_significance():
-    net = PalmNetwork(rules=[HyperplaneRule([0.9, 0, 0, 0]), HyperplaneRule([0.001, 0, 0, 0])])
+    net = PalmNetwork(weights=[[0.9, 0, 0, 0], [0.001, 0, 0, 0]])
     state = EvolutionState()
     update_input_mean(state, np.array([1.0, 0.0, 0.0, 0.0]))
     np.testing.assert_allclose(rule_significances(net, state), [0.9, 0.001])
     assert prune_rule(net, state) == 1
     assert net.rule_count == 1
-    np.testing.assert_allclose(net.rules[0].weights, [0.9, 0, 0, 0])
+    np.testing.assert_allclose(net.weights[0], [0.9, 0, 0, 0])
 
 
 def test_prune_ranks_by_absolute_value():
     # magnitude oracle: |-0.5| > |0.01| so the second rule goes
-    net = PalmNetwork(rules=[HyperplaneRule([-0.5, 0, 0, 0]), HyperplaneRule([0.01, 0, 0, 0])])
+    net = PalmNetwork(weights=[[-0.5, 0, 0, 0], [0.01, 0, 0, 0]])
     state = EvolutionState()
     update_input_mean(state, np.array([1.0, 0.0, 0.0, 0.0]))
     assert prune_rule(net, state) == 1
 
 
 def test_prune_tie_breaks_to_lowest_index():
-    net = PalmNetwork(rules=[HyperplaneRule([0.3, 0, 0, 0]), HyperplaneRule([-0.3, 0, 0, 0])])
+    net = PalmNetwork(weights=[[0.3, 0, 0, 0], [-0.3, 0, 0, 0]])
     state = EvolutionState()
     update_input_mean(state, np.array([1.0, 0.0, 0.0, 0.0]))
     assert prune_rule(net, state) == 0
 
 
 def test_prune_refuses_last_rule():
-    net = PalmNetwork(rules=[HyperplaneRule(np.zeros(4))])
+    net = PalmNetwork(weights=np.zeros((1, 4)))
     state = EvolutionState()
     update_input_mean(state, np.ones(4))
     with pytest.raises(ValueError):

@@ -24,8 +24,6 @@ PAC_PARAMS = {
     "sat_limit": 10.0,
     "learn_rates": [0.1, 0.5, 0.001],
     "alpha_max": [0.5, 0.5, 0.01],
-    "grow_init": "duplicate",
-    "sigma_floor_rel": 0.2,
 }
 
 PID_HEXA = {"kp": 0.675, "ki": 0.05, "kd": 0.81, "output_limits": [-20.0, 20.0]}
@@ -88,8 +86,10 @@ def test_step_csv_round_trip(tmp_path):
 
 
 def test_unknown_config_key_rejected():
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict({"name": "x", "plant": "hexacopter", "bogus": 1})
+    # "seed" was a config key once; a stale one must fail like any other
+    for key in ("bogus", "seed"):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({"name": "x", "plant": "hexacopter", key: 1})
 
 
 def test_non_integer_step_count_rejected():

@@ -6,7 +6,6 @@ import pytest
 
 from pacsim.palm import (
     DIM,
-    HyperplaneRule,
     PalmNetwork,
     extended_input,
     load_rules,
@@ -19,16 +18,15 @@ from pacsim.palm import (
 
 
 def test_distance_zero_when_point_on_plane():
-    rule = HyperplaneRule([0.5, 0.2, -0.3, 0.1])
+    w = np.array([0.5, 0.2, -0.3, 0.1])
     x_e = extended_input(1.0, 2.0, 3.0)
     y_r = 0.2 * 1.0 - 0.3 * 2.0 + 0.1 * 3.0 + 0.5
-    assert point_to_plane_distance(x_e, rule, y_r) == pytest.approx(0.0, abs=1e-15)
+    assert point_to_plane_distance(x_e, w, y_r) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_distance_reduces_to_abs_reference_for_flat_rule():
-    rule = HyperplaneRule([0.0, 0.0, 0.0, 0.0])
     x_e = extended_input(1.0, 1.0, 5.0)
-    assert point_to_plane_distance(x_e, rule, 5.0) == pytest.approx(5.0)
+    assert point_to_plane_distance(x_e, np.zeros(4), 5.0) == pytest.approx(5.0)
 
 
 def test_distance_against_monte_carlo_plane_sampling():
@@ -37,11 +35,10 @@ def test_distance_against_monte_carlo_plane_sampling():
     rng = np.random.default_rng(7)
     for _ in range(5):
         w = rng.uniform(-1, 1, size=DIM)
-        rule = HyperplaneRule(w)
         x = rng.uniform(-2, 2, size=3)
         y_r = rng.uniform(-5, 5)
         x_e = np.concatenate([[1.0], x])
-        d_formula = point_to_plane_distance(x_e, rule, y_r)
+        d_formula = point_to_plane_distance(x_e, w, y_r)
         if d_formula < 1e-2:
             continue
         point = np.concatenate([x, [y_r]])
@@ -67,8 +64,8 @@ def test_distance_sign_symmetry():
         w = rng.uniform(-2, 2, size=DIM)
         x_e = np.concatenate([[1.0], rng.uniform(-3, 3, size=3)])
         y_r = rng.uniform(-5, 5)
-        d = point_to_plane_distance(x_e, HyperplaneRule(w), y_r)
-        d_neg = point_to_plane_distance(x_e, HyperplaneRule(-w), -y_r)
+        d = point_to_plane_distance(x_e, w, y_r)
+        d_neg = point_to_plane_distance(x_e, -w, -y_r)
         assert d == pytest.approx(d_neg, rel=1e-12)
 
 
@@ -90,24 +87,23 @@ def test_membership_degenerate_all_planes_through_point():
 
 
 def test_consequent_zero_weights():
-    assert rule_consequent(extended_input(1, 2, 3), HyperplaneRule(np.zeros(4))) == 0.0
+    assert rule_consequent(extended_input(1, 2, 3), np.zeros(4)) == 0.0
 
 
 def test_consequent_extracted_rule_example():
     # published example rule evaluated at e = 0, de = 0, y_r = 10
-    rule = HyperplaneRule([0.0121, 0.0909, 0.4291, 0.6632])
+    w = np.array([0.0121, 0.0909, 0.4291, 0.6632])
     x_e = extended_input(0.0, 0.0, 10.0)
-    assert rule_consequent(x_e, rule) == pytest.approx(0.0121 + 6.632, abs=1e-12)
+    assert rule_consequent(x_e, w) == pytest.approx(0.0121 + 6.632, abs=1e-12)
 
 
 def test_consequent_symmetry():
-    rule = HyperplaneRule([0.25, 0.25, 0.25, 0.25])
-    assert rule_consequent(np.ones(4), rule) == pytest.approx(1.0)
+    assert rule_consequent(np.ones(4), np.full(4, 0.25)) == pytest.approx(1.0)
 
 
 def test_consequent_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        rule_consequent(np.ones(3), HyperplaneRule(np.zeros(4)))
+        rule_consequent(np.ones(3), np.zeros(4))
 
 
 def _reference_network_output(x_e, weights, eta, y_r):
@@ -128,10 +124,10 @@ def _reference_network_output(x_e, weights, eta, y_r):
 
 def test_network_output_single_rule_equals_consequent():
     for eta in (1.0, 5.0, 100.0):
-        net = PalmNetwork(eta=eta, rules=[HyperplaneRule([0.1, -0.2, 0.3, 0.4])])
+        net = PalmNetwork(eta=eta, weights=[[0.1, -0.2, 0.3, 0.4]])
         x_e = extended_input(1.0, -1.0, 2.0)
         u, firing = network_output(x_e, net, 2.0)
-        assert u == pytest.approx(rule_consequent(x_e, net.rules[0]), abs=1e-15)
+        assert u == pytest.approx(rule_consequent(x_e, net.weights[0]), abs=1e-15)
         assert firing.normalized[0] == pytest.approx(1.0)
 
 
@@ -140,26 +136,27 @@ def test_network_output_duplicate_rule_invariance():
     # further copies leaves the output unchanged
     rng = np.random.default_rng(11)
     for _ in range(50):
-        rule = HyperplaneRule(rng.uniform(-1, 1, size=4))
+        w = rng.uniform(-1, 1, size=4)
         x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
         y_r = rng.uniform(-4, 4)
-        net = PalmNetwork(eta=5.0, rules=[rule.copy()])
+        net = PalmNetwork(eta=5.0, weights=[w])
         u1, _ = network_output(x_e, net, y_r)
         for _ in range(3):
-            net.add_rule(rule.copy())
+            net.add_rule(w)
             u2, _ = network_output(x_e, net, y_r)
             assert abs(u1 - u2) < 1e-12
 
 
 def test_network_output_matches_reference_implementation():
     rng = np.random.default_rng(19)
-    for _ in range(200):
-        weights = rng.uniform(-1, 1, size=(3, 4))
-        net = PalmNetwork(eta=5.0, rules=[HyperplaneRule(w) for w in weights])
-        x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
-        y_r = rng.uniform(-4, 4)
-        u, _ = network_output(x_e, net, y_r)
-        assert u == pytest.approx(_reference_network_output(x_e, weights.tolist(), 5.0, y_r), abs=1e-12)
+    for r in (1, 3, 25, 100):
+        for _ in range(200):
+            weights = rng.uniform(-1, 1, size=(r, 4))
+            net = PalmNetwork(eta=5.0, weights=weights)
+            x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
+            y_r = rng.uniform(-4, 4)
+            u, _ = network_output(x_e, net, y_r)
+            assert u == pytest.approx(_reference_network_output(x_e, weights.tolist(), 5.0, y_r), abs=1e-12)
 
 
 def test_partition_of_unity_and_membership_bounds():
@@ -167,7 +164,7 @@ def test_partition_of_unity_and_membership_bounds():
     for _ in range(500):
         r = rng.integers(1, 6)
         eta = rng.uniform(1, 100)
-        net = PalmNetwork(eta=eta, rules=[HyperplaneRule(rng.uniform(-5, 5, size=4)) for _ in range(r)])
+        net = PalmNetwork(eta=eta, weights=rng.uniform(-5, 5, size=(r, 4)))
         x_e = np.concatenate([[1.0], rng.uniform(-5, 5, size=3)])
         y_r = rng.uniform(-10, 10)
         _, firing = network_output(x_e, net, y_r)
@@ -177,7 +174,7 @@ def test_partition_of_unity_and_membership_bounds():
 
 
 def test_parameter_count_identity():
-    net = PalmNetwork(eta=5.0, rules=[HyperplaneRule(np.zeros(4)) for _ in range(3)])
+    net = PalmNetwork(eta=5.0, weights=np.zeros((3, 4)))
     assert net.parameter_count == 3 * DIM == 12
 
 
@@ -190,10 +187,23 @@ def test_eta_range_enforced():
 
 def test_rule_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    net = PalmNetwork(eta=5.0, rules=[HyperplaneRule(rng.uniform(-1, 1, size=4)) for _ in range(3)])
+    net = PalmNetwork(eta=5.0, weights=rng.uniform(-1, 1, size=(3, 4)))
     path = tmp_path / "rules.txt"
     save_rules(net, path)
     loaded = load_rules(path)
     assert len(loaded) == 3
-    for orig, back in zip(net.rules, loaded):
-        np.testing.assert_array_equal(orig.weights, back.weights)
+    np.testing.assert_array_equal(net.weights, loaded)
+
+
+@pytest.mark.parametrize("weights", [np.zeros(4), np.zeros((2, 3)), np.zeros((1, 5)), np.zeros((1, 2, 4))])
+def test_network_rejects_weights_of_wrong_shape(weights):
+    with pytest.raises(ValueError):
+        PalmNetwork(weights=weights)
+
+
+@pytest.mark.parametrize("w", [np.zeros(3), np.zeros(5), np.zeros((1, 4))])
+def test_add_rule_rejects_weights_of_wrong_shape(w):
+    net = PalmNetwork(weights=np.zeros((1, 4)))
+    with pytest.raises(ValueError):
+        net.add_rule(w)
+    assert net.weights.shape == (1, 4)
