@@ -9,15 +9,13 @@ stabilizes attitude with differential amplitudes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from ..pid import PidConfig, PidController
 from .disturbances import GustSpec, GustTracker
-from .rigid_body import GRAVITY, InertiaSet, RigidBodyState, dcm_inertial_to_body, rigid_body_step
+from .rigid_body import GRAVITY, InertiaSet, RigidBodyState, body_gravity, rigid_body_step
 
 CG = np.zeros(3)
 CP = np.array(
@@ -28,6 +26,11 @@ CP = np.array(
         [-0.08, -0.05, 0.0],
     ]
 )
+# float copies for the per-step force path: CP offsets (x, y) from the CG
+# (every CP and the CG lie at z = 0) and the CP coordinate sums
+_WING_ARMS = tuple((x, y) for x, y, _ in (CP - CG).tolist())
+_CP_SUM_X = float(CP[:, 0].sum())
+_CP_SUM_Y = float(CP[:, 1].sum())
 
 
 @dataclass
@@ -57,50 +60,35 @@ class FlapParams:
         return self.inertia.m * GRAVITY / (4.0 * self.frequency**2 * self.hover_amplitude())
 
 
-def flapping_actuator(amplitude: float, frequency: float, params: FlapParams) -> np.ndarray:
-    """Cycle-averaged force of one wing for the given flapping amplitude."""
-    amplitude = float(np.clip(amplitude, 0.0, params.amplitude_max))
-    return np.array([0.0, 0.0, -params.k_lift() * frequency**2 * amplitude])
+def flapping_actuator(amplitude: float, lift_gain: float, amplitude_max: float) -> tuple[float, float, float]:
+    """Cycle-averaged force of one wing for the given flapping amplitude: pure lift along -z.
+
+    The lift is ``lift_gain * amplitude`` with the amplitude clamped to
+    [0, amplitude_max]; ``lift_gain`` is ``FlapParams.k_lift() * frequency**2``.
+    """
+    return (0.0, 0.0, -lift_gain * min(max(amplitude, 0.0), amplitude_max))
 
 
 def bifwmav_force_moment(
-    actuator_forces: np.ndarray, attitude: tuple[float, float, float], mass: float
-) -> tuple[np.ndarray, np.ndarray]:
+    actuator_forces, attitude: tuple[float, float, float], mass: float
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """Total body force (wing forces + gravity through the DCM) and moment.
 
-    Per-wing moments use cross(CG - CP_i, F_i); summed over the four wings.
+    ``actuator_forces`` holds the four wing forces, pure lift along -z as
+    ``flapping_actuator`` gives them; only their z components are read. With
+    the lift at the CP offset r_i = CP_i - CG, the per-wing moment
+    cross(CG - CP_i, F_i) reduces to (r_y * lift, -r_x * lift, 0).
     """
-    dcm = dcm_inertial_to_body(*attitude)
-    gravity_body = dcm @ np.array([0.0, 0.0, mass * GRAVITY])
-    f_total = actuator_forces.sum(axis=0) + gravity_body
-    m_total = np.zeros(3)
-    for i in range(4):
-        m_total += np.cross(CG - CP[i], actuator_forces[i])
-    return f_total, m_total
+    fz = m_x = m_y = 0.0
+    for (_, _, f), (r_x, r_y) in zip(actuator_forces, _WING_ARMS):
+        fz += f
+        m_x -= r_y * f
+        m_y += r_x * f
+    g_x, g_y, g_z = body_gravity(attitude[0], attitude[1], mass)
+    return (g_x, g_y, fz + g_z), (m_x, m_y, 0.0)
 
 
-@lru_cache(maxsize=8)
-def _allocation_pinv(k: float) -> np.ndarray:
-    # lift f_i = k * a_i (downward -z); net moments after the stroke-plane
-    # trim removes the collective-mean part: M_x = cy_i f_i (mean cy is 0),
-    # M_y = -(cx_i - mean cx) f_i, so equal amplitudes carry zero moment
-    cx_dev = CP[:, 0] - CP[:, 0].mean()
-    rows = np.vstack([np.ones(4) * k, CP[:, 1] * k, -cx_dev * k])
-    return np.linalg.pinv(rows)
-
-
-def _amplitude_allocation(collective: float, m_x: float, m_y: float, params: FlapParams) -> np.ndarray:
-    """Distribute per-wing amplitudes for a collective lift plus trim moments.
-
-    Minimum-norm solution of the linear map from amplitudes to
-    (sum, net M_x, net M_y); negative or over-range amplitudes are clamped.
-    """
-    k = params.k_lift() * params.frequency**2
-    amps = _allocation_pinv(k) @ np.array([collective, m_x, m_y])
-    return np.clip(amps, 0.0, params.amplitude_max)
-
-
-def stroke_plane_trim_moment(wing_forces: np.ndarray) -> np.ndarray:
+def stroke_plane_trim_moment(wing_forces) -> tuple[float, float, float]:
     """Counter-moment from the stroke-plane trim.
 
     The fixed CP table is fore/aft asymmetric, so a pure collective produces
@@ -108,9 +96,8 @@ def stroke_plane_trim_moment(wing_forces: np.ndarray) -> np.ndarray:
     plane angle. The surrogate cancels exactly the collective-mean part,
     leaving differential amplitudes as the attitude control authority.
     """
-    lift = -wing_forces[:, 2]
-    mean_f = float(lift.mean())
-    return -np.array([float(CP[:, 1].sum()) * mean_f, -float(CP[:, 0].sum()) * mean_f, 0.0])
+    mean_f = -sum(f[2] for f in wing_forces) / len(wing_forces)
+    return (-_CP_SUM_Y * mean_f, _CP_SUM_X * mean_f, 0.0)
 
 
 class BiFwmav:
@@ -123,21 +110,34 @@ class BiFwmav:
         self.t = 0.0
         pid_cfg = PidConfig(kp=0.015, ki=1e-3, kd=4.8e-3, output_limits=(-0.1, 0.1))
         self._att_pids = [PidController(pid_cfg) for _ in range(2)]
+        p = self.params
+        self._lift_gain = p.k_lift() * p.frequency**2
+        # per-wing amplitude allocation: minimum-norm inverse of the map from
+        # amplitudes to (sum of lifts, net M_x, net M_y). Lift is k * a_i
+        # (downward -z); after the stroke-plane trim removes the
+        # collective-mean part, M_x = cy_i f_i (mean cy is 0) and
+        # M_y = -(cx_i - mean cx) f_i, so equal amplitudes carry zero moment.
+        k = self._lift_gain
+        cx_dev = CP[:, 0] - CP[:, 0].mean()
+        rows = np.vstack([np.ones(4) * k, CP[:, 1] * k, -cx_dev * k])
+        self._allocation = tuple(map(tuple, np.linalg.pinv(rows).tolist()))
 
     def output(self) -> float:
         return self.state.altitude()
 
     def step(self, u: float, dt: float) -> None:
         p = self.params
-        k = p.k_lift() * p.frequency**2
-        collective = 4.0 * k * float(np.clip(p.hover_amplitude() + p.amplitude_gain * u, 0.0, p.amplitude_max))
+        a_max = p.amplitude_max
+        collective = 4.0 * self._lift_gain * min(max(p.hover_amplitude() + p.amplitude_gain * u, 0.0), a_max)
         # attitude trim: drive roll/pitch moments toward level
-        m_x = self._att_pids[0].step(self.state.attitude[0], 0.0, dt)
-        m_y = self._att_pids[1].step(self.state.attitude[1], 0.0, dt)
-        amps = _amplitude_allocation(collective, m_x, m_y, p)
-        forces = np.array([flapping_actuator(a, p.frequency, p) for a in amps])
-        f_total, m_total = bifwmav_force_moment(forces, tuple(self.state.attitude), p.inertia.m)
-        m_total = m_total + stroke_plane_trim_moment(forces)
+        phi, theta, psi = self.state.attitude.tolist()
+        m_x = self._att_pids[0].step(phi, 0.0, dt)
+        m_y = self._att_pids[1].step(theta, 0.0, dt)
+        # flapping_actuator clamps negative or over-range amplitudes
+        amps = [a * collective + b * m_x + c * m_y for a, b, c in self._allocation]
+        forces = [flapping_actuator(a, self._lift_gain, a_max) for a in amps]
+        f_total, m_wings = bifwmav_force_moment(forces, (phi, theta, psi), p.inertia.m)
+        m_total = [m + t for m, t in zip(m_wings, stroke_plane_trim_moment(forces))]
 
         if self.gust is not None:
             wind = self.gust.advance(float(self.state.velocity[0]), self.t, dt)

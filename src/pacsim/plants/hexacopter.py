@@ -16,7 +16,7 @@ import numpy as np
 
 from ..pid import PidConfig, PidController
 from .disturbances import GustSpec, GustTracker
-from .rigid_body import GRAVITY, InertiaSet, RigidBodyState, dcm_inertial_to_body, rigid_body_step
+from .rigid_body import GRAVITY, InertiaSet, RigidBodyState, body_gravity, rigid_body_step
 
 
 @dataclass
@@ -50,18 +50,24 @@ _ROTOR_ANGLES = np.deg2rad(np.arange(6) * 60.0)
 _SPIN = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
-def _geometry(params: HexacopterParams):
-    x = params.arm_length * np.cos(_ROTOR_ANGLES)
-    y = params.arm_length * np.sin(_ROTOR_ANGLES)
-    return x, y
+def _allocation_matrix(arm_length: float, kq_over_kt: float) -> np.ndarray:
+    """(thrust, roll, pitch, yaw) rows of the linear map from the six rotor thrusts."""
+    x = arm_length * np.cos(_ROTOR_ANGLES)
+    y = arm_length * np.sin(_ROTOR_ANGLES)
+    return np.vstack([np.ones(6), -y, x, _SPIN * kq_over_kt])
 
 
 @lru_cache(maxsize=8)
-def _allocator(arm_length: float, kq_over_kt: float) -> np.ndarray:
-    x = arm_length * np.cos(_ROTOR_ANGLES)
-    y = arm_length * np.sin(_ROTOR_ANGLES)
-    alloc = np.vstack([np.ones(6), -y, x, _SPIN * kq_over_kt])
-    return np.linalg.pinv(alloc)
+def _allocator(arm_length: float, kq_over_kt: float) -> tuple:
+    """Per-rotor rows of the pseudo-inverse: (thrust, roll, pitch, yaw) -> rotor thrust."""
+    return tuple(map(tuple, np.linalg.pinv(_allocation_matrix(arm_length, kq_over_kt)).tolist()))
+
+
+@lru_cache(maxsize=8)
+def _forward_allocation(arm_length: float, k_thrust: float, k_torque: float) -> tuple:
+    """Per-rotor columns of the forward map: squared rotor speed -> (thrust, roll, pitch, yaw)."""
+    forward = k_thrust * _allocation_matrix(arm_length, k_torque / k_thrust)
+    return tuple(map(tuple, forward.T.tolist()))
 
 
 def hexacopter_mixing(
@@ -70,28 +76,33 @@ def hexacopter_mixing(
     pitch_cmd: float,
     yaw_cmd: float,
     params: HexacopterParams,
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """Allocate total thrust (N) and body moments (N*m) to six rotor speeds.
 
     Pseudo-inverse of the linear allocation in per-rotor thrust space, then
     converted to speeds through the quadratic law and clamped to [0, max].
     """
-    pinv = _allocator(params.arm_length, params.k_torque / params.k_thrust)
-    thrusts = pinv @ np.array([thrust_cmd, roll_cmd, pitch_cmd, yaw_cmd])
-    speeds = np.sqrt(np.clip(thrusts, 0.0, None) / params.k_thrust)
-    return np.clip(speeds, 0.0, params.rotor_speed_max)
+    k_t, w_max = params.k_thrust, params.rotor_speed_max
+    return tuple(
+        [
+            min(math.sqrt(max(a * thrust_cmd + b * roll_cmd + c * pitch_cmd + d * yaw_cmd, 0.0) / k_t), w_max)
+            for a, b, c, d in _allocator(params.arm_length, params.k_torque / k_t)
+        ]
+    )
 
 
-def rotor_forces_moments(speeds: np.ndarray, params: HexacopterParams) -> tuple[np.ndarray, np.ndarray]:
-    """Body-frame force and moment produced by the given rotor speeds."""
-    x, y = _geometry(params)
-    thrusts = params.k_thrust * speeds**2
-    torques = params.k_torque * speeds**2
-    total = float(thrusts.sum())
-    roll = float(-(thrusts * y).sum())
-    pitch = float((thrusts * x).sum())
-    yaw = float((_SPIN * torques).sum())
-    return np.array([0.0, 0.0, -total]), np.array([roll, pitch, yaw])
+def rotor_forces_moments(
+    speeds, params: HexacopterParams
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Body-frame force and moment produced by the given six rotor speeds."""
+    total = roll = pitch = yaw = 0.0
+    for w, (a, b, c, d) in zip(speeds, _forward_allocation(params.arm_length, params.k_thrust, params.k_torque)):
+        w2 = w * w
+        total += a * w2
+        roll += b * w2
+        pitch += c * w2
+        yaw += d * w2
+    return (0.0, 0.0, -total), (roll, pitch, yaw)
 
 
 class Hexacopter:
@@ -129,38 +140,24 @@ class Hexacopter:
     def step(self, u: float, dt: float) -> None:
         p = self.params
         trim = p.hover_thrust() if p.thrust_trim is None else p.thrust_trim
+        phi, theta, psi = self.state.attitude.tolist()
 
         if self.channel == "altitude":
             thrust_cmd = trim + p.thrust_gain * u
-            rate_ref = np.array(
-                [
-                    p.angle_kp * (0.0 - self.state.attitude[0]),
-                    p.angle_kp * (0.0 - self.state.attitude[1]),
-                    0.0 - self.state.attitude[2],
-                ]
-            )
+            rate_ref = (p.angle_kp * -phi, p.angle_kp * -theta, -psi)
+        elif self.channel == "roll":
+            thrust_cmd = trim
+            rate_ref = (p.rate_gain * u, p.angle_kp * -theta, -psi)
         else:
             thrust_cmd = trim
-            axis = 0 if self.channel == "roll" else 1
-            rate_ref = np.array(
-                [
-                    0.0,
-                    0.0,
-                    0.0 - self.state.attitude[2],
-                ]
-            )
-            rate_ref[axis] = p.rate_gain * u
-            other = 1 - axis
-            rate_ref[other] = p.angle_kp * (0.0 - self.state.attitude[other])
+            rate_ref = (p.angle_kp * -phi, p.rate_gain * u, -psi)
 
-        cmds = [pid.step(self.state.rates[i], rate_ref[i], dt) for i, pid in enumerate(self._rate_pids)]
+        loops = zip(self._rate_pids, self.state.rates.tolist(), rate_ref)
+        cmds = [pid.step(rate, ref, dt) for pid, rate, ref in loops]
         speeds = hexacopter_mixing(thrust_cmd, cmds[0], cmds[1], cmds[2], p)
-        forces, moments = rotor_forces_moments(speeds, p)
-
+        rotor_force, moments = rotor_forces_moments(speeds, p)
         # gravity in the body frame
-        phi, theta, psi = self.state.attitude
-        dcm = dcm_inertial_to_body(phi, theta, psi)
-        forces = forces + dcm @ np.array([0.0, 0.0, p.inertia.m * GRAVITY])
+        forces = [f + g for f, g in zip(rotor_force, body_gravity(phi, theta, p.inertia.m))]
 
         if self.gust is not None:
             # additive body-x velocity perturbation ahead of the force computation

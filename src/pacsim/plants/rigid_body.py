@@ -40,16 +40,12 @@ class RigidBodyState:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.position, self.velocity, self.attitude, self.rates])
 
-    @staticmethod
-    def from_vector(x: np.ndarray) -> "RigidBodyState":
-        return RigidBodyState(x[0:3].copy(), x[3:6].copy(), x[6:9].copy(), x[9:12].copy())
-
     def altitude(self) -> float:
         return -float(self.position[2])
 
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.as_vector())):
-            raise FloatingPointError("rigid body state diverged")
+
+# names of the 12 state components, in as_vector order
+_STATE_NAMES = ("x", "y", "z", "u", "v", "w", "phi", "theta", "psi", "p", "q", "r")
 
 
 def dcm_inertial_to_body(phi: float, theta: float, psi: float) -> np.ndarray:
@@ -66,40 +62,49 @@ def dcm_inertial_to_body(phi: float, theta: float, psi: float) -> np.ndarray:
     )
 
 
-def _derivatives(x: np.ndarray, inertia: InertiaSet, forces: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    u, v, w = x[3:6]
-    phi, theta, psi = x[6:9]
-    p, q, r = x[9:12]
+def body_gravity(phi: float, theta: float, mass: float) -> tuple[float, float, float]:
+    """Weight m*g (inertial +Z) in the body frame: the last DCM column times m*g."""
+    mg = mass * GRAVITY
+    cth = math.cos(theta)
+    return (-math.sin(theta) * mg, math.sin(phi) * cth * mg, math.cos(phi) * cth * mg)
+
+
+def _derivatives(x, inertia: InertiaSet, forces, moments) -> tuple:
+    """State derivative of the 12 floats ``x`` (as_vector order) under body forces/moments."""
+    _, _, _, u, v, w, phi, theta, psi, p, q, r = x
+    m, i_x, i_y, i_z, i_xz = inertia.m, inertia.i_x, inertia.i_y, inertia.i_z, inertia.i_xz
 
     # translational: F = m(dv/dt + omega x v), solved for dv/dt
-    du = forces[0] / inertia.m - q * w + r * v
-    dv = forces[1] / inertia.m - r * u + p * w
-    dw = forces[2] / inertia.m - p * v + q * u
+    du = forces[0] / m - q * w + r * v
+    dv = forces[1] / m - r * u + p * w
+    dw = forces[2] / m - p * v + q * u
 
     # rotational: q decouples; (p, r) couple through I_xz
-    dq = (moments[1] - r * p * (inertia.i_x - inertia.i_z) - inertia.i_xz * (p * p - r * r)) / inertia.i_y
-    rhs_l = moments[0] - q * r * (inertia.i_z - inertia.i_y) + inertia.i_xz * p * q
-    rhs_n = moments[2] - p * q * (inertia.i_y - inertia.i_x) - inertia.i_xz * q * r
-    det = inertia.i_x * inertia.i_z - inertia.i_xz**2
-    dp = (inertia.i_z * rhs_l + inertia.i_xz * rhs_n) / det
-    dr = (inertia.i_xz * rhs_l + inertia.i_x * rhs_n) / det
+    dq = (moments[1] - r * p * (i_x - i_z) - i_xz * (p * p - r * r)) / i_y
+    rhs_l = moments[0] - q * r * (i_z - i_y) + i_xz * p * q
+    rhs_n = moments[2] - p * q * (i_y - i_x) - i_xz * q * r
+    det = i_x * i_z - i_xz * i_xz
+    dp = (i_z * rhs_l + i_xz * rhs_n) / det
+    dr = (i_xz * rhs_l + i_x * rhs_n) / det
 
     # Euler-angle kinematics
-    tth = math.tan(theta)
-    dphi = p + (q * math.sin(phi) + r * math.cos(phi)) * tth
-    dtheta = q * math.cos(phi) - r * math.sin(phi)
-    dpsi = (q * math.sin(phi) + r * math.cos(phi)) / math.cos(theta)
+    cph, sph = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cps, sps = math.cos(psi), math.sin(psi)
+    dphi = p + (q * sph + r * cph) * math.tan(theta)
+    dtheta = q * cph - r * sph
+    dpsi = (q * sph + r * cph) / cth
 
-    # position: body velocity rotated into the inertial frame
-    dcm = dcm_inertial_to_body(phi, theta, psi)
-    dpos = dcm.T @ x[3:6]
+    # position: body velocity rotated into the inertial frame by the DCM transpose
+    dx = cth * cps * u + (sph * sth * cps - cph * sps) * v + (cph * sth * cps + sph * sps) * w
+    dy = cth * sps * u + (sph * sth * sps + cph * cps) * v + (cph * sth * sps - sph * cps) * w
+    dz = -sth * u + sph * cth * v + cph * cth * w
+    return (dx, dy, dz, du, dv, dw, dphi, dtheta, dpsi, dp, dq, dr)
 
-    out = np.empty(12)
-    out[0:3] = dpos
-    out[3:6] = (du, dv, dw)
-    out[6:9] = (dphi, dtheta, dpsi)
-    out[9:12] = (dp, dq, dr)
-    return out
+
+def _non_finite(x) -> str:
+    """Names of the non-finite components of the 12 floats ``x``."""
+    return ", ".join(name for name, value in zip(_STATE_NAMES, x) if not math.isfinite(value))
 
 
 def _wrap_angle(a: float) -> float:
@@ -113,23 +118,38 @@ def _wrap_angle(a: float) -> float:
 def rigid_body_step(
     state: RigidBodyState,
     inertia: InertiaSet,
-    forces: np.ndarray,
-    moments: np.ndarray,
+    forces,
+    moments,
     dt: float,
 ) -> RigidBodyState:
-    """One RK4 step under zero-order-hold body-frame forces and moments."""
-    forces = np.asarray(forces, dtype=float)
-    moments = np.asarray(moments, dtype=float)
-    x = state.as_vector()
-    k1 = _derivatives(x, inertia, forces, moments)
-    k2 = _derivatives(x + 0.5 * dt * k1, inertia, forces, moments)
-    k3 = _derivatives(x + 0.5 * dt * k2, inertia, forces, moments)
-    k4 = _derivatives(x + dt * k3, inertia, forces, moments)
-    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One RK4 step under zero-order-hold body-frame forces and moments (3-sequences).
+
+    Raises FloatingPointError naming the non-finite state components when a
+    stage or the new state leaves the finite range.
+    """
+    forces = tuple(map(float, forces))
+    moments = tuple(map(float, moments))
+    x = [*state.position.tolist(), *state.velocity.tolist(), *state.attitude.tolist(), *state.rates.tolist()]
+    h = 0.5 * dt
+    stage = x
+    try:
+        k1 = _derivatives(stage, inertia, forces, moments)
+        stage = [a + h * b for a, b in zip(x, k1)]
+        k2 = _derivatives(stage, inertia, forces, moments)
+        stage = [a + h * b for a, b in zip(x, k2)]
+        k3 = _derivatives(stage, inertia, forces, moments)
+        stage = [a + dt * b for a, b in zip(x, k3)]
+        k4 = _derivatives(stage, inertia, forces, moments)
+    except ValueError:
+        # math.sin/cos/tan of an infinite stage angle
+        raise FloatingPointError(f"rigid body RK4 stage diverged: non-finite {_non_finite(stage)}") from None
+    c = dt / 6.0
+    x_new = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x_new)):
+        raise FloatingPointError(f"rigid body state diverged: non-finite {_non_finite(x_new)}")
     x_new[6:9] = [_wrap_angle(a) for a in x_new[6:9]]
-    new = RigidBodyState.from_vector(x_new)
-    new.check_finite()
-    return new
+    x_new = np.array(x_new)
+    return RigidBodyState(x_new[0:3], x_new[3:6], x_new[6:9], x_new[9:12])
 
 
 def kinetic_energy(state: RigidBodyState, inertia: InertiaSet) -> float:

@@ -120,3 +120,13 @@ def test_divergence_aborts():
     with pytest.raises(FloatingPointError):
         for _ in range(20):
             state = rigid_body_step(state, inertia, np.array([1e308, 0, 0]), np.zeros(3), 1.0)
+
+
+def test_overflowed_stage_angle_raises_floating_point_error():
+    # finite inputs whose RK4 stage angles overflow: math.cos of an infinite
+    # angle must surface as FloatingPointError (caught by run_experiment),
+    # not as ValueError, and name the non-finite components
+    inertia = InertiaSet(i_xz=0.01)
+    state = RigidBodyState(velocity=np.full(3, 1e160), rates=np.array([1e160, 0.0, 0.0]))
+    with pytest.raises(FloatingPointError, match=r"non-finite .*\bphi\b"):
+        rigid_body_step(state, inertia, np.zeros(3), np.full(3, 1e160), 0.01)
