@@ -88,6 +88,7 @@ class SlidingState:
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("alpha1 and alpha2 must be positive")
         self._alpha_initial = (self.alpha1, self.alpha2, self.alpha3)
+        self.sat_limit = float(self.sat_limit)  # keeps the min/max saturation float-valued
 
 
 @dataclass
@@ -115,7 +116,7 @@ def sliding_value(e: float, e_dot: float, err_integral: float, s: SlidingState) 
 
 def robustifying_term(s_l: float, s: SlidingState) -> float:
     """alpha1 * s_l, saturated to suppress chattering."""
-    return float(np.clip(s.alpha1 * s_l, -s.sat_limit, s.sat_limit))
+    return min(max(s.alpha1 * s_l, -s.sat_limit), s.sat_limit)
 
 
 def adapt_weights(
@@ -135,9 +136,11 @@ def adapt_weights(
     """
     g = step.e * P.p12 + step.e_dot * P.p22
     w = net.weights
-    w -= np.outer(dt * s.gamma * g * step.firing.normalized, x_e)
-    np.clip(w, -weight_limit, weight_limit, out=w)
-    if not np.isfinite(w).all():
+    w -= (dt * s.gamma * g * step.firing.normalized)[:, None] * x_e
+    np.minimum(np.maximum(w, -weight_limit, out=w), weight_limit, out=w)
+    # clipped entries are bounded: a non-finite sum means a NaN or an infinite bound,
+    # unless a bound near the float max overflowed it (numpy warns), which the entrywise test rules out
+    if not math.isfinite(np.add.reduce(w, axis=None)) and not np.isfinite(w).all():
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
@@ -173,6 +176,9 @@ class ControllerConfig:
     learn_rates: tuple[float, float, float] = (0.0, 0.0, 0.0)
     alpha_max: tuple[float, float, float] = (1.0, 0.5, 0.01)
     evolution_enabled: bool = True
+
+    def __post_init__(self):
+        self.actuator_limit = float(self.actuator_limit)  # keeps the min/max clamp on u float-valued
 
 
 class ParsimoniousController:
@@ -239,8 +245,7 @@ class ParsimoniousController:
 
         self.steps += 1
         self._time += dt
-        u_applied = float(np.clip(u, -c.actuator_limit, c.actuator_limit))
-        return u_applied, diag
+        return min(max(u, -c.actuator_limit), c.actuator_limit), diag
 
     def _evolve(self, diag: ControlStep, x_e: np.ndarray, y_r: float, firing: palm.FiringVector):
         """Structure learning: grow first, prune otherwise (never both)."""
@@ -253,12 +258,10 @@ class ParsimoniousController:
         changed = False
         if grow:
             evolution.grow_rule(self.net, firing.normalized)
-            self.evo.grow_count += 1
             diag.grew = changed = True
             self.events.append((self._time, "GROW", self.net.rule_count, bias, variance))
         elif prune and self.net.rule_count >= 2:
             evolution.prune_rule(self.net, self.evo)
-            self.evo.prune_count += 1
             diag.pruned = changed = True
             self.events.append((self._time, "PRUNE", self.net.rule_count, bias, variance))
         if changed:

@@ -79,8 +79,6 @@ class EvolutionState:
     k: int = 0
     grow: SigmaRule = field(default_factory=SigmaRule)
     prune: SigmaRule = field(default_factory=SigmaRule)
-    grow_count: int = 0
-    prune_count: int = 0
 
     def restart_detectors(self) -> None:
         """Re-baseline both drift detectors after a structural edit.
@@ -109,8 +107,8 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
     if state.k < 1:
         raise ValueError("input mean not yet populated")
     w = net.weights
-    e_y = float(np.sum(w @ state.mu_e))
-    e_y2 = float(np.sum(w @ (state.mu_e * state.mu_e)))
+    e_y = float(np.add.reduce(w @ state.mu_e))
+    e_y2 = float(np.add.reduce(w @ (state.mu_e * state.mu_e)))
     bias2 = (e_y - y_r) ** 2
     variance = max(e_y2 - e_y * e_y, 0.0)
     return bias2, variance

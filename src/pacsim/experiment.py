@@ -128,60 +128,52 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     impulse = _impulse(cfg)
 
     cols: dict[str, list] = {c: [] for c in STEP_COLUMNS}
-    diverged = False
+    add_t, add_y_r, add_y, add_e, add_s_l, add_u_src, add_u_palm, add_u, add_R, add_bias, add_variance = (
+        cols[c].append for c in STEP_COLUMNS
+    )
+    pac = isinstance(controller, ParsimoniousController)
+    dt = cfg.dt
+    cause = None
     try:
         for i in range(cfg.n_steps):
-            t = i * cfg.dt
+            t = i * dt
             y_r = trajectories.reference(traj, t)
             y = plant.output()
             if not math.isfinite(y):
                 raise FloatingPointError("plant output diverged")
             if impulse is not None:
                 y += impulse_noise(t, impulse)
-            if isinstance(controller, ParsimoniousController):
-                u, diag = controller.step(y, y_r, cfg.dt)
-                row = {
-                    "t": t,
-                    "y_r": y_r,
-                    "y": y,
-                    "e": diag.e,
-                    "s_l": diag.s_l,
-                    "u_src": diag.u_src,
-                    "u_palm": diag.u_palm,
-                    "u": u,
-                    "R": controller.rule_count,
-                    "bias": math.sqrt(diag.bias2),
-                    "variance": diag.variance,
-                }
+            # a step is logged only once its controller step has returned
+            if pac:
+                u, diag = controller.step(y, y_r, dt)
+                add_bias(math.sqrt(diag.bias2))
+                add_e(diag.e)
+                add_s_l(diag.s_l)
+                add_u_src(diag.u_src)
+                add_u_palm(diag.u_palm)
+                add_R(controller.rule_count)
+                add_variance(diag.variance)
             else:
-                u = controller.step(y, y_r, cfg.dt)
-                row = {
-                    "t": t,
-                    "y_r": y_r,
-                    "y": y,
-                    "e": y_r - y,
-                    "s_l": None,
-                    "u_src": None,
-                    "u_palm": None,
-                    "u": u,
-                    "R": None,
-                    "bias": None,
-                    "variance": None,
-                }
-            for key, value in row.items():
-                cols[key].append(value)
-            plant.step(u, cfg.dt)
-    except (ControllerFault, FloatingPointError):
-        diverged = True
+                u = controller.step(y, y_r, dt)
+                add_e(y_r - y)
+            add_t(t)
+            add_y_r(y_r)
+            add_y(y)
+            add_u(u)
+            plant.step(u, dt)
+    except (ControllerFault, FloatingPointError) as exc:
+        cause = exc
+    if not pac:
+        for c in ("s_l", "u_src", "u_palm", "R", "bias", "variance"):
+            cols[c] = [None] * len(cols["t"])
 
-    rule_count = controller.rule_count if isinstance(controller, ParsimoniousController) else None
-    rep = metrics.report(cols["y"], cols["y_r"], cfg.dt, final_rule_count=rule_count)
-    result = ExperimentResult(cfg, cols, rep, controller, diverged=diverged)
+    rep = metrics.report(cols["y"], cols["y_r"], dt, final_rule_count=controller.rule_count if pac else None)
+    result = ExperimentResult(cfg, cols, rep, controller, diverged=cause is not None)
 
     if out_dir is not None:
         write_outputs(result, Path(out_dir))
-    if diverged:
-        raise DivergenceError(f"{cfg.name}: non-finite state at step {len(cols['t'])}")
+    if cause is not None:
+        raise DivergenceError(f"{cfg.name}: non-finite state at step {len(cols['t'])}: {cause}") from cause
     return result
 
 

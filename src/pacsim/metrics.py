@@ -42,7 +42,14 @@ def compute_rmse(y: np.ndarray, y_r: np.ndarray) -> float | None:
         return None
     if y.shape != y_r.shape:
         raise ValueError("series lengths differ")
-    return float(np.sqrt(np.mean((y_r - y) ** 2)))
+    with np.errstate(over="ignore"):
+        d = y_r - y
+        rmse = float(np.sqrt(np.mean(d**2)))
+    scale = float(np.max(np.abs(d)))
+    if math.isinf(rmse) and math.isfinite(scale):
+        # a diverged log can be finite yet too large to square: scale by the largest error
+        rmse = scale * float(np.sqrt(np.mean((d / scale) ** 2)))
+    return rmse
 
 
 def _first_step(y: np.ndarray, y_r: np.ndarray) -> tuple[int, float, float]:

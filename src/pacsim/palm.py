@@ -105,13 +105,13 @@ def network_output(x_e: np.ndarray, net: PalmNetwork, y_r: float) -> tuple[float
     a = w[:, 1:]
     # a rule's consequent is also its plane height at the input
     consequents = w @ x_e
-    dists = np.abs(y_r - consequents) / np.sqrt(1.0 + (a * a).sum(axis=1))
-    d_max = float(dists.max())
+    dists = np.abs(y_r - consequents) / np.sqrt(1.0 + np.add.reduce(a * a, axis=1))
+    d_max = float(np.maximum.reduce(dists))
     if d_max == 0.0:
         raw = np.ones(len(dists))
     else:
         raw = np.exp(dists * (-net.eta / d_max))
-    total = float(raw.sum())
+    total = float(np.add.reduce(raw))
     if total < _UNDERFLOW:
         normalized = np.full(len(raw), 1.0 / len(raw))
     else:

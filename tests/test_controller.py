@@ -7,6 +7,7 @@ import scipy.linalg
 from pacsim.controller import (
     ControlStep,
     ControllerConfig,
+    ControllerFault,
     ParsimoniousController,
     PMatrix,
     SlidingState,
@@ -156,6 +157,65 @@ def test_adapt_weights_many_rules_match_per_row_update():
         for j in range(r):
             want = [max(-2.5, min(2.5, w0[j, q] - 0.01 * 0.5 * g * lam[j] * x_e[q])) for q in range(4)]
             np.testing.assert_allclose(net.weights[j], want, rtol=0.0, atol=1e-12)
+
+
+def test_adapt_weights_bit_equal_to_outer_and_clip_reference():
+    rng = np.random.default_rng(34)
+    P = p_matrix(1e-2, 1e-3)
+    for r in (1, 3, 95):
+        for gamma in (0.5, 5e3):  # the large gain drives entries past both bounds
+            w0 = rng.uniform(-3, 3, size=(r, 4))
+            lam = rng.dirichlet(np.ones(r))
+            e, ed = rng.uniform(-2, 2, size=2)
+            x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
+            net = PalmNetwork(weights=w0)
+            step = ControlStep(e=e, e_dot=ed, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
+            adapt_weights(net, step, SlidingState(gamma=gamma), P, x_e, 0.01, 2.5)
+            g = e * P.p12 + ed * P.p22
+            want = np.clip(w0 - np.outer(0.01 * gamma * g * lam, x_e), -2.5, 2.5)
+            assert np.array_equal(net.weights, want)
+            if gamma > 1.0:
+                assert (net.weights == 2.5).any() and (net.weights == -2.5).any()
+
+
+def test_adapt_weights_nan_input_raises():
+    net = PalmNetwork(weights=np.zeros((3, 4)))
+    step = ControlStep(e=1.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([0.2, 0.3, 0.5]))
+    with pytest.raises(ControllerFault):
+        adapt_weights(net, step, SlidingState(gamma=1.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01, 10.0)
+
+
+def test_adapt_weights_finite_check_is_entrywise():
+    # entries at a bound near the float max overflow their sum (numpy warns)
+    # but are finite: no fault
+    net = PalmNetwork(weights=np.full((2, 4), 1e308))
+    step = ControlStep(e=0.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([0.5, 0.5]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        adapt_weights(net, step, SlidingState(gamma=1.0), p_matrix(1e-2, 1e-3), np.ones(4), 0.01, 1e308)
+    assert np.all(net.weights == 1e308)
+    # an infinite bound lets an infinite entry through, which is a fault
+    net = PalmNetwork(weights=np.zeros((2, 4)))
+    net.weights[1, 2] = np.inf
+    with pytest.raises(ControllerFault):
+        adapt_weights(net, step, SlidingState(gamma=1.0), p_matrix(1e-2, 1e-3), np.ones(4), 0.01, float("inf"))
+
+
+def test_clamps_match_np_clip():
+    values = [0.0, -0.0, 0.3, -0.3, 7.0, -7.0, 1e8, -1e8, float("inf"), float("-inf")]
+    for limit in (5, 5.0, float("inf")):
+        s = SlidingState(alpha1=1.0, sat_limit=limit)
+        for v in values:
+            got = robustifying_term(v, s)
+            want = float(np.clip(v, -limit, limit))
+            assert type(got) is float
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        # the applied u: a bias rule of +-1e3 pushes u past either bound
+        for bias in (1e3, -1e3, 0.3, 0.0):
+            ctl = ParsimoniousController(ControllerConfig(actuator_limit=limit, evolution_enabled=False))
+            ctl.net.weights[0, 0] = bias
+            u, diag = ctl.step(1.0, 1.0, 0.01)
+            assert type(u) is float
+            assert u == float(np.clip(diag.u, -limit, limit))
 
 
 def test_adapt_sliding_params_fixed_mode():

@@ -114,6 +114,20 @@ def test_divergence_aborts_with_partial_log(tmp_path):
     assert len(log.read_text().splitlines()) > 1
 
 
+def test_divergence_keeps_the_cause():
+    suite = yaml.safe_load((Path(__file__).parent.parent / "configs" / "hexacopter_suite.yaml").read_text())
+    raw = next(e for e in suite["experiments"] if e["name"] == "hexa_roll_pid")
+    # a roll PID with a huge negative gain drives the rigid body off the finite range
+    cfg = ExperimentConfig.from_dict(dict(raw, duration=20.0, controller_params={"kp": -1e6}))
+    with pytest.raises(DivergenceError) as info:
+        run_experiment(cfg)
+    cause = info.value.__cause__
+    assert isinstance(cause, FloatingPointError)
+    assert "non-finite v" in str(cause)
+    assert str(info.value).startswith("hexa_roll_pid: non-finite state at step ")
+    assert str(info.value).endswith(f": {cause}")
+
+
 def test_rule_snapshot_output(tmp_path):
     cfg = hexa_config(
         name="snap",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,22 @@ def test_rmse_empty_is_undefined():
 def test_rmse_length_mismatch():
     with pytest.raises(ValueError):
         compute_rmse(np.zeros(3), np.zeros(4))
+
+
+def test_rmse_of_huge_finite_errors_is_finite_without_warning():
+    # a diverged log: errors of about 1e200 overflow when squared
+    y = np.array([3e200, -4e200, 0.0, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rmse = compute_rmse(y, np.zeros(4))
+    assert rmse == pytest.approx(1e200 * math.sqrt(26.0 / 4.0), rel=1e-14)
+
+
+def test_rmse_bits_unchanged_when_squares_fit():
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 1000, 10_001):
+        y, y_r = rng.normal(0, 10, n), rng.normal(0, 10, n)
+        assert compute_rmse(y, y_r) == float(np.sqrt(np.mean((y_r - y) ** 2)))
 
 
 def test_near_perfect_step_tracking():

@@ -159,6 +159,31 @@ def test_network_output_matches_reference_implementation():
             assert u == pytest.approx(_reference_network_output(x_e, weights.tolist(), 5.0, y_r), abs=1e-12)
 
 
+def _matrix_network_output(x_e, weights, eta, y_r):
+    # the matrix formula as first written with numpy's array methods; the
+    # network output must keep its floating-point operations bit for bit
+    a = weights[:, 1:]
+    consequents = weights @ x_e
+    dists = np.abs(y_r - consequents) / np.sqrt(1.0 + (a * a).sum(axis=1))
+    d_max = float(dists.max())
+    raw = np.ones(len(dists)) if d_max == 0.0 else np.exp(dists * (-eta / d_max))
+    normalized = raw / float(raw.sum())
+    return float(normalized @ consequents), raw, normalized
+
+
+def test_network_output_bit_equal_to_matrix_formula():
+    rng = np.random.default_rng(29)
+    for r in (1, 3, 25, 100):
+        for _ in range(100):
+            weights = rng.uniform(-1, 1, size=(r, 4))
+            x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
+            y_r = rng.uniform(-4, 4)
+            u, firing = network_output(x_e, PalmNetwork(eta=5.0, weights=weights), y_r)
+            u_ref, raw, normalized = _matrix_network_output(x_e, weights, 5.0, y_r)
+            assert u == u_ref
+            assert np.array_equal(firing.raw, raw) and np.array_equal(firing.normalized, normalized)
+
+
 def test_partition_of_unity_and_membership_bounds():
     rng = np.random.default_rng(23)
     for _ in range(500):
