@@ -105,8 +105,6 @@ class ControlStep:
     firing: palm.FiringVector
     bias2: float = 0.0
     variance: float = 0.0
-    grew: bool = False
-    pruned: bool = False
 
 
 def sliding_value(e: float, e_dot: float, err_integral: float, s: SlidingState) -> float:
@@ -255,21 +253,18 @@ class ParsimoniousController:
         bias = math.sqrt(bias2)
         grow = evolution.check_grow(self.evo, bias)
         prune = evolution.check_prune(self.evo, variance)
-        changed = False
         if grow:
             evolution.grow_rule(self.net, firing.normalized)
-            diag.grew = changed = True
-            self.events.append((self._time, "GROW", self.net.rule_count, bias, variance))
         elif prune and self.net.rule_count >= 2:
             evolution.prune_rule(self.net, self.evo)
-            diag.pruned = changed = True
-            self.events.append((self._time, "PRUNE", self.net.rule_count, bias, variance))
-        if changed:
-            # re-baseline the drift detectors, as the underlying
-            # process-control method does after a detection
-            self.evo.restart_detectors()
-            # refresh the firing vector so the adaptation sees the edited rule set
-            _, firing = network_output(x_e, self.net, y_r)
+        else:
+            return firing
+        self.events.append((self._time, "GROW" if grow else "PRUNE", self.net.rule_count, bias, variance))
+        # re-baseline the drift detectors, as the underlying
+        # process-control method does after a detection
+        self.evo.restart_detectors()
+        # refresh the firing vector so the adaptation sees the edited rule set
+        _, firing = network_output(x_e, self.net, y_r)
         return firing
 
     def save_evolution_log(self, path) -> None:

@@ -102,14 +102,18 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
 
     E[Y] sums each rule's consequent at the input mean; E[Y^2] uses the
     elementwise-squared input mean. The variance estimate can go negative
-    under this approximation and is clamped at zero.
+    under this approximation and is clamped at zero. A bias too large to
+    square raises FloatingPointError.
     """
     if state.k < 1:
         raise ValueError("input mean not yet populated")
     w = net.weights
     e_y = float(np.add.reduce(w @ state.mu_e))
     e_y2 = float(np.add.reduce(w @ (state.mu_e * state.mu_e)))
-    bias2 = (e_y - y_r) ** 2
+    try:
+        bias2 = (e_y - y_r) ** 2
+    except OverflowError:
+        raise FloatingPointError(f"bias signal overflowed: E[Y] = {e_y!r} against y_r = {y_r!r}") from None
     variance = max(e_y2 - e_y * e_y, 0.0)
     return bias2, variance
 
@@ -140,10 +144,9 @@ def check_prune(state: EvolutionState, variance: float) -> bool:
 def grow_rule(net: PalmNetwork, firing: np.ndarray) -> None:
     """Append a copy of the highest-firing rule; ties go to the lowest index.
 
-    The defuzzified output only moves toward the duplicated consequent by
-    that rule's firing share, so the new degree of freedom arrives without a
-    large control transient; the copies then specialize under
-    firing-weighted adaptation.
+    The copy has its original's distance, firing and update from then on, so
+    the rule base stays R copies of one row and growth only divides the
+    adaptation gain by R. Giving a new rule capacity of its own is open.
     """
     net.add_rule(net.weights[int(np.argmax(firing))])
 

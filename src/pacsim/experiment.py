@@ -36,6 +36,10 @@ SUMMARY_COLUMNS = [
 ]
 
 
+DISTURBANCE_KEYS = {"gust", "impulse"}
+OUTPUT_KEYS = {"steps_csv", "events_txt", "rules_txt"}
+
+
 class DivergenceError(RuntimeError):
     """Simulation produced a non-finite value; a partial log was written."""
 
@@ -58,6 +62,18 @@ class ExperimentConfig:
         steps = self.duration / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integer number of steps")
+        for key, valid in (("disturbances", DISTURBANCE_KEYS), ("outputs", OUTPUT_KEYS)):
+            unknown = set(getattr(self, key)) - valid
+            if unknown:
+                raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
+        # only the hexacopter has attitude channels; the other plants fly altitude
+        if self.channel != "altitude" and self.plant != "hexacopter":
+            raise ValueError(f"channel {self.channel!r} needs plant 'hexacopter', not {self.plant!r}")
+        # the impulse acts on the measurement, so it stays valid on every plant
+        if self.plant == "double_integrator":
+            for key, value in (("plant_params", self.plant_params), ("gust", self.disturbances.get("gust"))):
+                if value:
+                    raise ValueError(f"plant 'double_integrator' takes no {key}")
 
     @property
     def n_steps(self) -> int:
@@ -118,7 +134,6 @@ class ExperimentResult:
     series: dict
     report: metrics.MetricsReport
     controller: object
-    diverged: bool = False
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
@@ -168,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             cols[c] = [None] * len(cols["t"])
 
     rep = metrics.report(cols["y"], cols["y_r"], dt, final_rule_count=controller.rule_count if pac else None)
-    result = ExperimentResult(cfg, cols, rep, controller, diverged=cause is not None)
+    result = ExperimentResult(cfg, cols, rep, controller)
 
     if out_dir is not None:
         write_outputs(result, Path(out_dir))

@@ -1,9 +1,9 @@
 """Tracking metrics computed from logged time series.
 
-Conventions (config-overridable): rise time is the first 10% -> 90%
+Conventions: rise time is the first RISE_LO -> RISE_HI (10% -> 90%)
 traversal of the first commanded step, settling time is the last instant the
-response leaves a +/-2% band around the final reference, peak is the maximum
-response value over the run.
+response leaves a +/-SETTLE_BAND (2%) band around the final reference, peak is
+the maximum response value over the run.
 """
 
 from __future__ import annotations
@@ -12,6 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+RISE_LO = 0.1
+RISE_HI = 0.9
+SETTLE_BAND = 0.02
 
 
 @dataclass
@@ -66,12 +70,7 @@ def _first_step(y: np.ndarray, y_r: np.ndarray) -> tuple[int, float, float]:
 
 
 def compute_step_metrics(
-    y: np.ndarray,
-    y_r: np.ndarray,
-    dt: float,
-    rise_lo: float = 0.1,
-    rise_hi: float = 0.9,
-    settle_band: float = 0.02,
+    y: np.ndarray, y_r: np.ndarray, dt: float
 ) -> tuple[float | None, float | None, float | None]:
     """(rise_ms, settle_ms, peak) for a logged response against its reference."""
     y = np.asarray(y, dtype=float)
@@ -85,8 +84,8 @@ def compute_step_metrics(
     rise_ms = None
     span = target - base
     if span != 0.0:
-        lo = base + rise_lo * span
-        hi = base + rise_hi * span
+        lo = base + RISE_LO * span
+        hi = base + RISE_HI * span
         seg = y[k0:]
         if span > 0:
             lo_hits = np.nonzero(seg >= lo)[0]
@@ -100,7 +99,7 @@ def compute_step_metrics(
                 rise_ms = (t_hi - t_lo) * dt * 1e3
 
     final_ref = float(y_r[-1])
-    band = settle_band * abs(final_ref) if final_ref != 0.0 else settle_band
+    band = SETTLE_BAND * abs(final_ref) if final_ref != 0.0 else SETTLE_BAND
     outside = np.nonzero(np.abs(y - final_ref) > band)[0]
     settle_ms = 0.0 if outside.size == 0 else (int(outside[-1]) + 1) * dt * 1e3
 

@@ -17,10 +17,6 @@ import numpy as np
 N_INPUTS = 3  # e, de/dt, y_r
 DIM = N_INPUTS + 1  # leading intercept slot
 
-# Normalization denominators below this are treated as total underflow and
-# replaced with uniform firing. Unreachable for eta <= 100, kept defensive.
-_UNDERFLOW = 1e-300
-
 
 def extended_input(e: float, e_dot: float, y_r: float) -> np.ndarray:
     """Build the extended input vector [1, e, de/dt, y_r]."""
@@ -111,11 +107,8 @@ def network_output(x_e: np.ndarray, net: PalmNetwork, y_r: float) -> tuple[float
         raw = np.ones(len(dists))
     else:
         raw = np.exp(dists * (-net.eta / d_max))
-    total = float(np.add.reduce(raw))
-    if total < _UNDERFLOW:
-        normalized = np.full(len(raw), 1.0 / len(raw))
-    else:
-        normalized = raw / total
+    # the nearest plane fires at least exp(-eta) >= exp(-100), so the sum never underflows
+    normalized = raw / float(np.add.reduce(raw))
     u_palm = float(normalized @ consequents)
     return u_palm, FiringVector(raw=raw, normalized=normalized)
 

@@ -37,13 +37,8 @@ _CP_SUM_Y = float(CP[:, 1].sum())
 class FlapParams:
     """Flapping parameters; amplitude is the altitude-dominant control input."""
 
-    stroke_plane_angle: float = 0.0  # rad
     frequency: float = 20.0  # Hz
     amplitude_max: float = 1.2  # rad
-    mean_aoa: float = 0.3  # rad
-    pitch_osc_amplitude: float = 0.2  # rad
-    phase_difference: float = 0.5
-    time_step: float = 0.01  # s
     inertia: InertiaSet = field(
         default_factory=lambda: InertiaSet(m=0.06, i_x=6e-4, i_y=6e-4, i_z=1e-3, i_xz=0.0)
     )

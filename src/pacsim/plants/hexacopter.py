@@ -2,8 +2,7 @@
 rate-stabilizing PIDs, 6-DOF rigid body.
 
 The outer controller drives one channel (altitude thrust, or roll/pitch rate
-reference); moving-mass CG-shift inputs are accepted for interface
-compatibility but have no effect in this reduced model.
+reference).
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ class HexacopterParams:
 
     def hover_thrust(self) -> float:
         return self.inertia.m * GRAVITY
-
-    def max_total_thrust(self) -> float:
-        return 6.0 * self.k_thrust * self.rotor_speed_max**2
 
 
 # rotor layout: arms every 60 degrees, alternating spin direction

@@ -1,14 +1,15 @@
 """Reference trajectory generators.
 
-Every trajectory is a pure function of time. The canonical instances used in
-the benchmark suites (constant hover heights, stepped heights, sum of sines,
-square wave, staircase, attitude sinusoids) are provided as factory helpers.
+Every trajectory is a pure function of time. The instances used in the
+benchmark suites (constant hover heights, stepped heights, sum of sines,
+square wave, staircase, attitude sinusoids) are named config mappings that
+``from_config`` builds like any other ``{kind: ..., params}`` mapping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -113,61 +114,20 @@ def reference(spec, t: float) -> float:
     return spec(t)
 
 
-# --- canonical benchmark instances -------------------------------------------
-
-def bifwmav_constant() -> Constant:
-    return Constant(10.0)
-
-
-def hexacopter_constant() -> Constant:
-    return Constant(4.0)
-
-
-def sharp_steps() -> SharpSteps:
-    return SharpSteps(levels=(3.0, 6.0, 9.0, 6.0, 3.0), dwell=20.0)
-
-
-def smooth_steps() -> SmoothSteps:
-    return SmoothSteps(levels=(3.0, 8.0, 13.0, 8.0, 3.0), dwell=20.0, ramp=3.0)
-
-
-def altitude_sum_of_sines() -> SumOfSines:
+# Suite trajectories by name, each a config mapping resolved through its kind.
+_NAMED = {
+    "bifwmav_constant": {"kind": "constant", "level": 10.0},
+    "hexacopter_constant": {"kind": "constant", "level": 4.0},
+    "sharp_steps": {"kind": "sharp_steps", "levels": (3.0, 6.0, 9.0, 6.0, 3.0), "dwell": 20.0},
+    "smooth_steps": {"kind": "smooth_steps", "levels": (3.0, 8.0, 13.0, 8.0, 3.0), "dwell": 20.0, "ramp": 3.0},
     # 4 sin(0.3 t) + 6 plus 3 cos(0.5 t): value 9 at t = 0, peak just above 11 m
-    return SumOfSines(sines=((4.0, 0.3, 6.0),), cosines=((3.0, 0.5, 0.0),))
-
-
-def square_wave() -> SquareWave:
-    return SquareWave(low=1.0, high=11.0, freq_rad_s=0.2)
-
-
-def staircase() -> Staircase:
+    "sum_of_sines": {"kind": "sum_of_sines", "sines": ((4.0, 0.3, 6.0),), "cosines": ((3.0, 0.5, 0.0),)},
+    "square_wave": {"kind": "square_wave", "low": 1.0, "high": 11.0, "freq_rad_s": 0.2},
     # three 3 m steps and one 2 m step on a 1 m base: peak 12 m
-    return Staircase(step_heights=(3.0, 3.0, 3.0, 2.0), dwell=20.0, base=1.0)
-
-
-def hexacopter_step() -> Step:
-    return Step(amplitude=3.0, start=3.0)
-
-
-def attitude_pitch() -> SumOfSines:
-    return SumOfSines(sines=((0.3, 0.3, 0.0),), cosines=((0.5, 0.5, 0.0),))
-
-
-def attitude_roll() -> SumOfSines:
-    return SumOfSines(sines=((0.3, 0.3, 0.0),), cosines=((0.4, 0.5, 0.0),))
-
-
-_FACTORIES = {
-    "bifwmav_constant": bifwmav_constant,
-    "hexacopter_constant": hexacopter_constant,
-    "sharp_steps": sharp_steps,
-    "smooth_steps": smooth_steps,
-    "sum_of_sines": altitude_sum_of_sines,
-    "square_wave": square_wave,
-    "staircase": staircase,
-    "hexacopter_step": hexacopter_step,
-    "attitude_pitch": attitude_pitch,
-    "attitude_roll": attitude_roll,
+    "staircase": {"kind": "staircase", "step_heights": (3.0, 3.0, 3.0, 2.0), "dwell": 20.0, "base": 1.0},
+    "hexacopter_step": {"kind": "step", "amplitude": 3.0, "start": 3.0},
+    "attitude_pitch": {"kind": "sum_of_sines", "sines": ((0.3, 0.3, 0.0),), "cosines": ((0.5, 0.5, 0.0),)},
+    "attitude_roll": {"kind": "sum_of_sines", "sines": ((0.3, 0.3, 0.0),), "cosines": ((0.4, 0.5, 0.0),)},
 }
 
 _CLASSES = {
@@ -182,10 +142,10 @@ _CLASSES = {
 
 
 def from_config(spec: str | dict):
-    """Build a trajectory from a name or a {kind: ..., params...} mapping."""
+    """Build a trajectory from a suite name or a {kind: ..., params...} mapping."""
     if isinstance(spec, str):
         try:
-            return _FACTORIES[spec]()
+            spec = _NAMED[spec]
         except KeyError:
             raise ValueError(f"unknown trajectory {spec!r}") from None
     spec = dict(spec)

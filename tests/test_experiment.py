@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 import yaml
 
-from pacsim.cli import main
+from pacsim import trajectories
+from pacsim.cli import _configs_from_file, main
 from pacsim.experiment import (
     DivergenceError,
     ExperimentConfig,
+    build_controller,
+    build_plant,
     read_step_csv,
     run_experiment,
     run_suite,
@@ -27,6 +30,8 @@ PAC_PARAMS = {
 }
 
 PID_HEXA = {"kp": 0.675, "ki": 0.05, "kd": 0.81, "output_limits": [-20.0, 20.0]}
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def hexa_config(**overrides):
@@ -92,6 +97,53 @@ def test_unknown_config_key_rejected():
             ExperimentConfig.from_dict({"name": "x", "plant": "hexacopter", key: 1})
 
 
+@pytest.mark.parametrize("plant, channel", [("bifwmav", "roll"), ("bifwmav", "pitch"), ("double_integrator", "roll")])
+def test_attitude_channel_needs_hexacopter(plant, channel):
+    # the other plants fly altitude only and would track the attitude reference with it
+    with pytest.raises(ValueError, match="channel"):
+        ExperimentConfig(plant=plant, channel=channel)
+
+
+def test_double_integrator_rejects_plant_params():
+    with pytest.raises(ValueError, match="plant_params"):
+        ExperimentConfig(plant="double_integrator", plant_params={"inertia": {"m": 2.0}})
+
+
+def test_double_integrator_rejects_gust_but_keeps_impulse():
+    gust = {"v_m": 4.0, "d_m": 120.0, "onset_time": 2.0}
+    impulse = {"amplitude": 2.0, "start": 5.0, "duration": 0.1}
+    with pytest.raises(ValueError, match="gust"):
+        ExperimentConfig(plant="double_integrator", disturbances={"gust": gust, "impulse": impulse})
+    # the impulse acts on the measurement, so every plant takes it
+    for plant in ("hexacopter", "bifwmav", "double_integrator"):
+        ExperimentConfig(plant=plant, disturbances={"impulse": impulse})
+
+
+@pytest.mark.parametrize(
+    "key, value", [("disturbances", {"impuls": {}}), ("outputs", {"step_csv": "s.csv"})], ids=["disturbances", "outputs"]
+)
+def test_unknown_disturbance_or_output_key_rejected(key, value):
+    with pytest.raises(ValueError, match=next(iter(value))):
+        ExperimentConfig.from_dict({"name": "x", key: value})
+
+
+def test_stale_flap_param_rejected():
+    # time_step was a FlapParams field that no step read
+    cfg = ExperimentConfig(plant="bifwmav", plant_params={"time_step": 0.001})
+    with pytest.raises(TypeError, match="time_step"):
+        build_plant(cfg)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_every_config_file_loads_and_builds(path):
+    configs = _configs_from_file(str(path))
+    assert configs
+    for cfg in configs:
+        build_controller(cfg)
+        build_plant(cfg)
+        trajectories.from_config(cfg.trajectory)
+
+
 def test_non_integer_step_count_rejected():
     with pytest.raises(ValueError):
         ExperimentConfig(duration=1.005, dt=0.01)
@@ -126,6 +178,26 @@ def test_divergence_keeps_the_cause():
     assert "non-finite v" in str(cause)
     assert str(info.value).startswith("hexa_roll_pid: non-finite state at step ")
     assert str(info.value).endswith(f": {cause}")
+
+
+def test_bias_overflow_diverges_with_partial_log(tmp_path):
+    # a negative adaptation gain drives the network output past the range where its bias can be squared
+    cfg = ExperimentConfig(
+        name="bias_overflow",
+        plant="double_integrator",
+        controller="pac",
+        trajectory={"kind": "constant", "level": 1.0},
+        duration=100.0,
+        dt=0.01,
+        controller_params={"gamma": -50.0, "learn_rates": [0.1, 0.5, 0.001]},
+    )
+    with pytest.raises(DivergenceError) as info:
+        run_experiment(cfg, out_dir=tmp_path)
+    cause = info.value.__cause__
+    assert isinstance(cause, FloatingPointError)
+    assert str(cause).startswith("bias signal overflowed")
+    log = tmp_path / "bias_overflow_steps.csv"
+    assert len(log.read_text().splitlines()) > 1
 
 
 def test_rule_snapshot_output(tmp_path):

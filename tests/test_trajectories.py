@@ -7,21 +7,21 @@ from pacsim import trajectories as tj
 
 
 def test_constant():
-    traj = tj.bifwmav_constant()
+    traj = tj.from_config("bifwmav_constant")
     for t in (0.0, 1.0, 50.0, 99.99):
         assert tj.reference(traj, t) == 10.0
-    assert tj.reference(tj.hexacopter_constant(), 12.3) == 4.0
+    assert tj.reference(tj.from_config("hexacopter_constant"), 12.3) == 4.0
 
 
 def test_step_edges():
-    traj = tj.hexacopter_step()
+    traj = tj.from_config("hexacopter_step")
     assert traj(2.999) == 0.0
     assert traj(3.0) == 3.0
     assert traj(80.0) == 3.0
 
 
 def test_sharp_steps_schedule():
-    traj = tj.sharp_steps()
+    traj = tj.from_config("sharp_steps")
     assert traj(0.0) == 3.0
     assert traj(19.99) == 3.0
     assert traj(20.0) == 6.0
@@ -32,7 +32,7 @@ def test_sharp_steps_schedule():
 
 
 def test_smooth_steps_endpoints_and_ramp():
-    traj = tj.smooth_steps()
+    traj = tj.from_config("smooth_steps")
     assert traj(0.0) == 3.0
     assert traj(19.99) == 3.0
     assert traj(20.0) == pytest.approx(3.0)  # ramp starts at the boundary
@@ -42,7 +42,7 @@ def test_smooth_steps_endpoints_and_ramp():
 
 
 def test_sum_of_sines_value_at_zero():
-    traj = tj.altitude_sum_of_sines()
+    traj = tj.from_config("sum_of_sines")
     assert traj(0.0) == pytest.approx(9.0)
     # amalgamation of 4 sin(0.3 t) + 6 and 3 cos(0.5 t)
     t = 7.13
@@ -50,7 +50,7 @@ def test_sum_of_sines_value_at_zero():
 
 
 def test_sum_of_sines_pointwise_formula():
-    traj = tj.altitude_sum_of_sines()
+    traj = tj.from_config("sum_of_sines")
     for t in np.arange(0, 100, 0.37):
         assert traj(t) == pytest.approx(4 * math.sin(0.3 * t) + 3 * math.cos(0.5 * t) + 6, abs=1e-12)
     peak = max(traj(t) for t in np.arange(0, 100, 0.001))
@@ -58,7 +58,7 @@ def test_sum_of_sines_pointwise_formula():
 
 
 def test_square_wave_period_duty_and_bounds():
-    traj = tj.square_wave()
+    traj = tj.from_config("square_wave")
     period = 2 * math.pi / 0.2
     ts = np.arange(0, 4 * period, 0.001)
     vals = np.array([traj(t) for t in ts])
@@ -72,7 +72,7 @@ def test_square_wave_period_duty_and_bounds():
 
 
 def test_staircase_schedule_and_peak():
-    traj = tj.staircase()
+    traj = tj.from_config("staircase")
     assert traj(0.0) == 1.0
     assert traj(19.99) == 1.0
     assert traj(20.0) == 4.0
@@ -84,22 +84,22 @@ def test_staircase_schedule_and_peak():
 
 
 def test_attitude_sum_of_sines():
-    pitch = tj.attitude_pitch()
-    roll = tj.attitude_roll()
+    pitch = tj.from_config("attitude_pitch")
+    roll = tj.from_config("attitude_roll")
     t = 3.7
     assert pitch(t) == pytest.approx(0.3 * math.sin(0.3 * t) + 0.5 * math.cos(0.5 * t))
     assert roll(t) == pytest.approx(0.3 * math.sin(0.3 * t) + 0.4 * math.cos(0.5 * t))
 
 
 def test_purity():
-    for traj in (tj.sharp_steps(), tj.square_wave(), tj.altitude_sum_of_sines()):
+    for traj in (tj.from_config("sharp_steps"), tj.from_config("square_wave"), tj.from_config("sum_of_sines")):
         for t in (0.0, 1.23, 55.5):
             assert traj(t) == traj(t)
 
 
 def test_reference_rejects_negative_time():
     with pytest.raises(ValueError):
-        tj.reference(tj.hexacopter_constant(), -0.1)
+        tj.reference(tj.from_config("hexacopter_constant"), -0.1)
 
 
 def test_from_config_by_name_and_mapping():
