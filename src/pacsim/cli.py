@@ -4,7 +4,7 @@
   pacsim suite <config.yaml> [--out DIR]        batch with summary.csv
   pacsim compare <stepsA.csv> <stepsB.csv>      Wilcoxon on residuals
 
-Exit status is nonzero when a run diverges.
+Exit status is 1 when a run diverges and 2 when a config is invalid.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _configs_from_file(path: str) -> list[ExperimentConfig]:
 
 
 def _cmd_run(args) -> int:
-    configs = _configs_from_file(args.config)
+    configs = args.configs
     if len(configs) != 1:
         print("run expects a single-experiment config; use `suite` for batches", file=sys.stderr)
         return 2
@@ -50,9 +50,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    configs = _configs_from_file(args.config)
     try:
-        results = run_suite(configs, out_dir=args.out)
+        results = run_suite(args.configs, out_dir=args.out)
     except DivergenceError as exc:
         print(f"DIVERGED: {exc}", file=sys.stderr)
         return 1
@@ -100,6 +99,12 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(func=_cmd_compare)
 
     args = parser.parse_args(argv)
+    if "config" in args:  # run and suite: check every experiment before the first one runs
+        try:
+            args.configs = _configs_from_file(args.config)
+        except (OSError, yaml.YAMLError, ValueError) as exc:
+            print(f"CONFIG ERROR: {' '.join(str(exc).split())}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

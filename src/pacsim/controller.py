@@ -68,27 +68,15 @@ def lyapunov_p_matrix(alpha1: float, alpha2: float) -> PMatrix:
 
 @dataclass
 class SlidingState:
-    """Sliding coefficients, error integral, adaptation gain and limits.
-
-    alpha1..alpha3 start at the small published values; when learn_rates are
-    all zero the coefficients stay fixed (the default). With nonzero rates
-    they self-evolve upward, clamped to [initial, alpha_max].
+    """The sliding-mode values that change during a run: the coefficients
+    alpha1..alpha3 and the error integral. Their settings (starting values,
+    learning rates, ceilings, gain and saturation) live in ControllerConfig.
     """
 
-    alpha1: float = 1e-2
-    alpha2: float = 1e-3
-    alpha3: float = 1e-9
+    alpha1: float
+    alpha2: float
+    alpha3: float
     err_integral: float = 0.0
-    gamma: float = 50.0
-    learn_rates: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    alpha_max: tuple[float, float, float] = (1.0, 0.5, 0.01)
-    sat_limit: float = 10.0
-
-    def __post_init__(self):
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
-            raise ValueError("alpha1 and alpha2 must be positive")
-        self._alpha_initial = (self.alpha1, self.alpha2, self.alpha3)
-        self.sat_limit = float(self.sat_limit)  # keeps the min/max saturation float-valued
 
 
 @dataclass
@@ -103,7 +91,7 @@ class ControlStep:
     u_palm: float
     u: float
     firing: palm.FiringVector
-    bias2: float = 0.0
+    bias: float = 0.0
     variance: float = 0.0
 
 
@@ -112,19 +100,18 @@ def sliding_value(e: float, e_dot: float, err_integral: float, s: SlidingState) 
     return e + (s.alpha2 / s.alpha1) * e_dot + (s.alpha3 / s.alpha1) * err_integral
 
 
-def robustifying_term(s_l: float, s: SlidingState) -> float:
+def robustifying_term(s_l: float, s: SlidingState, c: ControllerConfig) -> float:
     """alpha1 * s_l, saturated to suppress chattering."""
-    return min(max(s.alpha1 * s_l, -s.sat_limit), s.sat_limit)
+    return min(max(s.alpha1 * s_l, -c.sat_limit), c.sat_limit)
 
 
 def adapt_weights(
     net: PalmNetwork,
     step: ControlStep,
-    s: SlidingState,
+    c: ControllerConfig,
     P: PMatrix,
     x_e: np.ndarray,
     dt: float,
-    weight_limit: float,
 ) -> None:
     """Sliding-mode update: w_j <- w_j - dt * gamma * (e p12 + de p22) * lam_j * x_e.
 
@@ -134,28 +121,27 @@ def adapt_weights(
     """
     g = step.e * P.p12 + step.e_dot * P.p22
     w = net.weights
-    w -= (dt * s.gamma * g * step.firing.normalized)[:, None] * x_e
-    np.minimum(np.maximum(w, -weight_limit, out=w), weight_limit, out=w)
+    w -= (dt * c.gamma * g * step.firing.normalized)[:, None] * x_e
+    np.minimum(np.maximum(w, -c.weight_limit, out=w), c.weight_limit, out=w)
     # clipped entries are bounded: a non-finite sum means a NaN or an infinite bound,
     # unless a bound near the float max overflowed it (numpy warns), which the entrywise test rules out
     if not math.isfinite(np.add.reduce(w, axis=None)) and not np.isfinite(w).all():
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
-def adapt_sliding_params(s: SlidingState, e: float, e_dot: float, s_l: float, dt: float) -> bool:
+def adapt_sliding_params(s: SlidingState, c: ControllerConfig, e: float, e_dot: float, s_l: float, dt: float) -> bool:
     """Self-evolve the sliding coefficients with dissimilar learning rates.
 
     a1 grows with |s_l||e|, a2 with |s_l||de|, a3 with |s_l||int(e)|, each
-    clamped to [initial, alpha_max]. Returns True when any value changed.
+    clamped to [starting value, alpha_max]. Returns True when any value changed.
     """
-    r1, r2, r3 = s.learn_rates
+    r1, r2, r3 = c.learn_rates
     if r1 == 0.0 and r2 == 0.0 and r3 == 0.0:
         return False
-    lo1, lo2, lo3 = s._alpha_initial
-    hi1, hi2, hi3 = s.alpha_max
-    a1 = min(hi1, max(lo1, s.alpha1 + dt * r1 * abs(s_l) * abs(e)))
-    a2 = min(hi2, max(lo2, s.alpha2 + dt * r2 * abs(s_l) * abs(e_dot)))
-    a3 = min(hi3, max(lo3, s.alpha3 + dt * r3 * abs(s_l) * abs(s.err_integral)))
+    hi1, hi2, hi3 = c.alpha_max
+    a1 = min(hi1, max(c.alpha1, s.alpha1 + dt * r1 * abs(s_l) * abs(e)))
+    a2 = min(hi2, max(c.alpha2, s.alpha2 + dt * r2 * abs(s_l) * abs(e_dot)))
+    a3 = min(hi3, max(c.alpha3, s.alpha3 + dt * r3 * abs(s_l) * abs(s.err_integral)))
     changed = (a1, a2, a3) != (s.alpha1, s.alpha2, s.alpha3)
     s.alpha1, s.alpha2, s.alpha3 = a1, a2, a3
     return changed
@@ -163,6 +149,11 @@ def adapt_sliding_params(s: SlidingState, e: float, e_dot: float, s_l: float, dt
 
 @dataclass
 class ControllerConfig:
+    """Controller settings. alpha1..alpha3 are the starting sliding
+    coefficients: they stay fixed while learn_rates are all zero (the
+    default) and otherwise self-evolve upward, clamped to [start, alpha_max].
+    """
+
     eta: float = 5.0
     gamma: float = 50.0
     weight_limit: float = 10.0
@@ -176,7 +167,11 @@ class ControllerConfig:
     evolution_enabled: bool = True
 
     def __post_init__(self):
-        self.actuator_limit = float(self.actuator_limit)  # keeps the min/max clamp on u float-valued
+        if self.alpha1 <= 0 or self.alpha2 <= 0:
+            raise ValueError("alpha1 and alpha2 must be positive")
+        # keeps the min/max clamps on u and u_src float-valued
+        self.actuator_limit = float(self.actuator_limit)
+        self.sat_limit = float(self.sat_limit)
 
 
 class ParsimoniousController:
@@ -186,17 +181,9 @@ class ParsimoniousController:
         self.config = config or ControllerConfig()
         c = self.config
         self.net = PalmNetwork(eta=c.eta, weights=np.zeros((1, DIM)))
-        self.sliding = SlidingState(
-            alpha1=c.alpha1,
-            alpha2=c.alpha2,
-            alpha3=c.alpha3,
-            gamma=c.gamma,
-            learn_rates=tuple(c.learn_rates),
-            alpha_max=tuple(c.alpha_max),
-            sat_limit=c.sat_limit,
-        )
+        self.sliding = SlidingState(c.alpha1, c.alpha2, c.alpha3)
         self.evo = evolution.EvolutionState()
-        self.P = p_matrix(self.sliding.alpha1, self.sliding.alpha2)
+        self.P = p_matrix(c.alpha1, c.alpha2)
         self._e_prev: float | None = None
         self.steps = 0
         self.events: list[tuple[float, str, int, float, float]] = []
@@ -222,7 +209,7 @@ class ParsimoniousController:
         s.err_integral += e * dt
 
         s_l = sliding_value(e, e_dot, s.err_integral, s)
-        u_src = robustifying_term(s_l, s)
+        u_src = robustifying_term(s_l, s, c)
 
         x_e = extended_input(e, e_dot, y_r)
         u_palm, firing = network_output(x_e, self.net, y_r)
@@ -234,38 +221,36 @@ class ParsimoniousController:
         diag = ControlStep(e=e, e_dot=e_dot, s_l=s_l, u_src=u_src, u_palm=u_palm, u=u, firing=firing)
 
         if c.evolution_enabled:
-            firing = self._evolve(diag, x_e, y_r, firing)
-            diag.firing = firing
+            self._evolve(diag, x_e, y_r)
 
-        adapt_weights(self.net, diag, s, self.P, x_e, dt, c.weight_limit)
-        if adapt_sliding_params(s, e, e_dot, s_l, dt):
+        adapt_weights(self.net, diag, c, self.P, x_e, dt)
+        if adapt_sliding_params(s, c, e, e_dot, s_l, dt):
             self.P = p_matrix(s.alpha1, s.alpha2)
 
         self.steps += 1
         self._time += dt
         return min(max(u, -c.actuator_limit), c.actuator_limit), diag
 
-    def _evolve(self, diag: ControlStep, x_e: np.ndarray, y_r: float, firing: palm.FiringVector):
+    def _evolve(self, diag: ControlStep, x_e: np.ndarray, y_r: float) -> None:
         """Structure learning: grow first, prune otherwise (never both)."""
         evolution.update_input_mean(self.evo, x_e)
         bias2, variance = evolution.network_bias_variance(self.net, self.evo, y_r)
-        diag.bias2, diag.variance = bias2, variance
-        bias = math.sqrt(bias2)
+        bias = diag.bias = math.sqrt(bias2)
+        diag.variance = variance
         grow = evolution.check_grow(self.evo, bias)
         prune = evolution.check_prune(self.evo, variance)
         if grow:
-            evolution.grow_rule(self.net, firing.normalized)
+            evolution.grow_rule(self.net, diag.firing.normalized)
         elif prune and self.net.rule_count >= 2:
             evolution.prune_rule(self.net, self.evo)
         else:
-            return firing
+            return
         self.events.append((self._time, "GROW" if grow else "PRUNE", self.net.rule_count, bias, variance))
         # re-baseline the drift detectors, as the underlying
         # process-control method does after a detection
         self.evo.restart_detectors()
         # refresh the firing vector so the adaptation sees the edited rule set
-        _, firing = network_output(x_e, self.net, y_r)
-        return firing
+        _, diag.firing = network_output(x_e, self.net, y_r)
 
     def save_evolution_log(self, path) -> None:
         """Plain-text rows: time_s, event, rule_count, bias, variance."""

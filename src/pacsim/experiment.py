@@ -59,6 +59,17 @@ class ExperimentConfig:
     outputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # every part is built once here, so a bad name stops the config, not a suite halfway through
+        try:
+            self._check()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{self.name}: {exc}") from exc
+
+    def _check(self) -> None:
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, not {self.dt!r}")
+        if not self.duration >= 0:
+            raise ValueError(f"duration must be non-negative, not {self.duration!r}")
         steps = self.duration / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integer number of steps")
@@ -74,6 +85,10 @@ class ExperimentConfig:
             for key, value in (("plant_params", self.plant_params), ("gust", self.disturbances.get("gust"))):
                 if value:
                     raise ValueError(f"plant 'double_integrator' takes no {key}")
+        build_controller(self)
+        build_plant(self)
+        trajectories.from_config(self.trajectory)
+        _impulse(self)
 
     @property
     def n_steps(self) -> int:
@@ -84,7 +99,7 @@ class ExperimentConfig:
         known = {f for f in ExperimentConfig.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{raw.get('name', 'experiment')}: unknown config keys: {sorted(unknown)}")
         return ExperimentConfig(**raw)
 
 
@@ -114,14 +129,12 @@ def _impulse(cfg: ExperimentConfig) -> ImpulseSpec | None:
 
 def build_plant(cfg: ExperimentConfig):
     params = dict(cfg.plant_params)
+    if "inertia" in params:
+        params["inertia"] = InertiaSet(**params["inertia"])
     gust = _gust(cfg)
     if cfg.plant == "hexacopter":
-        inertia = InertiaSet(**params.pop("inertia")) if "inertia" in params else InertiaSet()
-        return Hexacopter(HexacopterParams(inertia=inertia, **params), channel=cfg.channel, gust=gust)
+        return Hexacopter(HexacopterParams(**params), channel=cfg.channel, gust=gust)
     if cfg.plant == "bifwmav":
-        inertia = InertiaSet(**params.pop("inertia")) if "inertia" in params else None
-        if inertia is not None:
-            params["inertia"] = inertia
         return BiFwmav(FlapParams(**params), gust=gust)
     if cfg.plant == "double_integrator":
         return DoubleIntegrator()
@@ -161,7 +174,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             # a step is logged only once its controller step has returned
             if pac:
                 u, diag = controller.step(y, y_r, dt)
-                add_bias(math.sqrt(diag.bias2))
+                add_bias(diag.bias)
                 add_e(diag.e)
                 add_s_l(diag.s_l)
                 add_u_src(diag.u_src)
@@ -188,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     if out_dir is not None:
         write_outputs(result, Path(out_dir))
     if cause is not None:
-        raise DivergenceError(f"{cfg.name}: non-finite state at step {len(cols['t'])}: {cause}") from cause
+        raise DivergenceError(f"{cfg.name}: diverged at step {len(cols['t'])}: {cause}") from cause
     return result
 
 

@@ -102,7 +102,6 @@ class BiFwmav:
         self.params = params or FlapParams()
         self.state = RigidBodyState()
         self.gust = GustTracker(gust) if gust else None
-        self.t = 0.0
         pid_cfg = PidConfig(kp=0.015, ki=1e-3, kd=4.8e-3, output_limits=(-0.1, 0.1))
         self._att_pids = [PidController(pid_cfg) for _ in range(2)]
         p = self.params
@@ -134,14 +133,11 @@ class BiFwmav:
         f_total, m_wings = bifwmav_force_moment(forces, (phi, theta, psi), p.inertia.m)
         m_total = [m + t for m, t in zip(m_wings, stroke_plane_trim_moment(forces))]
 
-        if self.gust is not None:
-            wind = self.gust.advance(float(self.state.velocity[0]), self.t, dt)
-            self.state.velocity[0] += wind
-            self.state = rigid_body_step(self.state, p.inertia, f_total, m_total, dt)
-            self.state.velocity[0] -= wind
-        else:
-            self.state = rigid_body_step(self.state, p.inertia, f_total, m_total, dt)
-        self.t += dt
+        # additive body-x velocity perturbation ahead of the force computation
+        wind = 0.0 if self.gust is None else self.gust.advance(float(self.state.velocity[0]), dt)
+        self.state.velocity[0] += wind
+        self.state = rigid_body_step(self.state, p.inertia, f_total, m_total, dt)
+        self.state.velocity[0] -= wind
 
 
 class DoubleIntegrator:

@@ -121,7 +121,6 @@ class Hexacopter:
         self.channel = channel
         self.state = RigidBodyState()
         self.gust = GustTracker(gust) if gust else None
-        self.t = 0.0
         p = self.params
         pid_cfg = PidConfig(kp=p.rate_kp, ki=p.rate_ki, kd=p.rate_kd, output_limits=(-5.0, 5.0))
         self._rate_pids = [PidController(pid_cfg) for _ in range(3)]
@@ -155,12 +154,8 @@ class Hexacopter:
         # gravity in the body frame
         forces = [f + g for f, g in zip(rotor_force, body_gravity(phi, theta, p.inertia.m))]
 
-        if self.gust is not None:
-            # additive body-x velocity perturbation ahead of the force computation
-            wind = self.gust.advance(float(self.state.velocity[0]), self.t, dt)
-            self.state.velocity[0] += wind
-            self.state = rigid_body_step(self.state, p.inertia, forces, moments, dt)
-            self.state.velocity[0] -= wind
-        else:
-            self.state = rigid_body_step(self.state, p.inertia, forces, moments, dt)
-        self.t += dt
+        # additive body-x velocity perturbation ahead of the force computation
+        wind = 0.0 if self.gust is None else self.gust.advance(float(self.state.velocity[0]), dt)
+        self.state.velocity[0] += wind
+        self.state = rigid_body_step(self.state, p.inertia, forces, moments, dt)
+        self.state.velocity[0] -= wind

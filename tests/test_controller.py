@@ -22,13 +22,18 @@ from pacsim.palm import FiringVector, PalmNetwork
 from pacsim.plants import DoubleIntegrator
 
 
+def _initial_sliding(**config) -> SlidingState:
+    c = ControllerConfig(**config)
+    return SlidingState(c.alpha1, c.alpha2, c.alpha3)
+
+
 def test_sliding_value_zero():
-    s = SlidingState()
+    s = _initial_sliding()
     assert sliding_value(0.0, 0.0, 0.0, s) == 0.0
 
 
 def test_sliding_value_initial_coefficients():
-    s = SlidingState()  # alpha1=1e-2, alpha2=1e-3, alpha3~0
+    s = _initial_sliding()  # alpha1=1e-2, alpha2=1e-3, alpha3~0
     assert sliding_value(1.0, 1.0, 0.0, s) == pytest.approx(1.1, abs=1e-6)
 
 
@@ -40,11 +45,18 @@ def test_sliding_value_ratio_invariance():
 
 
 def test_robustifying_term():
-    s = SlidingState(sat_limit=10.0)
-    assert robustifying_term(0.0, s) == 0.0
-    assert robustifying_term(1.1, s) == pytest.approx(0.011)
-    assert robustifying_term(1e8, s) == 10.0
-    assert robustifying_term(-1e8, s) == -10.0
+    c = ControllerConfig(sat_limit=10.0)
+    s = _initial_sliding()
+    assert robustifying_term(0.0, s, c) == 0.0
+    assert robustifying_term(1.1, s, c) == pytest.approx(0.011)
+    assert robustifying_term(1e8, s, c) == 10.0
+    assert robustifying_term(-1e8, s, c) == -10.0
+
+
+@pytest.mark.parametrize("key, value", [("alpha1", 0.0), ("alpha2", -1e-3)])
+def test_nonpositive_starting_alpha_rejected(key, value):
+    with pytest.raises(ValueError, match="alpha1 and alpha2 must be positive"):
+        ControllerConfig(**{key: value})
 
 
 def test_p_matrix_published_values():
@@ -107,7 +119,7 @@ def test_adapt_weights_no_error_no_change():
     net = PalmNetwork(weights=[[0.1, 0.2, 0.3, 0.4]])
     step = ControlStep(e=0.0, e_dot=0.0, s_l=0.0, u_src=0.0, u_palm=0.0, u=0.0, firing=_firing([1.0]))
     before = net.weights[0].copy()
-    adapt_weights(net, step, SlidingState(gamma=1.0), p_matrix(1e-2, 1e-3), np.array([1.0, 0, 0, 1.0]), 1.0, 10.0)
+    adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, 0, 0, 1.0]), 1.0)
     np.testing.assert_array_equal(net.weights[0], before)
 
 
@@ -117,7 +129,7 @@ def test_adapt_weights_hand_arithmetic():
     step = ControlStep(e=2.0, e_dot=0.0, s_l=0.0, u_src=0.0, u_palm=0.0, u=0.0, firing=_firing([1.0]))
     P = PMatrix(p11=1.0, p12=1.0, p21=1.0, p22=1.0)
     x_e = np.array([1.0, 0.0, 0.0, 1.0])
-    adapt_weights(net, step, SlidingState(gamma=1.0), P, x_e, 1.0, 10.0)
+    adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 1.0)
     np.testing.assert_allclose(net.weights[0], [-2.0, 0.0, 0.0, -2.0])
 
 
@@ -130,7 +142,7 @@ def test_adapt_weights_direction_opposes_g():
         g = e * P.p12 + ed * P.p22
         x_e = np.array([1.0, abs(e), abs(ed), 2.0])  # positive entries
         step = ControlStep(e=e, e_dot=ed, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([1.0]))
-        adapt_weights(net, step, SlidingState(gamma=1.0), P, x_e, 0.01, 10.0)
+        adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 0.01)
         if g != 0:
             assert np.all(np.sign(net.weights[0]) == -np.sign(g) * np.sign(x_e))
 
@@ -138,7 +150,7 @@ def test_adapt_weights_direction_opposes_g():
 def test_adapt_weights_clipped_to_limit():
     net = PalmNetwork(weights=np.zeros((1, 4)))
     step = ControlStep(e=100.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([1.0]))
-    adapt_weights(net, step, SlidingState(gamma=100.0), p_matrix(1e-2, 1e-3), np.ones(4), 1.0, 10.0)
+    adapt_weights(net, step, ControllerConfig(gamma=100.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.ones(4), 1.0)
     assert np.all(np.abs(net.weights[0]) <= 10.0)
 
 
@@ -152,7 +164,7 @@ def test_adapt_weights_many_rules_match_per_row_update():
         step = ControlStep(e=e, e_dot=ed, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
         P = p_matrix(1e-2, 1e-3)
         x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
-        adapt_weights(net, step, SlidingState(gamma=0.5), P, x_e, 0.01, 2.5)
+        adapt_weights(net, step, ControllerConfig(gamma=0.5, weight_limit=2.5), P, x_e, 0.01)
         g = e * P.p12 + ed * P.p22
         for j in range(r):
             want = [max(-2.5, min(2.5, w0[j, q] - 0.01 * 0.5 * g * lam[j] * x_e[q])) for q in range(4)]
@@ -170,7 +182,7 @@ def test_adapt_weights_bit_equal_to_outer_and_clip_reference():
             x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
             net = PalmNetwork(weights=w0)
             step = ControlStep(e=e, e_dot=ed, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
-            adapt_weights(net, step, SlidingState(gamma=gamma), P, x_e, 0.01, 2.5)
+            adapt_weights(net, step, ControllerConfig(gamma=gamma, weight_limit=2.5), P, x_e, 0.01)
             g = e * P.p12 + ed * P.p22
             want = np.clip(w0 - np.outer(0.01 * gamma * g * lam, x_e), -2.5, 2.5)
             assert np.array_equal(net.weights, want)
@@ -182,7 +194,7 @@ def test_adapt_weights_nan_input_raises():
     net = PalmNetwork(weights=np.zeros((3, 4)))
     step = ControlStep(e=1.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([0.2, 0.3, 0.5]))
     with pytest.raises(ControllerFault):
-        adapt_weights(net, step, SlidingState(gamma=1.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01, 10.0)
+        adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01)
 
 
 def test_adapt_weights_finite_check_is_entrywise():
@@ -191,21 +203,22 @@ def test_adapt_weights_finite_check_is_entrywise():
     net = PalmNetwork(weights=np.full((2, 4), 1e308))
     step = ControlStep(e=0.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([0.5, 0.5]))
     with pytest.warns(RuntimeWarning, match="overflow"):
-        adapt_weights(net, step, SlidingState(gamma=1.0), p_matrix(1e-2, 1e-3), np.ones(4), 0.01, 1e308)
+        adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=1e308), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
     assert np.all(net.weights == 1e308)
     # an infinite bound lets an infinite entry through, which is a fault
     net = PalmNetwork(weights=np.zeros((2, 4)))
     net.weights[1, 2] = np.inf
     with pytest.raises(ControllerFault):
-        adapt_weights(net, step, SlidingState(gamma=1.0), p_matrix(1e-2, 1e-3), np.ones(4), 0.01, float("inf"))
+        adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=float("inf")), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
 
 
 def test_clamps_match_np_clip():
     values = [0.0, -0.0, 0.3, -0.3, 7.0, -7.0, 1e8, -1e8, float("inf"), float("-inf")]
     for limit in (5, 5.0, float("inf")):
-        s = SlidingState(alpha1=1.0, sat_limit=limit)
+        c = ControllerConfig(alpha1=1.0, sat_limit=limit)
+        s = SlidingState(c.alpha1, c.alpha2, c.alpha3)
         for v in values:
-            got = robustifying_term(v, s)
+            got = robustifying_term(v, s, c)
             want = float(np.clip(v, -limit, limit))
             assert type(got) is float
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
@@ -219,26 +232,29 @@ def test_clamps_match_np_clip():
 
 
 def test_adapt_sliding_params_fixed_mode():
-    s = SlidingState(learn_rates=(0.0, 0.0, 0.0))
+    c = ControllerConfig(learn_rates=(0.0, 0.0, 0.0))
+    s = SlidingState(c.alpha1, c.alpha2, c.alpha3)
     before = (s.alpha1, s.alpha2, s.alpha3)
-    assert not adapt_sliding_params(s, 1.0, 1.0, 2.0, 0.01)
+    assert not adapt_sliding_params(s, c, 1.0, 1.0, 2.0, 0.01)
     assert (s.alpha1, s.alpha2, s.alpha3) == before
 
 
 def test_adapt_sliding_params_grows_and_clamps():
-    s = SlidingState(learn_rates=(10.0, 10.0, 10.0), alpha_max=(0.05, 0.02, 0.001))
+    c = ControllerConfig(learn_rates=(10.0, 10.0, 10.0), alpha_max=(0.05, 0.02, 0.001))
+    s = SlidingState(c.alpha1, c.alpha2, c.alpha3)
     s.err_integral = 3.0
     for _ in range(1000):
-        adapt_sliding_params(s, 1.0, 1.0, 2.0, 0.01)
+        adapt_sliding_params(s, c, 1.0, 1.0, 2.0, 0.01)
     assert s.alpha1 == pytest.approx(0.05)
     assert s.alpha2 == pytest.approx(0.02)
     assert s.alpha3 == pytest.approx(0.001)
 
 
 def test_adapt_sliding_params_frozen_at_zero_error():
-    s = SlidingState(learn_rates=(1.0, 1.0, 1.0))
+    c = ControllerConfig(learn_rates=(1.0, 1.0, 1.0))
+    s = SlidingState(c.alpha1, c.alpha2, c.alpha3)
     before = (s.alpha1, s.alpha2, s.alpha3)
-    adapt_sliding_params(s, 0.0, 0.0, 0.0, 0.01)
+    adapt_sliding_params(s, c, 0.0, 0.0, 0.0, 0.01)
     assert (s.alpha1, s.alpha2, s.alpha3) == before
 
 

@@ -47,8 +47,7 @@ class OneRowReference:
         self.c = c
         self.w = np.zeros(DIM)
         self.R = 1
-        self.s = SlidingState(alpha1=c.alpha1, alpha2=c.alpha2, alpha3=c.alpha3, gamma=c.gamma,
-                              learn_rates=c.learn_rates, alpha_max=c.alpha_max, sat_limit=c.sat_limit)
+        self.s = SlidingState(c.alpha1, c.alpha2, c.alpha3)
         self.P = p_matrix(c.alpha1, c.alpha2)
         self.evo = EvolutionState()
         self.e_prev = None
@@ -62,7 +61,7 @@ class OneRowReference:
         s_l = sliding_value(e, e_dot, s.err_integral, s)
         x_e = extended_input(e, e_dot, y_r)
         # R equal rows fire equally, so the network output is the one row's consequent
-        u = robustifying_term(s_l, s) - float(x_e @ self.w)
+        u = robustifying_term(s_l, s, c) - float(x_e @ self.w)
 
         update_input_mean(self.evo, x_e)
         mu = self.evo.mu_e
@@ -75,8 +74,8 @@ class OneRowReference:
             self.evo.restart_detectors()
 
         g = e * self.P.p12 + e_dot * self.P.p22
-        self.w = np.clip(self.w - dt * (s.gamma / self.R) * g * x_e, -c.weight_limit, c.weight_limit)
-        if adapt_sliding_params(s, e, e_dot, s_l, dt):
+        self.w = np.clip(self.w - dt * (c.gamma / self.R) * g * x_e, -c.weight_limit, c.weight_limit)
+        if adapt_sliding_params(s, c, e, e_dot, s_l, dt):
             self.P = p_matrix(s.alpha1, s.alpha2)
         return min(max(u, -c.actuator_limit), c.actuator_limit)
 

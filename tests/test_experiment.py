@@ -129,9 +129,58 @@ def test_unknown_disturbance_or_output_key_rejected(key, value):
 
 def test_stale_flap_param_rejected():
     # time_step was a FlapParams field that no step read
-    cfg = ExperimentConfig(plant="bifwmav", plant_params={"time_step": 0.001})
-    with pytest.raises(TypeError, match="time_step"):
-        build_plant(cfg)
+    with pytest.raises(ValueError, match="time_step"):
+        ExperimentConfig(plant="bifwmav", plant_params={"time_step": 0.001})
+
+
+@pytest.mark.parametrize(
+    "section, value, key",
+    [
+        ("plant_params", {"thrust_gian": 5.0}, "thrust_gian"),
+        ("controller_params", {"gamma": 1.0, "gama": 2.0}, "gama"),
+        ("trajectory", "hexacopter_constnat", "hexacopter_constnat"),
+        ("disturbances", {"impulse": {"amplitude": 2.0, "start": 5.0, "lenght": 0.1}}, "lenght"),
+        ("disturbances", {"gust": {"v_m": 4.0, "onset": 2.0}}, "onset"),
+    ],
+)
+def test_bad_part_name_rejected_at_construction(section, value, key):
+    with pytest.raises(ValueError, match=f"^typo: .*{key}"):
+        ExperimentConfig(name="typo", **{section: value})
+
+
+@pytest.mark.parametrize("key, value", [("dt", -0.01), ("dt", 0.0), ("duration", -5.0)])
+def test_nonpositive_step_or_negative_duration_rejected(key, value):
+    with pytest.raises(ValueError, match=f"^bad_time: {key} must be"):
+        ExperimentConfig(name="bad_time", **{key: value})
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command):
+    # the second of three experiments misspells a plant parameter
+    experiments = [
+        dict(name=name, plant="double_integrator", trajectory={"kind": "constant", "level": 1.0}, duration=1.0)
+        for name in ("first", "second", "third")
+    ]
+    experiments[1].update(plant="hexacopter", plant_params={"thrust_gian": 5.0})
+    raw = {"experiments": experiments} if command == "suite" else experiments[1]
+    path = tmp_path / "suite.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("CONFIG ERROR: second: ") and "thrust_gian" in err[0]
+    assert not out.exists()  # no step log, no summary
+
+
+@pytest.mark.parametrize("text", [None, "name: [unclosed"], ids=["missing", "malformed"])
+def test_cli_unreadable_config_file_is_one_line(tmp_path, capsys, text):
+    path = tmp_path / "exp.yaml"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("CONFIG ERROR: ")
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
@@ -176,7 +225,7 @@ def test_divergence_keeps_the_cause():
     cause = info.value.__cause__
     assert isinstance(cause, FloatingPointError)
     assert "non-finite v" in str(cause)
-    assert str(info.value).startswith("hexa_roll_pid: non-finite state at step ")
+    assert str(info.value).startswith("hexa_roll_pid: diverged at step ")
     assert str(info.value).endswith(f": {cause}")
 
 
