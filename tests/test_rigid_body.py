@@ -130,3 +130,99 @@ def test_overflowed_stage_angle_raises_floating_point_error():
     state = RigidBodyState(velocity=np.full(3, 1e160), rates=np.array([1e160, 0.0, 0.0]))
     with pytest.raises(FloatingPointError, match=r"non-finite .*\bphi\b"):
         rigid_body_step(state, inertia, np.zeros(3), np.full(3, 1e160), 0.01)
+
+
+# One RK4 step per case, recorded bit for bit: (inertia, state x y z u v w phi
+# theta psi p q r, forces, moments, dt, new state as float.hex). The cases
+# cover a nonzero I_xz of either sign, angles that wrap across +-pi and
+# large body rates.
+PINNED_STEPS = [
+    (
+        dict(i_xz=0.004),
+        [0.5, -1.25, -3.0, 0.8, -0.3, 0.15, 0.1, -0.05, 0.7, 0.2, -0.1, 0.3],
+        [0.3, -0.2, -29.0],
+        [0.01, -0.02, 0.005],
+        0.01,
+        (
+            "0x1.0422d15846536p-1", "-0x1.3f4acf932ad22p+0", "-0x1.7fdb98594ba18p+1",
+            "0x1.99b38475a3173p-1", "-0x1.3622b9a3c2fc9p-2", "0x1.b32c0d32aab20p-5",
+            "0x1.a13fa09572ea0p-4", "-0x1.a46b996a4dc00p-5", "0x1.67e142f20037cp-1",
+            "0x1.9f347576ccffap-3", "-0x1.aca3076383ef2p-4", "0x1.3442db24dde7fp-2",
+        ),
+    ),
+    (
+        dict(i_xz=0.01),
+        [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 3.14, 0.2, -0.4, 2.0, 0.5, -0.3],
+        [0.0, 0.0, -29.43],
+        [0.05, 0.0, 0.0],
+        0.01,
+        (
+            "0x1.714e9b85cc8e5p-14", "-0x1.4f0357d207226p-15", "-0x1.ffc0f8a5fafccp-1",
+            "0x1.fb8e4313c4487p-13", "-0x1.0280b78a17a3fp-10", "-0x1.91c9f653e8bd9p-4",
+            "-0x1.8fae8ae6b7ec2p+1", "0x1.8f704bfa14a00p-3", "-0x1.96871464e8218p-2",
+            "0x1.021b6dbf67406p+1", "0x1.f2d5937bfb4a6p-2", "-0x1.3023967d180d8p-2",
+        ),
+    ),
+    (
+        dict(i_xz=-0.006),
+        [2.0, 1.0, -5.0, -1.0, 0.5, 0.0, -0.3, 0.1, -3.14, 0.0, 0.2, -1.5],
+        [1.0, 0.0, -30.0],
+        [0.0, 0.0, -0.02],
+        0.01,
+        (
+            "0x1.014c25d97aceep+1", "0x1.fda3675986ac1p-1", "-0x1.400f8b7d291e6p+2",
+            "-0x1.0103af53bddc5p+0", "0x1.f096afc7e2ca6p-2", "-0x1.a1c27dfdc873ap-4",
+            "-0x1.34b437636b440p-2", "0x1.8f2278a77cdc0p-4", "0x1.90683144d3baap+1",
+            "0x1.0e9a640622e56p-9", "0x1.92a785f68fa4dp-3", "-0x1.80fb80b343bd7p+0",
+        ),
+    ),
+    (
+        dict(i_xz=0.015),
+        [0.0, 0.0, 0.0, 3.0, -2.0, 1.0, 0.6, -0.4, 1.2, 40.0, -35.0, 50.0],
+        [5.0, -4.0, -20.0],
+        [0.3, -0.2, 0.4],
+        0.005,
+        (
+            "0x1.fcd00ec638565p-7", "0x1.367317579d73ap-7", "0x1.1f57ffdfce9cfp-8",
+            "0x1.49ed6048f5ce2p+1", "-0x1.435b40cf26fccp+1", "0x1.fc7c538ff8d87p-1",
+            "0x1.7d5b937ebeb10p-1", "-0x1.5e1a385ee9528p-1", "0x1.51f623749cb88p+0",
+            "0x1.5550b80dd874cp+5", "-0x1.bf66d43f27e73p+4", "0x1.a5cae9cae2534p+5",
+        ),
+    ),
+    (
+        dict(m=0.06, i_x=0.0006, i_y=0.0006, i_z=0.001, i_xz=0.0001),
+        [0.1, 0.0, -2.0, 1.7, 0.0, -0.2, 0.05, -3.1, 2.9, -0.3, -6.0, 0.8],
+        [0.0, 0.02, -0.59],
+        [0.0001, -0.0002, 0.0],
+        0.01,
+        (
+            "0x1.dca41173601f0p-4", "-0x1.11ce372f53b9bp-8", "-0x1.ff2ec2bdb68c7p+0",
+            "0x1.ae947c2d646b7p+0", "-0x1.354a6edb142b6p-7", "-0x1.997f06c73e256p-2",
+            "0x1.830da855b3ec0p-5", "0x1.8fb9687f59a58p+1", "0x1.728b7f5213278p+1",
+            "-0x1.0c2f92ad972eap-2", "-0x1.803fc92761f3fp+2", "0x1.9e05ba3df84a6p-1",
+        ),
+    ),
+    (
+        dict(i_xz=0.02),
+        [0.0, 0.0, 0.0, 0.5, -0.5, 0.2, -3.1, 1.3, 3.1, -60.0, 80.0, 120.0],
+        [0.0, 0.0, 0.0],
+        [1.0, -1.0, 2.0],
+        0.02,
+        (
+            "0x1.0a522032bf14ap-6", "0x1.14fc68590ab09p-7", "0x1.dec3a4deb9423p-7",
+            "0x1.b5a783eb5cb9fp+0", "0x1.ba087d33f6035p+1", "-0x1.7f7df566ef1d5p+1",
+            "0x1.353d765ba0730p-1", "-0x1.a28e04f462730p-1", "0x1.7a1c2a6cb7460p-2",
+            "-0x1.0afcd36e766c4p+3", "-0x1.1c24ed4796abcp+6", "0x1.d6087c7102fa2p+7",
+        ),
+    ),
+]
+
+
+PINNED_IDS = ["hexa_ixz", "roll_wraps_past_pi", "yaw_wraps_past_minus_pi", "large_rates", "flapping_pitch_wraps", "all_angles_wrap"]
+
+
+@pytest.mark.parametrize("inertia, x, forces, moments, dt, want", PINNED_STEPS, ids=PINNED_IDS)
+def test_step_is_pinned_bit_for_bit(inertia, x, forces, moments, dt, want):
+    state = RigidBodyState(np.array(x[0:3]), np.array(x[3:6]), np.array(x[6:9]), np.array(x[9:12]))
+    got = rigid_body_step(state, InertiaSet(**inertia), forces, moments, dt).as_vector().tolist()
+    assert [v.hex() for v in got] == list(want)
