@@ -187,7 +187,6 @@ class ParsimoniousController:
         self._e_prev: float | None = None
         self.steps = 0
         self.events: list[tuple[float, str, int, float, float]] = []
-        self._time = 0.0
 
     @property
     def rule_count(self) -> int:
@@ -221,18 +220,17 @@ class ParsimoniousController:
         diag = ControlStep(e=e, e_dot=e_dot, s_l=s_l, u_src=u_src, u_palm=u_palm, u=u, firing=firing)
 
         if c.evolution_enabled:
-            self._evolve(diag, x_e, y_r)
+            self._evolve(diag, x_e, y_r, self.steps * dt)
 
         adapt_weights(self.net, diag, c, self.P, x_e, dt)
         if adapt_sliding_params(s, c, e, e_dot, s_l, dt):
             self.P = p_matrix(s.alpha1, s.alpha2)
 
         self.steps += 1
-        self._time += dt
         return min(max(u, -c.actuator_limit), c.actuator_limit), diag
 
-    def _evolve(self, diag: ControlStep, x_e: np.ndarray, y_r: float) -> None:
-        """Structure learning: grow first, prune otherwise (never both)."""
+    def _evolve(self, diag: ControlStep, x_e: np.ndarray, y_r: float, t: float) -> None:
+        """Structure learning: grow first, prune otherwise (never both); ``t`` stamps the event."""
         evolution.update_input_mean(self.evo, x_e)
         bias2, variance = evolution.network_bias_variance(self.net, self.evo, y_r)
         bias = diag.bias = math.sqrt(bias2)
@@ -245,7 +243,7 @@ class ParsimoniousController:
             evolution.prune_rule(self.net, self.evo)
         else:
             return
-        self.events.append((self._time, "GROW" if grow else "PRUNE", self.net.rule_count, bias, variance))
+        self.events.append((t, "GROW" if grow else "PRUNE", self.net.rule_count, bias, variance))
         # re-baseline the drift detectors, as the underlying
         # process-control method does after a detection
         self.evo.restart_detectors()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -259,6 +260,24 @@ def test_rule_snapshot_output(tmp_path):
     lines = (tmp_path / "rules.txt").read_text().splitlines()
     assert len(lines) >= 1
     assert lines[0].startswith("0, ")
+
+
+def test_event_times_equal_step_log_times(tmp_path):
+    # a GROW/PRUNE event carries the t = i * dt of the step row it happened
+    # in, so events join to steps on equal times (a running sum of dt drifts:
+    # 0.79000000000000048 against a row's 0.79)
+    (cfg,) = [c for c in _configs_from_file(CONFIGS / "hexacopter_suite.yaml") if c.name == "hexa_sos_pac"]
+    cfg = dataclasses.replace(cfg, duration=5.0, outputs={})
+    result = run_experiment(cfg, out_dir=tmp_path)
+    events = result.controller.events
+    assert len(events) > 10
+    t = result.series["t"]
+    for time, _, count, _, _ in events:
+        step = round(time / cfg.dt)
+        assert time == t[step] == step * cfg.dt
+        assert result.series["R"][step] == count
+    rows = (tmp_path / "hexa_sos_pac_events.txt").read_text().splitlines()
+    assert [row.split(", ")[0] for row in rows] == [f"{time:.17g}" for time, *_ in events]
 
 
 def test_suite_writes_summary(tmp_path):
