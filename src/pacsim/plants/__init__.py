@@ -4,7 +4,6 @@ from .hexacopter import Hexacopter, HexacopterParams, hexacopter_mixing, rotor_f
 from .rigid_body import (
     GRAVITY,
     InertiaSet,
-    RigidBodyState,
     dcm_inertial_to_body,
     kinetic_energy,
     rigid_body_step,
@@ -29,7 +28,6 @@ __all__ = [
     "rotor_forces_moments",
     "GRAVITY",
     "InertiaSet",
-    "RigidBodyState",
     "dcm_inertial_to_body",
     "kinetic_energy",
     "rigid_body_step",

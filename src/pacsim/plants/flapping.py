@@ -15,7 +15,7 @@ import numpy as np
 
 from ..pid import PidConfig, PidController
 from .disturbances import GustSpec, GustTracker
-from .rigid_body import GRAVITY, InertiaSet, RigidBodyState, body_gravity, rigid_body_step
+from .rigid_body import GRAVITY, InertiaSet, body_gravity, rigid_body_step
 
 CG = np.zeros(3)
 CP = np.array(
@@ -100,11 +100,12 @@ class BiFwmav:
 
     def __init__(self, params: FlapParams | None = None, gust: GustSpec | None = None):
         self.params = params or FlapParams()
-        self.state = RigidBodyState()
+        self.state = [0.0] * 12  # x y z u v w phi theta psi p q r, see rigid_body
         self.gust = GustTracker(gust) if gust else None
         pid_cfg = PidConfig(kp=0.015, ki=1e-3, kd=4.8e-3, output_limits=(-0.1, 0.1))
         self._att_pids = [PidController(pid_cfg) for _ in range(2)]
         p = self.params
+        self._hover_amplitude = p.hover_amplitude()
         self._lift_gain = p.k_lift() * p.frequency**2
         # per-wing amplitude allocation: minimum-norm inverse of the map from
         # amplitudes to (sum of lifts, net M_x, net M_y). Lift is k * a_i
@@ -117,14 +118,15 @@ class BiFwmav:
         self._allocation = tuple(map(tuple, np.linalg.pinv(rows).tolist()))
 
     def output(self) -> float:
-        return self.state.altitude()
+        return -self.state[2]
 
     def step(self, u: float, dt: float) -> None:
         p = self.params
+        x = self.state
         a_max = p.amplitude_max
-        collective = 4.0 * self._lift_gain * min(max(p.hover_amplitude() + p.amplitude_gain * u, 0.0), a_max)
+        collective = 4.0 * self._lift_gain * min(max(self._hover_amplitude + p.amplitude_gain * u, 0.0), a_max)
         # attitude trim: drive roll/pitch moments toward level
-        phi, theta, psi = self.state.attitude.tolist()
+        phi, theta, psi = x[6:9]
         m_x = self._att_pids[0].step(phi, 0.0, dt)
         m_y = self._att_pids[1].step(theta, 0.0, dt)
         # flapping_actuator clamps negative or over-range amplitudes
@@ -134,10 +136,11 @@ class BiFwmav:
         m_total = [m + t for m, t in zip(m_wings, stroke_plane_trim_moment(forces))]
 
         # additive body-x velocity perturbation ahead of the force computation
-        wind = 0.0 if self.gust is None else self.gust.advance(float(self.state.velocity[0]), dt)
-        self.state.velocity[0] += wind
-        self.state = rigid_body_step(self.state, p.inertia, f_total, m_total, dt)
-        self.state.velocity[0] -= wind
+        wind = 0.0 if self.gust is None else self.gust.advance(x[3], dt)
+        x[3] += wind
+        x = rigid_body_step(x, p.inertia, f_total, m_total, dt)
+        x[3] -= wind
+        self.state = x
 
 
 class DoubleIntegrator:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..pid import PidConfig, PidController
 from .disturbances import GustSpec, GustTracker
-from .rigid_body import GRAVITY, InertiaSet, RigidBodyState, body_gravity, rigid_body_step
+from .rigid_body import GRAVITY, InertiaSet, body_gravity, rigid_body_step
 
 
 @dataclass
@@ -119,23 +119,25 @@ class Hexacopter:
         if channel not in ("altitude", "roll", "pitch"):
             raise ValueError(f"unknown hexacopter channel {channel!r}")
         self.channel = channel
-        self.state = RigidBodyState()
+        self.state = [0.0] * 12  # x y z u v w phi theta psi p q r, see rigid_body
         self.gust = GustTracker(gust) if gust else None
         p = self.params
+        self._trim = p.hover_thrust() if p.thrust_trim is None else p.thrust_trim
         pid_cfg = PidConfig(kp=p.rate_kp, ki=p.rate_ki, kd=p.rate_kd, output_limits=(-5.0, 5.0))
         self._rate_pids = [PidController(pid_cfg) for _ in range(3)]
 
     def output(self) -> float:
         if self.channel == "altitude":
-            return self.state.altitude()
+            return -self.state[2]
         if self.channel == "roll":
-            return float(self.state.attitude[0])
-        return float(self.state.attitude[1])
+            return self.state[6]
+        return self.state[7]
 
     def step(self, u: float, dt: float) -> None:
         p = self.params
-        trim = p.hover_thrust() if p.thrust_trim is None else p.thrust_trim
-        phi, theta, psi = self.state.attitude.tolist()
+        x = self.state
+        trim = self._trim
+        phi, theta, psi = x[6:9]
 
         if self.channel == "altitude":
             thrust_cmd = trim + p.thrust_gain * u
@@ -147,7 +149,7 @@ class Hexacopter:
             thrust_cmd = trim
             rate_ref = (p.angle_kp * -phi, p.rate_gain * u, -psi)
 
-        loops = zip(self._rate_pids, self.state.rates.tolist(), rate_ref)
+        loops = zip(self._rate_pids, x[9:12], rate_ref)
         cmds = [pid.step(rate, ref, dt) for pid, rate, ref in loops]
         speeds = hexacopter_mixing(thrust_cmd, cmds[0], cmds[1], cmds[2], p)
         rotor_force, moments = rotor_forces_moments(speeds, p)
@@ -155,7 +157,8 @@ class Hexacopter:
         forces = [f + g for f, g in zip(rotor_force, body_gravity(phi, theta, p.inertia.m))]
 
         # additive body-x velocity perturbation ahead of the force computation
-        wind = 0.0 if self.gust is None else self.gust.advance(float(self.state.velocity[0]), dt)
-        self.state.velocity[0] += wind
-        self.state = rigid_body_step(self.state, p.inertia, forces, moments, dt)
-        self.state.velocity[0] -= wind
+        wind = 0.0 if self.gust is None else self.gust.advance(x[3], dt)
+        x[3] += wind
+        x = rigid_body_step(x, p.inertia, forces, moments, dt)
+        x[3] -= wind
+        self.state = x

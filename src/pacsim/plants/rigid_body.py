@@ -6,7 +6,7 @@ fixed-step RK4. Frames follow the aerospace NED convention, Z positive down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,23 +28,8 @@ class InertiaSet:
             raise ValueError("singular roll/yaw inertia coupling")
 
 
-@dataclass
-class RigidBodyState:
-    """position (inertial, m), velocity (body, m/s), attitude (rad), rates (rad/s)."""
-
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    attitude: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rates: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, self.velocity, self.attitude, self.rates])
-
-    def altitude(self) -> float:
-        return -float(self.position[2])
-
-
-# names of the 12 state components, in as_vector order
+# The state is one list of 12 Python floats: position (inertial, m), velocity
+# (body, m/s), attitude (rad) and rates (rad/s), in this order.
 _STATE_NAMES = ("x", "y", "z", "u", "v", "w", "phi", "theta", "psi", "p", "q", "r")
 
 
@@ -69,21 +54,25 @@ def body_gravity(phi: float, theta: float, mass: float) -> tuple[float, float, f
     return (-math.sin(theta) * mg, math.sin(phi) * cth * mg, math.cos(phi) * cth * mg)
 
 
-def _derivatives(x, inertia: InertiaSet, forces, moments) -> tuple:
-    """State derivative of the 12 floats ``x`` (as_vector order) under body forces/moments."""
-    _, _, _, u, v, w, phi, theta, psi, p, q, r = x
-    m, i_x, i_y, i_z, i_xz = inertia.m, inertia.i_x, inertia.i_y, inertia.i_z, inertia.i_xz
+def _derivatives(s, k) -> tuple:
+    """Derivative of the 12-float state.
+
+    ``s`` holds the 9 components it reads, u .. r; ``k`` the constants of
+    one step, as ``rigid_body_step`` builds them: force per unit mass, the
+    roll/pitch/yaw moments L, M, N and the inertia terms.
+    """
+    u, v, w, phi, theta, psi, p, q, r = s
+    a_x, a_y, a_z, l, m, n, i_x, i_y, i_z, i_xz, d_xz, d_zy, d_yx, det = k
 
     # translational: F = m(dv/dt + omega x v), solved for dv/dt
-    du = forces[0] / m - q * w + r * v
-    dv = forces[1] / m - r * u + p * w
-    dw = forces[2] / m - p * v + q * u
+    du = a_x - q * w + r * v
+    dv = a_y - r * u + p * w
+    dw = a_z - p * v + q * u
 
     # rotational: q decouples; (p, r) couple through I_xz
-    dq = (moments[1] - r * p * (i_x - i_z) - i_xz * (p * p - r * r)) / i_y
-    rhs_l = moments[0] - q * r * (i_z - i_y) + i_xz * p * q
-    rhs_n = moments[2] - p * q * (i_y - i_x) - i_xz * q * r
-    det = i_x * i_z - i_xz * i_xz
+    dq = (m - r * p * d_xz - i_xz * (p * p - r * r)) / i_y
+    rhs_l = l - q * r * d_zy + i_xz * p * q
+    rhs_n = n - p * q * d_yx - i_xz * q * r
     dp = (i_z * rhs_l + i_xz * rhs_n) / det
     dr = (i_xz * rhs_l + i_x * rhs_n) / det
 
@@ -91,20 +80,30 @@ def _derivatives(x, inertia: InertiaSet, forces, moments) -> tuple:
     cph, sph = math.cos(phi), math.sin(phi)
     cth, sth = math.cos(theta), math.sin(theta)
     cps, sps = math.cos(psi), math.sin(psi)
-    dphi = p + (q * sph + r * cph) * math.tan(theta)
+    qr = q * sph + r * cph
+    dphi = p + qr * math.tan(theta)
     dtheta = q * cph - r * sph
-    dpsi = (q * sph + r * cph) / cth
+    dpsi = qr / cth
 
     # position: body velocity rotated into the inertial frame by the DCM transpose
-    dx = cth * cps * u + (sph * sth * cps - cph * sps) * v + (cph * sth * cps + sph * sps) * w
-    dy = cth * sps * u + (sph * sth * sps + cph * cps) * v + (cph * sth * sps - sph * cps) * w
+    sph_sth, cph_sth = sph * sth, cph * sth
+    dx = cth * cps * u + (sph_sth * cps - cph * sps) * v + (cph_sth * cps + sph * sps) * w
+    dy = cth * sps * u + (sph_sth * sps + cph * cps) * v + (cph_sth * sps - sph * cps) * w
     dz = -sth * u + sph * cth * v + cph * cth * w
     return (dx, dy, dz, du, dv, dw, dphi, dtheta, dpsi, dp, dq, dr)
 
 
-def _non_finite(x) -> str:
-    """Names of the non-finite components of the 12 floats ``x``."""
-    return ", ".join(name for name, value in zip(_STATE_NAMES, x) if not math.isfinite(value))
+def _advance(s, d, h: float) -> tuple:
+    """RK4 stage: the 9 components u .. r of ``s`` moved by ``h`` along the derivative ``d``."""
+    u, v, w, phi, theta, psi, p, q, r = s
+    _, _, _, du, dv, dw, dphi, dtheta, dpsi, dp, dq, dr = d
+    return (u + h * du, v + h * dv, w + h * dw, phi + h * dphi, theta + h * dtheta, psi + h * dpsi,
+            p + h * dp, q + h * dq, r + h * dr)
+
+
+def _non_finite(x, names=_STATE_NAMES) -> str:
+    """Names of the non-finite components of ``x``, one per name."""
+    return ", ".join(name for name, value in zip(names, x) if not math.isfinite(value))
 
 
 def _wrap_angle(a: float) -> float:
@@ -115,45 +114,47 @@ def _wrap_angle(a: float) -> float:
     return a - math.pi
 
 
-def rigid_body_step(
-    state: RigidBodyState,
-    inertia: InertiaSet,
-    forces,
-    moments,
-    dt: float,
-) -> RigidBodyState:
-    """One RK4 step under zero-order-hold body-frame forces and moments (3-sequences).
+def rigid_body_step(x: list[float], inertia: InertiaSet, forces, moments, dt: float) -> list[float]:
+    """One RK4 step of the 12-float state ``x`` under zero-order-hold body-frame
+    forces and moments (3-sequences); returns the new state as a new list.
 
-    Raises FloatingPointError naming the non-finite state components when a
-    stage or the new state leaves the finite range.
+    The stages advance only u .. r, the 9 components the derivatives read;
+    the final combine covers all 12. Raises FloatingPointError naming the
+    non-finite state components when a stage or the new state leaves the
+    finite range.
     """
-    forces = tuple(map(float, forces))
-    moments = tuple(map(float, moments))
-    x = [*state.position.tolist(), *state.velocity.tolist(), *state.attitude.tolist(), *state.rates.tolist()]
+    f_x, f_y, f_z = map(float, forces)
+    l, m, n = map(float, moments)
+    mass, i_x, i_y, i_z, i_xz = inertia.m, inertia.i_x, inertia.i_y, inertia.i_z, inertia.i_xz
+    # what the derivatives read besides the state, each computed once per step
+    k = (f_x / mass, f_y / mass, f_z / mass, l, m, n, i_x, i_y, i_z, i_xz,
+         i_x - i_z, i_z - i_y, i_y - i_x, i_x * i_z - i_xz * i_xz)
+    s = x[3:]
     h = 0.5 * dt
-    stage = x
+    stage = s
     try:
-        k1 = _derivatives(stage, inertia, forces, moments)
-        stage = [a + h * b for a, b in zip(x, k1)]
-        k2 = _derivatives(stage, inertia, forces, moments)
-        stage = [a + h * b for a, b in zip(x, k2)]
-        k3 = _derivatives(stage, inertia, forces, moments)
-        stage = [a + dt * b for a, b in zip(x, k3)]
-        k4 = _derivatives(stage, inertia, forces, moments)
+        k1 = _derivatives(stage, k)
+        stage = _advance(s, k1, h)
+        k2 = _derivatives(stage, k)
+        stage = _advance(s, k2, h)
+        k3 = _derivatives(stage, k)
+        stage = _advance(s, k3, dt)
+        k4 = _derivatives(stage, k)
     except ValueError:
         # math.sin/cos/tan of an infinite stage angle
-        raise FloatingPointError(f"rigid body RK4 stage diverged: non-finite {_non_finite(stage)}") from None
+        raise FloatingPointError(
+            f"rigid body RK4 stage diverged: non-finite {_non_finite(stage, _STATE_NAMES[3:])}"
+        ) from None
     c = dt / 6.0
     x_new = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
     if not all(map(math.isfinite, x_new)):
         raise FloatingPointError(f"rigid body state diverged: non-finite {_non_finite(x_new)}")
-    x_new[6:9] = [_wrap_angle(a) for a in x_new[6:9]]
-    x_new = np.array(x_new)
-    return RigidBodyState(x_new[0:3], x_new[3:6], x_new[6:9], x_new[9:12])
+    x_new[6:9] = map(_wrap_angle, x_new[6:9])
+    return x_new
 
 
-def kinetic_energy(state: RigidBodyState, inertia: InertiaSet) -> float:
-    v = state.velocity
-    p, q, r = state.rates
+def kinetic_energy(x: list[float], inertia: InertiaSet) -> float:
+    """Translational plus rotational kinetic energy of the 12-float state."""
+    _, _, _, u, v, w, _, _, _, p, q, r = x
     rot = inertia.i_x * p * p + inertia.i_y * q * q + inertia.i_z * r * r - 2.0 * inertia.i_xz * p * r
-    return 0.5 * inertia.m * float(np.dot(v, v)) + 0.5 * rot
+    return 0.5 * inertia.m * (u * u + v * v + w * w) + 0.5 * rot

@@ -23,7 +23,6 @@ from pacsim.plants import (
     DoubleIntegrator,
     GustSpec,
     InertiaSet,
-    RigidBodyState,
     gust_velocity,
     kinetic_energy,
     rigid_body_step,
@@ -253,7 +252,8 @@ def test_smc_energy_descent_frozen_structure():
 def test_plant_suite():
     rng = np.random.default_rng(109)
     inertia = InertiaSet(i_xz=0.004)
-    state = RigidBodyState(velocity=rng.uniform(-2, 2, 3), rates=rng.uniform(-1, 1, 3))
+    velocity, rates = rng.uniform(-2, 2, 3).tolist(), rng.uniform(-1, 1, 3).tolist()
+    state = [0.0, 0.0, 0.0, *velocity, 0.0, 0.0, 0.0, *rates]
     e0 = kinetic_energy(state, inertia)
     for _ in range(1000):
         state = rigid_body_step(state, inertia, np.zeros(3), np.zeros(3), 0.01)

@@ -20,7 +20,7 @@ from pacsim.plants import (
     rotor_forces_moments,
 )
 from pacsim.plants import flapping, hexacopter
-from pacsim.plants.rigid_body import GRAVITY, RigidBodyState, dcm_inertial_to_body, rigid_body_step
+from pacsim.plants.rigid_body import GRAVITY, dcm_inertial_to_body, rigid_body_step
 
 
 # --- hexacopter mixing --------------------------------------------------------
@@ -65,8 +65,8 @@ def test_roll_channel_produces_roll():
     plant = Hexacopter(channel="roll")
     for _ in range(200):
         plant.step(0.5, 0.01)
-    assert plant.state.attitude[0] > 0.01
-    assert abs(plant.state.attitude[1]) < 1e-3
+    assert plant.state[6] > 0.01  # phi
+    assert abs(plant.state[7]) < 1e-3  # theta
 
 
 def _rotor_sum_oracle(speeds, p):
@@ -162,7 +162,7 @@ def test_bifwmav_hover_near_equilibrium():
         plant.step(0.0, 0.01)
     # collective allocation trims the pitch moment; altitude stays close
     assert abs(plant.output()) < 0.05
-    assert abs(plant.state.attitude[1]) < 0.05
+    assert abs(plant.state[7]) < 0.05  # theta
 
 
 class _FixedOutput:
@@ -179,7 +179,7 @@ def _record_rigid_body_step(monkeypatch, module):
     calls = []
 
     def recorder(state, inertia, forces, moments, dt):
-        calls.append((state.as_vector(), np.array(forces, dtype=float), np.array(moments, dtype=float)))
+        calls.append((list(state), np.array(forces, dtype=float), np.array(moments, dtype=float)))
         return rigid_body_step(state, inertia, forces, moments, dt)
 
     monkeypatch.setattr(module, "rigid_body_step", recorder)
@@ -211,7 +211,7 @@ def test_flapping_force_moment_matches_per_wing_cross_oracle(monkeypatch):
         u = rng.uniform(-15.0, 15.0)  # the amplitude command clamps at both ends
         attitude = (rng.uniform(-math.pi, math.pi), rng.uniform(-1.4, 1.4), rng.uniform(-math.pi, math.pi))
         m_x, m_y = rng.uniform(-0.1, 0.1, size=2)
-        plant.state.attitude[:] = attitude
+        plant.state[6:9] = attitude
         plant._att_pids = [_FixedOutput(m_x), _FixedOutput(m_y)]
         plant.step(u, 0.01)
         _, force, moment = calls[-1]
@@ -233,22 +233,22 @@ def test_flapping_force_moment_matches_per_wing_cross_oracle(monkeypatch):
 def test_gust_path_matches_direct_rigid_body_step(monkeypatch, make_plant, module):
     calls = _record_rigid_body_step(monkeypatch, module)
     plant = make_plant(GustSpec(v_m=3.0, d_m=120.0))
-    plant.state.velocity[:] = [1.0, -0.2, 0.1]
+    plant.state[3:6] = [1.0, -0.2, 0.1]
     plant.gust.x = 60.0  # half way into the gust: it blows from the first step
     inertia = plant.params.inertia
     for _ in range(5):
-        before = plant.state.as_vector()
+        before = list(plant.state)
         plant.step(0.3, 0.01)
         wind = plant.gust.wind
         assert wind > 0.0
         seen, forces, moments = calls[-1]
         # the rigid body sees the body-x airspeed with the wind added
         assert seen[3] == before[3] + wind
-        state = RigidBodyState(before[0:3].copy(), before[3:6].copy(), before[6:9].copy(), before[9:12].copy())
-        state.velocity[0] += wind
+        state = list(before)
+        state[3] += wind
         want = rigid_body_step(state, inertia, forces, moments, 0.01)
-        want.velocity[0] -= wind
-        np.testing.assert_array_equal(plant.state.as_vector(), want.as_vector())
+        want[3] -= wind
+        assert plant.state == want
 
 
 # --- disturbances -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.integrate import solve_ivp
 from pacsim.plants.rigid_body import (
     GRAVITY,
     InertiaSet,
-    RigidBodyState,
     dcm_inertial_to_body,
     kinetic_energy,
     rigid_body_step,
@@ -16,22 +16,23 @@ from pacsim.plants.rigid_body import (
 
 def test_equilibrium_is_fixed_point():
     inertia = InertiaSet()
-    state = RigidBodyState()
+    state = [0.0] * 12
     for _ in range(100):
         state = rigid_body_step(state, inertia, np.zeros(3), np.zeros(3), 0.01)
-    np.testing.assert_allclose(state.as_vector(), np.zeros(12), atol=1e-15)
+    np.testing.assert_allclose(state, np.zeros(12), atol=1e-15)
 
 
 def test_pure_roll_moment_decouples_without_ixz():
     inertia = InertiaSet(i_xz=0.0)
-    state = RigidBodyState()
+    state = [0.0] * 12
     dt = 1e-3
     L = 0.02
     state = rigid_body_step(state, inertia, np.zeros(3), np.array([L, 0.0, 0.0]), dt)
     # with q = r = 0 the roll acceleration is exactly L / I_x
-    assert state.rates[0] == pytest.approx(L / inertia.i_x * dt, rel=1e-12)
-    assert state.rates[1] == 0.0
-    assert state.rates[2] == 0.0
+    p, q, r = state[9:12]
+    assert p == pytest.approx(L / inertia.i_x * dt, rel=1e-12)
+    assert q == 0.0
+    assert r == 0.0
 
 
 def test_matches_adaptive_reference_integrator():
@@ -44,7 +45,7 @@ def test_matches_adaptive_reference_integrator():
     forces = rng.uniform(-1.0, 1.0, size=(n, 3))
     moments = rng.uniform(-0.01, 0.01, size=(n, 3))
 
-    state = RigidBodyState()
+    state = [0.0] * 12
     for i in range(n):
         state = rigid_body_step(state, inertia, forces[i], moments[i], dt)
 
@@ -72,7 +73,7 @@ def test_matches_adaptive_reference_integrator():
         sol = solve_ivp(deriv, (0.0, dt), x, args=(forces[i], moments[i]), rtol=1e-11, atol=1e-12)
         x = sol.y[:, -1]
 
-    got = state.as_vector()
+    got = np.array(state)
     scale = max(1.0, float(np.abs(x).max()))
     assert np.abs(got - x).max() / scale < 1e-5
 
@@ -80,10 +81,8 @@ def test_matches_adaptive_reference_integrator():
 def test_torque_free_energy_conservation():
     rng = np.random.default_rng(29)
     inertia = InertiaSet(i_xz=0.004)
-    state = RigidBodyState(
-        velocity=rng.uniform(-2, 2, size=3),
-        rates=rng.uniform(-1, 1, size=3),
-    )
+    velocity, rates = rng.uniform(-2, 2, size=3).tolist(), rng.uniform(-1, 1, size=3).tolist()
+    state = [0.0, 0.0, 0.0, *velocity, 0.0, 0.0, 0.0, *rates]
     e0 = kinetic_energy(state, inertia)
     for _ in range(1000):  # 10 s at dt = 0.01
         state = rigid_body_step(state, inertia, np.zeros(3), np.zeros(3), 0.01)
@@ -103,10 +102,10 @@ def test_dcm_orthonormal():
 
 def test_attitude_wraps_to_pi_interval():
     inertia = InertiaSet()
-    state = RigidBodyState(rates=np.array([0.0, 0.0, 2.0]))
+    state = [0.0] * 11 + [2.0]  # yaw rate r
     for _ in range(400):  # yaw winds through several turns
         state = rigid_body_step(state, inertia, np.zeros(3), np.zeros(3), 0.01)
-        assert -math.pi < state.attitude[2] <= math.pi
+        assert -math.pi < state[8] <= math.pi
 
 
 def test_singular_inertia_rejected():
@@ -116,7 +115,7 @@ def test_singular_inertia_rejected():
 
 def test_divergence_aborts():
     inertia = InertiaSet()
-    state = RigidBodyState()
+    state = [0.0] * 12
     with pytest.raises(FloatingPointError):
         for _ in range(20):
             state = rigid_body_step(state, inertia, np.array([1e308, 0, 0]), np.zeros(3), 1.0)
@@ -127,7 +126,7 @@ def test_overflowed_stage_angle_raises_floating_point_error():
     # angle must surface as FloatingPointError (caught by run_experiment),
     # not as ValueError, and name the non-finite components
     inertia = InertiaSet(i_xz=0.01)
-    state = RigidBodyState(velocity=np.full(3, 1e160), rates=np.array([1e160, 0.0, 0.0]))
+    state = [0.0, 0.0, 0.0, 1e160, 1e160, 1e160, 0.0, 0.0, 0.0, 1e160, 0.0, 0.0]
     with pytest.raises(FloatingPointError, match=r"non-finite .*\bphi\b"):
         rigid_body_step(state, inertia, np.zeros(3), np.full(3, 1e160), 0.01)
 
@@ -223,6 +222,28 @@ PINNED_IDS = ["hexa_ixz", "roll_wraps_past_pi", "yaw_wraps_past_minus_pi", "larg
 
 @pytest.mark.parametrize("inertia, x, forces, moments, dt, want", PINNED_STEPS, ids=PINNED_IDS)
 def test_step_is_pinned_bit_for_bit(inertia, x, forces, moments, dt, want):
-    state = RigidBodyState(np.array(x[0:3]), np.array(x[3:6]), np.array(x[6:9]), np.array(x[9:12]))
-    got = rigid_body_step(state, InertiaSet(**inertia), forces, moments, dt).as_vector().tolist()
+    got = rigid_body_step(list(x), InertiaSet(**inertia), forces, moments, dt)
     assert [v.hex() for v in got] == list(want)
+
+
+@pytest.mark.parametrize(
+    "forces, moments",
+    [
+        (np.array([0.4, -0.2, -30.0]), np.array([0.01, -0.02, 0.005])),
+        ([0, 1, -30], (1, 0, -1)),
+    ],
+    ids=["numpy", "int"],
+)
+def test_state_stays_plain_python_floats(forces, moments):
+    inertia = InertiaSet(i_xz=0.004)
+    state = [0.0] * 12
+    for _ in range(3):
+        state = rigid_body_step(state, inertia, forces, moments, 0.01)
+        assert len(state) == 12
+        assert all(type(value) is float for value in state)
+    # a force near the float maximum overflows the new state: that is a
+    # FloatingPointError naming the components, not a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"non-finite .*\bu\b"):
+            rigid_body_step([0.0] * 12, inertia, np.array([1.7e308, 0.0, 0.0]), np.zeros(3), 1.0)
