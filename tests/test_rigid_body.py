@@ -227,14 +227,14 @@ def test_step_is_pinned_bit_for_bit(inertia, x, forces, moments, dt, want):
 
 
 @pytest.mark.parametrize(
-    "forces, moments",
+    "forces, moments, huge",
     [
-        (np.array([0.4, -0.2, -30.0]), np.array([0.01, -0.02, 0.005])),
-        ([0, 1, -30], (1, 0, -1)),
+        (np.array([0.4, -0.2, -30.0]), np.array([0.01, -0.02, 0.005]), np.array([1.7e308, 0.0, 0.0])),
+        ([0, 1, -30], (1, 0, -1), [int(1.7e308), 0, 0]),
     ],
     ids=["numpy", "int"],
 )
-def test_state_stays_plain_python_floats(forces, moments):
+def test_state_stays_plain_python_floats(forces, moments, huge):
     inertia = InertiaSet(i_xz=0.004)
     state = [0.0] * 12
     for _ in range(3):
@@ -246,4 +246,4 @@ def test_state_stays_plain_python_floats(forces, moments):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match=r"non-finite .*\bu\b"):
-            rigid_body_step([0.0] * 12, inertia, np.array([1.7e308, 0.0, 0.0]), np.zeros(3), 1.0)
+            rigid_body_step([0.0] * 12, inertia, huge, moments, 1.0)
