@@ -217,7 +217,14 @@ PINNED_STEPS = [
 ]
 
 
-PINNED_IDS = ["hexa_ixz", "roll_wraps_past_pi", "yaw_wraps_past_minus_pi", "large_rates", "flapping_pitch_wraps", "all_angles_wrap"]
+PINNED_IDS = [
+    "hexa_ixz",
+    "roll_wraps_past_pi",
+    "yaw_wraps_past_minus_pi",
+    "large_rates",
+    "flapping_pitch_wraps",
+    "all_angles_wrap",
+]
 
 
 @pytest.mark.parametrize("inertia, x, forces, moments, dt, want", PINNED_STEPS, ids=PINNED_IDS)
