@@ -55,35 +55,34 @@ class FlapParams:
         return self.inertia.m * GRAVITY / (4.0 * self.frequency**2 * self.hover_amplitude())
 
 
-def flapping_actuator(amplitude: float, lift_gain: float, amplitude_max: float) -> tuple[float, float, float]:
-    """Cycle-averaged force of one wing for the given flapping amplitude: pure lift along -z.
+def flapping_actuator(amplitude: float, lift_gain: float, amplitude_max: float) -> float:
+    """Cycle-averaged lift of one wing for the given flapping amplitude, acting along -z.
 
     The lift is ``lift_gain * amplitude`` with the amplitude clamped to
     [0, amplitude_max]; ``lift_gain`` is ``FlapParams.k_lift() * frequency**2``.
     """
-    return (0.0, 0.0, -lift_gain * min(max(amplitude, 0.0), amplitude_max))
+    return lift_gain * min(max(amplitude, 0.0), amplitude_max)
 
 
 def bifwmav_force_moment(
-    actuator_forces, attitude: tuple[float, float, float], mass: float
+    wing_lifts, attitude: tuple[float, float, float], mass: float
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Total body force (wing forces + gravity through the DCM) and moment.
+    """Total body force (wing lifts + gravity through the DCM) and moment.
 
-    ``actuator_forces`` holds the four wing forces, pure lift along -z as
-    ``flapping_actuator`` gives them; only their z components are read. With
-    the lift at the CP offset r_i = CP_i - CG, the per-wing moment
-    cross(CG - CP_i, F_i) reduces to (r_y * lift, -r_x * lift, 0).
+    ``wing_lifts`` holds the four lifts as ``flapping_actuator`` gives them,
+    each acting along -z. With the lift at the CP offset r_i = CP_i - CG, the
+    per-wing moment cross(CG - CP_i, (0, 0, -lift)) is (r_y * lift, -r_x * lift, 0).
     """
     fz = m_x = m_y = 0.0
-    for (_, _, f), (r_x, r_y) in zip(actuator_forces, _WING_ARMS):
-        fz += f
-        m_x -= r_y * f
-        m_y += r_x * f
+    for lift, (r_x, r_y) in zip(wing_lifts, _WING_ARMS):
+        fz -= lift
+        m_x += r_y * lift
+        m_y -= r_x * lift
     g_x, g_y, g_z = body_gravity(attitude[0], attitude[1], mass)
     return (g_x, g_y, fz + g_z), (m_x, m_y, 0.0)
 
 
-def stroke_plane_trim_moment(wing_forces) -> tuple[float, float, float]:
+def stroke_plane_trim_moment(wing_lifts) -> tuple[float, float, float]:
     """Counter-moment from the stroke-plane trim.
 
     The fixed CP table is fore/aft asymmetric, so a pure collective produces
@@ -91,8 +90,8 @@ def stroke_plane_trim_moment(wing_forces) -> tuple[float, float, float]:
     plane angle. The surrogate cancels exactly the collective-mean part,
     leaving differential amplitudes as the attitude control authority.
     """
-    mean_f = -sum(f[2] for f in wing_forces) / len(wing_forces)
-    return (-_CP_SUM_Y * mean_f, _CP_SUM_X * mean_f, 0.0)
+    mean_lift = sum(wing_lifts) / len(wing_lifts)
+    return (-_CP_SUM_Y * mean_lift, _CP_SUM_X * mean_lift, 0.0)
 
 
 class BiFwmav:
@@ -131,9 +130,9 @@ class BiFwmav:
         m_y = self._att_pids[1].step(theta, 0.0, dt)
         # flapping_actuator clamps negative or over-range amplitudes
         amps = [a * collective + b * m_x + c * m_y for a, b, c in self._allocation]
-        forces = [flapping_actuator(a, self._lift_gain, a_max) for a in amps]
-        f_total, m_wings = bifwmav_force_moment(forces, (phi, theta, psi), p.inertia.m)
-        m_total = [m + t for m, t in zip(m_wings, stroke_plane_trim_moment(forces))]
+        lifts = [flapping_actuator(a, self._lift_gain, a_max) for a in amps]
+        f_total, m_wings = bifwmav_force_moment(lifts, (phi, theta, psi), p.inertia.m)
+        m_total = [m + t for m, t in zip(m_wings, stroke_plane_trim_moment(lifts))]
 
         # additive body-x velocity perturbation ahead of the force computation
         wind = 0.0 if self.gust is None else self.gust.advance(x[3], dt)

@@ -276,9 +276,9 @@ def test_plant_suite():
         and gust_velocity(240.0, spec) == 4.0
     )
 
-    forces = np.zeros((4, 3))
-    forces[0] = [0.0, 0.0, -1.0]
-    _, m = bifwmav_force_moment(forces, (0.0, 0.0, 0.0), 0.06)
+    lifts = np.zeros(4)
+    lifts[0] = 1.0  # a unit lift, i.e. the force (0, 0, -1)
+    _, m = bifwmav_force_moment(lifts, (0.0, 0.0, 0.0), 0.06)
     moment_ok = m[0] == 0.05 and m[1] == -0.08 and m[2] == 0.0
 
     ok = energy_ok and hover_ok and gust_ok and moment_ok

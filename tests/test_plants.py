@@ -101,23 +101,23 @@ def test_forward_allocation_matches_per_rotor_sum():
 
 def test_bifwmav_gravity_only():
     p = FlapParams()
-    f, m = bifwmav_force_moment(np.zeros((4, 3)), (0.0, 0.0, 0.0), p.inertia.m)
+    f, m = bifwmav_force_moment(np.zeros(4), (0.0, 0.0, 0.0), p.inertia.m)
     np.testing.assert_allclose(f, [0.0, 0.0, p.inertia.m * GRAVITY], atol=1e-15)
     np.testing.assert_allclose(m, np.zeros(3), atol=1e-15)
 
 
 def test_bifwmav_single_wing_moment_hand_cross_product():
-    forces = np.zeros((4, 3))
-    forces[0] = [0.0, 0.0, -1.0]
-    _, m = bifwmav_force_moment(forces, (0.0, 0.0, 0.0), 0.06)
+    lifts = np.zeros(4)
+    lifts[0] = 1.0  # a unit lift, i.e. the force (0, 0, -1)
+    _, m = bifwmav_force_moment(lifts, (0.0, 0.0, 0.0), 0.06)
     np.testing.assert_allclose(m, [0.05, -0.08, 0.0], atol=1e-15)
 
 
 def test_bifwmav_symmetric_forces_fore_aft_asymmetry():
     # three CPs sit at x = +0.08 and one at -0.08: equal vertical forces
     # cancel in roll but not in pitch
-    forces = np.tile([0.0, 0.0, -0.5], (4, 1))
-    _, m = bifwmav_force_moment(forces, (0.0, 0.0, 0.0), 0.06)
+    lifts = np.full(4, 0.5)
+    _, m = bifwmav_force_moment(lifts, (0.0, 0.0, 0.0), 0.06)
     assert m[0] == pytest.approx(0.0, abs=1e-15)
     assert abs(m[1]) > 1e-6
 
@@ -132,7 +132,7 @@ def test_geometry_constants():
 
 def test_flapping_actuator_zero_amplitude():
     p = FlapParams()
-    np.testing.assert_allclose(flapping_actuator(0.0, p.k_lift() * p.frequency**2, p.amplitude_max), np.zeros(3))
+    np.testing.assert_allclose(flapping_actuator(0.0, p.k_lift() * p.frequency**2, p.amplitude_max), 0.0)
 
 
 def test_flapping_actuator_linear_in_amplitude():
@@ -145,7 +145,7 @@ def test_flapping_actuator_linear_in_amplitude():
 def test_flapping_hover_balance():
     # four wings at the hover amplitude carry exactly the weight
     p = FlapParams()
-    lift = -4.0 * flapping_actuator(p.hover_amplitude(), p.k_lift() * p.frequency**2, p.amplitude_max)[2]
+    lift = 4.0 * flapping_actuator(p.hover_amplitude(), p.k_lift() * p.frequency**2, p.amplitude_max)
     assert lift == pytest.approx(p.inertia.m * GRAVITY, rel=1e-12)
 
 
