@@ -23,7 +23,7 @@ SIGMA_FLOOR_ABS = 0.01
 
 
 class RunningStat:
-    """One-pass mean / population std (Welford)."""
+    """One-pass mean / population std (Welford); SigmaRule.fires pushes the samples."""
 
     __slots__ = ("count", "mean", "_m2")
 
@@ -31,12 +31,6 @@ class RunningStat:
         self.count = 0
         self.mean = 0.0
         self._m2 = 0.0
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
 
     @property
     def std(self) -> float:
@@ -58,8 +52,13 @@ class SigmaRule:
 
         On fire the minima reset to the current statistics.
         """
-        self.stat.push(x)
-        mu, sigma = self.stat.mean, self.stat.std
+        # Welford push and std, inline on the per-step path
+        st = self.stat
+        st.count += 1
+        delta = x - st.mean
+        mu = st.mean = st.mean + delta / st.count
+        st._m2 += delta * (x - mu)
+        sigma = math.sqrt(max(st._m2, 0.0) / st.count)
         if self.mu_min is None or mu < self.mu_min:
             self.mu_min = mu
         if self.sigma_min is None or sigma < self.sigma_min:
@@ -108,8 +107,14 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
     if state.k < 1:
         raise ValueError("input mean not yet populated")
     w = net.weights
-    e_y = float(np.add.reduce(w @ state.mu_e))
-    e_y2 = float(np.add.reduce(w @ (state.mu_e * state.mu_e)))
+    mu = state.mu_e
+    if len(w) == 1:
+        # the sum over one rule is its own product (BLAS gives no -0.0 to lose)
+        e_y = float((w @ mu)[0])
+        e_y2 = float((w @ (mu * mu))[0])
+    else:
+        e_y = float(np.add.reduce(w @ mu))
+        e_y2 = float(np.add.reduce(w @ (mu * mu)))
     try:
         bias2 = (e_y - y_r) ** 2
     except OverflowError:

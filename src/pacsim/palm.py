@@ -4,7 +4,8 @@ Each fuzzy rule is a single weight vector over the extended input
 [1, e, de/dt, y_r]; the rule's hyperplane doubles as antecedent (via a
 point-to-plane distance) and consequent (via a dot product), so there are
 no separate premise parameters. A network of R rules is one (R, DIM) weight
-matrix, and every network operation is a matrix operation over its rows.
+matrix, and every network operation is a matrix operation over its rows; a
+one-rule network takes a scalar shortcut that gives the same bits.
 """
 
 from __future__ import annotations
@@ -98,6 +99,17 @@ def network_output(x_e: np.ndarray, net: PalmNetwork, y_r: float) -> tuple[float
     if net.rule_count < 1:
         raise ValueError("network has no rules")
     w = net.weights
+    if len(w) == 1:
+        # One rule: its normalized firing raw / raw is exactly 1.0 for any finite raw > 0,
+        # so the output is its consequent. Each float operation is the matrix path's own
+        # (BLAS consequent, which is never -0.0; row norm summed left to right; np.exp),
+        # so the bits agree. Any other raw takes the matrix path.
+        consequent = float((w @ x_e)[0])
+        _, a1, a2, a3 = w.tolist()[0]
+        d = abs(y_r - consequent) / math.sqrt(1.0 + ((a1 * a1 + a2 * a2) + a3 * a3))
+        raw = 1.0 if d == 0.0 else float(np.exp(d * (-net.eta / d)))
+        if 0.0 < raw < math.inf:
+            return consequent, FiringVector(raw=np.array([raw]), normalized=np.array([1.0]))
     a = w[:, 1:]
     # a rule's consequent is also its plane height at the input
     consequents = w @ x_e

@@ -78,6 +78,24 @@ def test_bias_two_ways_algebraic_identity():
         assert bias2 == pytest.approx(ns - var_uncl, abs=1e-12)
 
 
+
+@pytest.mark.parametrize("r", [1, 3, 95])
+def test_bias_variance_bit_equal_to_matrix_sums(r):
+    # E[Y] and E[Y^2] are the row-product sums exactly, for one rule as for many
+    rng = np.random.default_rng(40 + r)
+    for _ in range(200):
+        w = rng.uniform(-3, 3, size=(r, 4)) * 10.0 ** rng.integers(-3, 3, size=(r, 4))
+        state = EvolutionState()
+        for _ in range(rng.integers(1, 5)):
+            update_input_mean(state, np.concatenate([[1.0], rng.uniform(-4, 4, 3)]))
+        y_r = float(rng.uniform(-3, 3))
+        bias2, variance = network_bias_variance(PalmNetwork(weights=w), state, y_r)
+        mu = state.mu_e
+        e_y = float(np.add.reduce(w @ mu))
+        e_y2 = float(np.add.reduce(w @ (mu * mu)))
+        assert bias2 == (e_y - y_r) ** 2
+        assert variance == max(e_y2 - e_y * e_y, 0.0)
+
 def test_growth_factor_range():
     assert growth_factor(0.0) == 2.0
     assert growth_factor(1e6) == pytest.approx(0.7)

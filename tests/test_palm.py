@@ -184,6 +184,30 @@ def test_network_output_bit_equal_to_matrix_formula():
             assert np.array_equal(firing.raw, raw) and np.array_equal(firing.normalized, normalized)
 
 
+
+def test_one_rule_fires_fully_and_outputs_its_consequent():
+    # raw / raw is exactly 1.0, so the output is the BLAS consequent itself
+    rng = np.random.default_rng(37)
+    for _ in range(2000):
+        w = rng.uniform(-3, 3, size=(1, 4)) * 10.0 ** rng.integers(-4, 4, size=(1, 4))
+        x_e = np.concatenate([[1.0], rng.uniform(-5, 5, size=3) * 10.0 ** rng.integers(-4, 4, size=3)])
+        y_r = float(rng.uniform(-10, 10))
+        u, firing = network_output(x_e, PalmNetwork(eta=float(rng.uniform(1, 100)), weights=w), y_r)
+        assert firing.normalized.tolist() == [1.0]
+        assert u == (w @ x_e)[0]
+
+
+def test_one_rule_with_vanishing_firing_takes_the_matrix_path():
+    # a subnormal distance drives exp(-eta * d / d) to 0, where raw / raw is not 1
+    weights = np.zeros((1, 4))
+    x_e = np.array([1.0, 0.0, 0.0, 5e-324])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        u, firing = network_output(x_e, PalmNetwork(eta=5.0, weights=weights), 5e-324)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        u_ref, raw, normalized = _matrix_network_output(x_e, weights, 5.0, 5e-324)
+    assert math.isnan(u) and math.isnan(u_ref)
+    assert np.array_equal(firing.raw, raw) and np.array_equal(firing.normalized, normalized, equal_nan=True)
+
 def test_partition_of_unity_and_membership_bounds():
     rng = np.random.default_rng(23)
     for _ in range(500):
