@@ -34,9 +34,9 @@ def _git(root: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True, check=True).stdout.strip()
 
 
-def run_once(root: Path, workload: str, seconds: float, trace: int) -> dict:
+def run_once(root: Path, workload: str, seconds: float, trace: int, seed: int = 0) -> dict:
     """One perfbench run: its context line and its result line."""
-    cmd = [*COMMAND, "--workload", workload, "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [*COMMAND, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
