@@ -6,7 +6,7 @@ Run from the repository root:
 
 For each workload named in the checkout's ``BENCHMARK.json`` it runs
 
-  python3 perfbench/run.py --workload W --seconds S
+  python3 perfbench/run.py --workload W --seed 0 --seconds S
 
 inside CHECKOUT (default: the current directory), with S the file's
 ``run_seconds``: ``REPEATS`` rounds over the workloads, then one more run of
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     doc = {
         "label": sha,
         "dirty_paths": dirty,
-        "command": [*COMMAND, "--workload", "W", "--seconds", str(seconds)],
+        "command": [*COMMAND, "--workload", "W", "--seed", "0", "--seconds", str(seconds)],
         "workloads": {
             w: {"median": medians(runs[w]), "runs": runs[w], "traced_run": traced[w]} for w in workloads
         },
