@@ -121,15 +121,6 @@ def adapt_weights(
     """
     g = step.e * P.p12 + step.e_dot * P.p22
     w = net.weights
-    if len(w) == 1:
-        # one row: the same elementwise update and clip on Python floats, bit for bit
-        k = dt * c.gamma * g * float(step.firing.normalized[0])
-        lim = c.weight_limit
-        row = [min(max(w_q - k * x_q, -lim), lim) for w_q, x_q in zip(w.tolist()[0], x_e.tolist())]
-        w[0] = row
-        if not all(map(math.isfinite, row)):
-            raise ControllerFault("non-finite rule weights after adaptation")
-        return
     w -= (dt * c.gamma * g * step.firing.normalized)[:, None] * x_e
     np.minimum(np.maximum(w, -c.weight_limit, out=w), c.weight_limit, out=w)
     # clipped entries are bounded: a non-finite sum means a NaN or an infinite bound,

@@ -22,28 +22,14 @@ SIGMA_FLOOR_REL = 0.2
 SIGMA_FLOOR_ABS = 0.01
 
 
-class RunningStat:
-    """One-pass mean / population std (Welford); SigmaRule.fires pushes the samples."""
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    @property
-    def std(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return math.sqrt(max(self._m2, 0.0) / self.count)
-
-
 @dataclass
 class SigmaRule:
-    """Drift detector on one signal: running statistics and their recorded minima."""
+    """Drift detector on one signal: Welford running mean / population std and their recorded minima."""
 
-    stat: RunningStat = field(default_factory=RunningStat)
+    count: int = 0
+    mean: float = 0.0
+    std: float = 0.0
+    _m2: float = 0.0
     mu_min: float | None = None
     sigma_min: float | None = None
 
@@ -52,13 +38,11 @@ class SigmaRule:
 
         On fire the minima reset to the current statistics.
         """
-        # Welford push and std, inline on the per-step path
-        st = self.stat
-        st.count += 1
-        delta = x - st.mean
-        mu = st.mean = st.mean + delta / st.count
-        st._m2 += delta * (x - mu)
-        sigma = math.sqrt(max(st._m2, 0.0) / st.count)
+        self.count += 1
+        delta = x - self.mean
+        mu = self.mean = self.mean + delta / self.count
+        self._m2 += delta * (x - mu)
+        sigma = self.std = math.sqrt(max(self._m2, 0.0) / self.count)
         if self.mu_min is None or mu < self.mu_min:
             self.mu_min = mu
         if self.sigma_min is None or sigma < self.sigma_min:

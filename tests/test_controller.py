@@ -191,10 +191,11 @@ def test_adapt_weights_bit_equal_to_outer_and_clip_reference():
 
 
 def test_adapt_weights_nan_input_raises():
-    net = PalmNetwork(weights=np.zeros((3, 4)))
-    step = ControlStep(e=1.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([0.2, 0.3, 0.5]))
-    with pytest.raises(ControllerFault):
-        adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01)
+    for lam in ([1.0], [0.2, 0.3, 0.5]):
+        net = PalmNetwork(weights=np.zeros((len(lam), 4)))
+        step = ControlStep(e=1.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
+        with pytest.raises(ControllerFault):
+            adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01)
 
 
 def test_adapt_weights_finite_check_is_entrywise():
@@ -206,10 +207,12 @@ def test_adapt_weights_finite_check_is_entrywise():
         adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=1e308), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
     assert np.all(net.weights == 1e308)
     # an infinite bound lets an infinite entry through, which is a fault
-    net = PalmNetwork(weights=np.zeros((2, 4)))
-    net.weights[1, 2] = np.inf
-    with pytest.raises(ControllerFault):
-        adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=float("inf")), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
+    for lam in ([1.0], [0.5, 0.5]):
+        net = PalmNetwork(weights=np.zeros((len(lam), 4)))
+        net.weights[-1, 2] = np.inf
+        step = ControlStep(e=0.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
+        with pytest.raises(ControllerFault):
+            adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=float("inf")), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
 
 
 def test_clamps_match_np_clip():

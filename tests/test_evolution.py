@@ -134,8 +134,8 @@ def test_minima_reset_on_grow():
     state = EvolutionState()
     for k in range(50):
         if check_grow(state, 1.0 + 0.2 * k):
-            assert state.grow.mu_min == state.grow.stat.mean
-            assert state.grow.sigma_min == state.grow.stat.std
+            assert state.grow.mu_min == state.grow.mean
+            assert state.grow.sigma_min == state.grow.std
             break
     else:
         pytest.fail("grow never fired")
@@ -147,10 +147,10 @@ def test_minima_never_exceed_running_stats():
     for _ in range(500):
         check_grow(state, float(rng.uniform(0, 3)))
         check_prune(state, float(rng.uniform(0, 2)))
-        assert state.grow.mu_min <= state.grow.stat.mean + 1e-12
-        assert state.grow.sigma_min <= state.grow.stat.std + 1e-12
-        assert state.prune.mu_min <= state.prune.stat.mean + 1e-12
-        assert state.prune.sigma_min <= state.prune.stat.std + 1e-12
+        assert state.grow.mu_min <= state.grow.mean + 1e-12
+        assert state.grow.sigma_min <= state.grow.std + 1e-12
+        assert state.prune.mu_min <= state.prune.mean + 1e-12
+        assert state.prune.sigma_min <= state.prune.std + 1e-12
 
 
 def test_grow_increases_parameter_count_by_dim():
