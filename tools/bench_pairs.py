@@ -2,12 +2,12 @@
 
 Run from the repository root:
 
-  python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs 10] [--seed S] [--seconds T]
+  python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs 10] [--seed S]
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T`` once in
 PARENT and once in CHANGE (two checkouts, e.g. made with ``git clone``), one
 after the other; the side that runs first alternates from pair to pair, so a
-slow phase of the host falls on both sides alike. ``T`` defaults to the
+slow phase of the host falls on both sides alike. ``T`` is the
 ``run_seconds`` of CHANGE's ``BENCHMARK.json``. For every end-to-end metric
 of that file it prints each side's median and quartiles, the change's wins
 (pairs where it is strictly better) and whether the median gap exceeds the
@@ -68,13 +68,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=None)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     roots = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     sha = {side: _git(root, "rev-parse", "--short", "HEAD") for side, root in roots.items()}
 
     pairs = []
