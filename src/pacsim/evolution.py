@@ -91,14 +91,8 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
     if state.k < 1:
         raise ValueError("input mean not yet populated")
     w = net.weights
-    mu = state.mu_e
-    if len(w) == 1:
-        # the sum over one rule is its own product (BLAS gives no -0.0 to lose)
-        e_y = float((w @ mu)[0])
-        e_y2 = float((w @ (mu * mu))[0])
-    else:
-        e_y = float(np.add.reduce(w @ mu))
-        e_y2 = float(np.add.reduce(w @ (mu * mu)))
+    e_y = float(np.add.reduce(w @ state.mu_e))
+    e_y2 = float(np.add.reduce(w @ (state.mu_e * state.mu_e)))
     try:
         bias2 = (e_y - y_r) ** 2
     except OverflowError:

@@ -78,7 +78,6 @@ def test_bias_two_ways_algebraic_identity():
         assert bias2 == pytest.approx(ns - var_uncl, abs=1e-12)
 
 
-
 @pytest.mark.parametrize("r", [1, 3, 95])
 def test_bias_variance_bit_equal_to_matrix_sums(r):
     # E[Y] and E[Y^2] are the row-product sums exactly, for one rule as for many
@@ -95,6 +94,7 @@ def test_bias_variance_bit_equal_to_matrix_sums(r):
         e_y2 = float(np.add.reduce(w @ (mu * mu)))
         assert bias2 == (e_y - y_r) ** 2
         assert variance == max(e_y2 - e_y * e_y, 0.0)
+
 
 def test_growth_factor_range():
     assert growth_factor(0.0) == 2.0

@@ -184,7 +184,6 @@ def test_network_output_bit_equal_to_matrix_formula():
             assert np.array_equal(firing.raw, raw) and np.array_equal(firing.normalized, normalized)
 
 
-
 def test_one_rule_fires_fully_and_outputs_its_consequent():
     # raw / raw is exactly 1.0, so the output is the BLAS consequent itself
     rng = np.random.default_rng(37)
@@ -207,6 +206,7 @@ def test_one_rule_with_vanishing_firing_takes_the_matrix_path():
         u_ref, raw, normalized = _matrix_network_output(x_e, weights, 5.0, 5e-324)
     assert math.isnan(u) and math.isnan(u_ref)
     assert np.array_equal(firing.raw, raw) and np.array_equal(firing.normalized, normalized, equal_nan=True)
+
 
 def test_partition_of_unity_and_membership_bounds():
     rng = np.random.default_rng(23)
