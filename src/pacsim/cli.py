@@ -64,8 +64,8 @@ def _cmd_suite(args) -> int:
 
 def _residuals(path: str) -> np.ndarray:
     cols = read_step_csv(path)
-    y = np.array([v for v in cols["y"]], dtype=float)
-    y_r = np.array([v for v in cols["y_r"]], dtype=float)
+    y = np.asarray(cols["y"], dtype=float)
+    y_r = np.asarray(cols["y_r"], dtype=float)
     return np.abs(y_r - y)
 
 

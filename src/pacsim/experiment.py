@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -213,28 +214,68 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# rows per block of the step-log codec: columns are converted a block at a
+# time, so the memory a log takes beyond its series stays bounded
+_BLOCK_ROWS = 1000
+
+
+def _cells(values: list) -> list:
+    """One column of a block as CSV cells: ``repr`` of each value, empty for None."""
+    missing = values.count(None)
+    if not missing:
+        return list(map(repr, values))
+    if missing == len(values):
+        return [""] * missing
+    return ["" if v is None else repr(v) for v in values]
+
+
 def write_step_csv(result: ExperimentResult, path: Path) -> None:
+    """Header row, then one CRLF-ended row per step: the bytes ``csv.writer`` writes for these cells.
+
+    A float or int ``repr`` holds no comma, quote or line end, so no cell needs quoting.
+    """
+    series = [result.series[c] for c in STEP_COLUMNS]
+    n = len(series[0])
+    if any(len(values) != n for values in series):
+        raise ValueError(f"{path}: step-log columns differ in length")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STEP_COLUMNS)
-        for i in range(len(result.series["t"])):
-            writer.writerow([_fmt(result.series[c][i]) for c in STEP_COLUMNS])
+        fh.write(",".join(STEP_COLUMNS) + "\r\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            cells = [_cells(values[start : start + _BLOCK_ROWS]) for values in series]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _values(cells: tuple, convert) -> list:
+    """One column of a block read back: ``convert`` each cell, None for an empty one."""
+    if "" not in cells:
+        return list(map(convert, cells))
+    if cells.count("") == len(cells):
+        return [None] * len(cells)
+    return [None if v == "" else convert(v) for v in cells]
 
 
 def read_step_csv(path) -> dict:
+    """Series of a step log by column name; ``R`` as int, empty cells as None.
+
+    Reads CRLF and LF line ends alike and finds the columns by the header.
+    """
     cols: dict[str, list] = {c: [] for c in STEP_COLUMNS}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            for c in STEP_COLUMNS:
-                raw = row[c]
-                if raw == "":
-                    cols[c].append(None)
-                elif c == "R":
-                    cols[c].append(int(raw))
-                else:
-                    cols[c].append(float(raw))
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        missing = [c for c in STEP_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"{path}: no column {missing[0]!r} in the header")
+        index = [(cols[c].extend, header.index(c), int if c == "R" else float) for c in STEP_COLUMNS]
+        while True:
+            rows = [line.rstrip("\n").split(",") for line in islice(fh, _BLOCK_ROWS)]
+            if not rows:
+                break
+            if set(map(len, rows)) != {len(header)}:
+                raise ValueError(f"{path}: a row does not have the {len(header)} cells of the header")
+            cells = list(zip(*rows))
+            for extend, i, convert in index:
+                extend(_values(cells[i], convert))
     return cols
 
 

@@ -46,21 +46,22 @@ def impulse_noise(t: float, spec: ImpulseSpec) -> float:
 class GustTracker:
     """Integrates penetration distance from gust onset using relative airspeed.
 
-    Keeps its own clock, the sum of the step sizes, against the onset time.
+    Compares the step clock ``steps * dt``, the ``t`` of the step log, against
+    the onset time; a running sum of ``dt`` would drift from it.
     """
 
     def __init__(self, spec: GustSpec):
         self.spec = spec
-        self.t = 0.0
+        self.steps = 0
         self.x = 0.0
         self.wind = 0.0
 
     def advance(self, body_u: float, dt: float) -> float:
         """Advance by one step; returns the body-x wind speed for this step."""
-        if self.t < self.spec.onset_time:
+        if self.steps * dt < self.spec.onset_time:
             self.wind = 0.0
         else:
             self.wind = gust_velocity(self.x, self.spec)
             self.x += abs(body_u + self.wind) * dt
-        self.t += dt
+        self.steps += 1
         return self.wind

@@ -125,6 +125,10 @@ class Hexacopter:
         self._trim = p.hover_thrust() if p.thrust_trim is None else p.thrust_trim
         pid_cfg = PidConfig(kp=p.rate_kp, ki=p.rate_ki, kd=p.rate_kd, output_limits=(-5.0, 5.0))
         self._rate_pids = [PidController(pid_cfg) for _ in range(3)]
+        # per rotor: its inverse-allocation row, then its forward-allocation column
+        inverse = _allocator(p.arm_length, p.k_torque / p.k_thrust)
+        forward = _forward_allocation(p.arm_length, p.k_thrust, p.k_torque)
+        self._rotors = tuple(row + column for row, column in zip(inverse, forward))
 
     def output(self) -> float:
         if self.channel == "altitude":
@@ -150,11 +154,21 @@ class Hexacopter:
             rate_ref = (p.angle_kp * -phi, p.rate_gain * u, -psi)
 
         loops = zip(self._rate_pids, x[9:12], rate_ref)
-        cmds = [pid.step(rate, ref, dt) for pid, rate, ref in loops]
-        speeds = hexacopter_mixing(thrust_cmd, cmds[0], cmds[1], cmds[2], p)
-        rotor_force, moments = rotor_forces_moments(speeds, p)
+        roll_cmd, pitch_cmd, yaw_cmd = [pid.step(rate, ref, dt) for pid, rate, ref in loops]
+        # hexacopter_mixing and rotor_forces_moments in one pass, with their operations in their order
+        k_t, w_max = p.k_thrust, p.rotor_speed_max
+        total = roll = pitch = yaw = 0.0
+        for a, b, c, d, fa, fb, fc, fd in self._rotors:
+            w = min(math.sqrt(max(a * thrust_cmd + b * roll_cmd + c * pitch_cmd + d * yaw_cmd, 0.0) / k_t), w_max)
+            w2 = w * w
+            total += fa * w2
+            roll += fb * w2
+            pitch += fc * w2
+            yaw += fd * w2
+        moments = (roll, pitch, yaw)
         # gravity in the body frame
-        forces = [f + g for f, g in zip(rotor_force, body_gravity(phi, theta, p.inertia.m))]
+        gx, gy, gz = body_gravity(phi, theta, p.inertia.m)
+        forces = [0.0 + gx, 0.0 + gy, -total + gz]
 
         # additive body-x velocity perturbation ahead of the force computation
         wind = 0.0 if self.gust is None else self.gust.advance(x[3], dt)
