@@ -166,7 +166,7 @@ class Hexacopter:
             pitch += fc * w2
             yaw += fd * w2
         moments = (roll, pitch, yaw)
-        # gravity in the body frame
+        # rotor force (0, 0, -total) plus gravity in the body frame; 0.0 + -0.0 is 0.0, so the zeros stay summed
         gx, gy, gz = body_gravity(phi, theta, p.inertia.m)
         forces = [0.0 + gx, 0.0 + gy, -total + gz]
 

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import yaml
 from pacsim import trajectories
 from pacsim.cli import _configs_from_file, main
 from pacsim.experiment import (
+    STEP_COLUMNS,
     DivergenceError,
     ExperimentConfig,
     build_controller,
@@ -82,13 +85,102 @@ def test_same_config_twice_is_byte_identical(tmp_path):
     assert (out_a / "det_events.txt").read_bytes() == (out_b / "det_events.txt").read_bytes()
 
 
-def test_step_csv_round_trip(tmp_path):
-    cfg = hexa_config(name="rt", duration=5.0)
+def _csv_writer_step_log(series: dict, path: Path) -> None:
+    # the cell-by-cell csv.writer step-log writer that the column-wise codec replaced: the byte oracle
+    def fmt(v):
+        if v is None:
+            return ""
+        if isinstance(v, float):
+            return repr(v)
+        return str(v)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STEP_COLUMNS)
+        for i in range(len(series["t"])):
+            writer.writerow([fmt(series[c][i]) for c in STEP_COLUMNS])
+
+
+# one row short of a codec block, exactly one block, one row into the second
+@pytest.mark.parametrize("rows", [999, 1000, 1001])
+@pytest.mark.parametrize("controller", ["pac", "pid"])
+def test_step_csv_round_trip(tmp_path, controller, rows):
+    params = PAC_PARAMS if controller == "pac" else PID_HEXA
+    cfg = hexa_config(name="rt", controller=controller, controller_params=dict(params), duration=rows * 0.01)
     result = run_experiment(cfg, out_dir=tmp_path)
-    cols = read_step_csv(tmp_path / "rt_steps.csv")
-    for key in ("t", "y_r", "y", "e", "u"):
-        assert cols[key] == result.series[key]
-    assert cols["R"] == result.series["R"]
+    assert len(result.series["t"]) == rows
+    path = tmp_path / "rt_steps.csv"
+    _csv_writer_step_log(result.series, tmp_path / "oracle.csv")
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    cols = read_step_csv(path)
+    assert list(cols) == STEP_COLUMNS
+    for key in STEP_COLUMNS:
+        assert cols[key] == result.series[key], key
+    assert all(type(r) is int for r in cols["R"]) if controller == "pac" else cols["R"] == [None] * rows
+
+
+def _edge_series() -> dict:
+    # float reprs a writer could get wrong, a column with some empty cells and PID-style empty columns
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, math.inf, -math.inf, math.nan, 1.7976931348623157e308]
+    n = len(edge)
+    series = {c: [float(i) for i in range(n)] for c in STEP_COLUMNS}
+    series["y"] = edge
+    series["u"] = edge[::-1]
+    series["R"] = [1, 2, 95, 10**20, 0, 3, 4, 5, 6, 7, 8]
+    series["bias"] = [None if i % 3 else float(i) for i in range(n)]
+    for c in ("s_l", "u_src", "variance"):
+        series[c] = [None] * n
+    return series
+
+
+def test_step_csv_bytes_match_csv_writer_on_edge_values(tmp_path):
+    series = _edge_series()
+    write_step_csv(SimpleNamespace(series=series), tmp_path / "log.csv")
+    _csv_writer_step_log(series, tmp_path / "oracle.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    cols = read_step_csv(tmp_path / "log.csv")
+    # repr tells -0.0 from 0.0 and matches nan with nan
+    assert {c: [repr(v) for v in cols[c]] for c in STEP_COLUMNS} == {
+        c: [repr(v) for v in series[c]] for c in STEP_COLUMNS
+    }
+
+
+def test_step_csv_empty_log_is_the_header(tmp_path):
+    write_step_csv(SimpleNamespace(series={c: [] for c in STEP_COLUMNS}), tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (",".join(STEP_COLUMNS) + "\r\n").encode()
+    assert read_step_csv(tmp_path / "log.csv") == {c: [] for c in STEP_COLUMNS}
+
+
+def test_step_csv_reads_lf_line_ends(tmp_path):
+    series = _edge_series()
+    write_step_csv(SimpleNamespace(series=series), tmp_path / "crlf.csv")
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes((tmp_path / "crlf.csv").read_bytes().replace(b"\r\n", b"\n"))
+    assert b"\r" not in lf.read_bytes()
+    assert repr(read_step_csv(lf)) == repr(read_step_csv(tmp_path / "crlf.csv"))
+
+
+def test_step_csv_rejects_unequal_columns(tmp_path):
+    series = _edge_series()
+    series["e"] = series["e"][:-1]
+    with pytest.raises(ValueError, match="length"):
+        write_step_csv(SimpleNamespace(series=series), tmp_path / "log.csv")
+
+
+def test_step_csv_missing_column_or_cell_raises(tmp_path):
+    write_step_csv(SimpleNamespace(series=_edge_series()), tmp_path / "log.csv")
+    lines = (tmp_path / "log.csv").read_text().splitlines()
+    # drop the "u" column from the header and from every row
+    drop = STEP_COLUMNS.index("u")
+    no_u = tmp_path / "no_u.csv"
+    no_u.write_text("\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != drop) for line in lines))
+    with pytest.raises(ValueError, match="'u'"):
+        read_step_csv(no_u)
+    # one row loses its last cell
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:]) + "\n")
+    with pytest.raises(ValueError, match="cells"):
+        read_step_csv(short)
 
 
 def test_unknown_config_key_rejected():

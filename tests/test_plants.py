@@ -9,6 +9,7 @@ from pacsim.plants import (
     BiFwmav,
     FlapParams,
     GustSpec,
+    GustTracker,
     Hexacopter,
     HexacopterParams,
     ImpulseSpec,
@@ -20,7 +21,7 @@ from pacsim.plants import (
     rotor_forces_moments,
 )
 from pacsim.plants import flapping, hexacopter
-from pacsim.plants.rigid_body import GRAVITY, dcm_inertial_to_body, rigid_body_step
+from pacsim.plants.rigid_body import GRAVITY, body_gravity, dcm_inertial_to_body, rigid_body_step
 
 
 # --- hexacopter mixing --------------------------------------------------------
@@ -251,7 +252,55 @@ def test_gust_path_matches_direct_rigid_body_step(monkeypatch, make_plant, modul
         assert plant.state == want
 
 
+def test_fused_rotor_loop_equals_mixing_then_forces(monkeypatch):
+    # Hexacopter.step fuses hexacopter_mixing and rotor_forces_moments; the two public functions are the reference
+    calls = []
+
+    def recorder(state, inertia, forces, moments, dt):
+        calls.append((list(forces), list(moments)))
+        return rigid_body_step(state, inertia, forces, moments, dt)
+
+    monkeypatch.setattr(hexacopter, "rigid_body_step", recorder)
+    rng = np.random.default_rng(47)
+    at_zero = at_max = between = 0
+    for _ in range(300):
+        p = HexacopterParams(
+            arm_length=rng.uniform(0.1, 0.5),
+            k_thrust=rng.uniform(5e-6, 2e-5),
+            k_torque=rng.uniform(1e-7, 4e-7),
+            rotor_speed_max=rng.uniform(800.0, 1600.0),
+            thrust_gain=rng.uniform(1.0, 30.0),
+        )
+        plant = Hexacopter(p, channel="altitude")
+        attitude = [float(a) for a in (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))]
+        plant.state[6:9] = attitude
+        cmds = [float(c) for c in rng.uniform(-2.0, 2.0, size=3)]  # inner-loop moment commands
+        plant._rate_pids = [_FixedOutput(c) for c in cmds]
+        u = float(rng.uniform(-5.0, 30.0))  # thrust from below zero to above every rotor's limit
+        plant.step(u, 0.01)
+        speeds = hexacopter_mixing(plant._trim + p.thrust_gain * u, *cmds, p)
+        force, moments = rotor_forces_moments(speeds, p)
+        want = [f + g for f, g in zip(force, body_gravity(attitude[0], attitude[1], p.inertia.m))]
+        got_forces, got_moments = calls[-1]
+        assert [v.hex() for v in got_forces] == [v.hex() for v in want]
+        assert [v.hex() for v in got_moments] == [v.hex() for v in moments]
+        at_zero += speeds.count(0.0)
+        at_max += speeds.count(p.rotor_speed_max)
+        between += sum(0.0 < w < p.rotor_speed_max for w in speeds)
+    assert at_zero and at_max and between
+
+
 # --- disturbances -------------------------------------------------------------
+
+def test_gust_onset_on_the_step_clock():
+    # 500 steps of 0.01 s sum to 4.99999999999992 s; the step clock reads 500 * 0.01 = 5.0 s, the onset
+    tracker = GustTracker(GustSpec(v_m=4.0, onset_time=5.0))
+    for _ in range(500):
+        assert tracker.advance(1.0, 0.01) == 0.0
+    assert tracker.x == 0.0
+    tracker.advance(1.0, 0.01)  # step 500: the gust starts and penetration grows
+    assert tracker.x == 0.01
+
 
 def test_gust_piecewise_values():
     spec = GustSpec(v_m=4.0, d_m=120.0)

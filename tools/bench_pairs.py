@@ -9,9 +9,10 @@ PARENT and once in CHANGE (two checkouts, e.g. made with ``git clone``), one
 after the other; the side that runs first alternates from pair to pair, so a
 slow phase of the host falls on both sides alike. ``T`` is the
 ``run_seconds`` of CHANGE's ``BENCHMARK.json``. For every end-to-end metric
-of that file it prints each side's median and quartiles, the change's wins
-(pairs where it is strictly better) and whether the median gap exceeds the
-parent's interquartile range. It writes every run and that summary to
+of that file, and for the raw per-pass wall time (the median of a run's
+``passes.wall_s``, not divided by the host slowness), it prints each side's
+median and quartiles, the change's wins (pairs where it is strictly better)
+and whether the median gap exceeds the parent's interquartile range. It writes every run and that summary to
 ``PAIRS_<parent-sha>_<change-sha>.json`` in the current directory, under the
 key "W seed S"; entries for other workloads or seeds already in that file
 are kept.
@@ -28,6 +29,8 @@ from pathlib import Path
 from bench_json import _git, run_once
 
 SIDES = ("parent", "change")
+# the median of a run's raw pass wall times; a change the host normalisation hides still shows here
+RAW_PASS_WALL = {"name": "raw_pass_wall_s", "unit": "s", "better": "lower"}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -38,12 +41,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def value(run: dict, name: str) -> float:
+    """A metric of one run: from its result line, or the raw pass wall from its context line."""
+    if name == RAW_PASS_WALL["name"]:
+        return statistics.median(run["context"]["passes"]["wall_s"])
+    return run["result"]["metrics"][name]["value"]
+
+
 def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric: both sides' quartiles, the change's wins and the gap against the parent's IQR."""
     summary = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
-        values = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        values = {side: [value(p[side], name) for p in pairs] for side in SIDES}
         q = {side: quartiles(values[side]) for side in SIDES}
         gap = q["change"][1] - q["parent"][1]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
@@ -85,7 +95,7 @@ def main(argv=None) -> int:
             pair[side] = run_once(roots[side], args.workload, seconds, trace=0, seed=args.seed)
         pairs.append(pair)
 
-    summary = compare(pairs, spec["end_to_end"])
+    summary = compare(pairs, [*spec["end_to_end"], RAW_PASS_WALL])
     path = Path(f"PAIRS_{sha['parent']}_{sha['change']}.json")
     doc = json.loads(path.read_text()) if path.exists() else {"labels": sha, "runs": {}}
     doc["runs"][f"{args.workload} seed {args.seed}"] = {
@@ -104,7 +114,7 @@ def main(argv=None) -> int:
     for name, s in summary.items():
         p, c = s["parent"], s["change"]
         print(
-            f"  {name:12s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+            f"  {name:15s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
             f"  wins {s['change_wins']}/{s['pairs']}  better by > parent IQR: {s['better_by_more_than_parent_iqr']}"
         )
