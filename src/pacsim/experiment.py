@@ -221,12 +221,9 @@ _BLOCK_ROWS = 1000
 
 def _cells(values: list) -> list:
     """One column of a block as CSV cells: ``repr`` of each value, empty for None."""
-    missing = values.count(None)
-    if not missing:
-        return list(map(repr, values))
-    if missing == len(values):
-        return [""] * missing
-    return ["" if v is None else repr(v) for v in values]
+    if None in values:
+        return ["" if v is None else repr(v) for v in values]
+    return list(map(repr, values))
 
 
 def write_step_csv(result: ExperimentResult, path: Path) -> None:
@@ -248,11 +245,9 @@ def write_step_csv(result: ExperimentResult, path: Path) -> None:
 
 def _values(cells: tuple, convert) -> list:
     """One column of a block read back: ``convert`` each cell, None for an empty one."""
-    if "" not in cells:
-        return list(map(convert, cells))
-    if cells.count("") == len(cells):
-        return [None] * len(cells)
-    return [None if v == "" else convert(v) for v in cells]
+    if "" in cells:
+        return [None if v == "" else convert(v) for v in cells]
+    return list(map(convert, cells))
 
 
 def read_step_csv(path) -> dict:

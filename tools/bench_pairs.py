@@ -12,10 +12,10 @@ slow phase of the host falls on both sides alike. ``T`` is the
 of that file, and for the raw per-pass wall time (the median of a run's
 ``passes.wall_s``, not divided by the host slowness), it prints each side's
 median and quartiles, the change's wins (pairs where it is strictly better)
-and whether the median gap exceeds the parent's interquartile range. It writes every run and that summary to
-``PAIRS_<parent-sha>_<change-sha>.json`` in the current directory, under the
-key "W seed S"; entries for other workloads or seeds already in that file
-are kept.
+and whether the median gap exceeds the parent's interquartile range. It
+writes every run and that summary to ``PAIRS_<parent-sha>_<change-sha>.json``
+in the current directory, under the key "W seed S"; entries for other
+workloads or seeds already in that file are kept.
 """
 
 from __future__ import annotations
