@@ -101,22 +101,23 @@ def _csv_writer_step_log(series: dict, path: Path) -> None:
             writer.writerow([fmt(series[c][i]) for c in STEP_COLUMNS])
 
 
-# one row short of a codec block, exactly one block, one row into the second
-@pytest.mark.parametrize("rows", [999, 1000, 1001])
-@pytest.mark.parametrize("controller", ["pac", "pid"])
-def test_step_csv_round_trip(tmp_path, controller, rows):
-    params = PAC_PARAMS if controller == "pac" else PID_HEXA
-    cfg = hexa_config(name="rt", controller=controller, controller_params=dict(params), duration=rows * 0.01)
-    result = run_experiment(cfg, out_dir=tmp_path)
-    assert len(result.series["t"]) == rows
-    path = tmp_path / "rt_steps.csv"
-    _csv_writer_step_log(result.series, tmp_path / "oracle.csv")
-    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    cols = read_step_csv(path)
-    assert list(cols) == STEP_COLUMNS
-    for key in STEP_COLUMNS:
-        assert cols[key] == result.series[key], key
-    assert all(type(r) is int for r in cols["R"]) if controller == "pac" else cols["R"] == [None] * rows
+def test_step_csv_round_trip(tmp_path):
+    # a PAC and a PID log one row short of a codec block, exactly one block, and one row into the second
+    for controller, params in (("pac", PAC_PARAMS), ("pid", PID_HEXA)):
+        for rows in (999, 1000, 1001):
+            case = f"{controller}-{rows}"
+            cfg = hexa_config(name=case, controller=controller, controller_params=dict(params), duration=rows * 0.01)
+            result = run_experiment(cfg, out_dir=tmp_path)
+            assert len(result.series["t"]) == rows, case
+            path = tmp_path / f"{case}_steps.csv"
+            _csv_writer_step_log(result.series, tmp_path / f"{case}_oracle.csv")
+            assert path.read_bytes() == (tmp_path / f"{case}_oracle.csv").read_bytes(), case
+            cols = read_step_csv(path)
+            assert list(cols) == STEP_COLUMNS, case
+            for key in STEP_COLUMNS:
+                assert cols[key] == result.series[key], (case, key)
+            if controller == "pac":  # 3 == 3.0, so the column equality alone would pass floats
+                assert all(type(r) is int for r in cols["R"]), case
 
 
 def _edge_series() -> dict:
