@@ -11,6 +11,10 @@ is cut to 20 s and compared against ``tests/golden/suites_20s.json``:
 Regenerate after a deliberate behaviour change with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, per experiment, max |dy| and max |du| against the golden it
+replaces and whether the events are equal, so a declared regeneration can
+quote what moved.
 """
 
 import json
@@ -73,8 +77,22 @@ def test_matches_golden(name, golden):
     np.testing.assert_allclose(got["u"], want["u"], rtol=0.0, atol=ATOL)
 
 
+def report_moves(old: dict, new: dict) -> None:
+    """Print max |dy|, max |du| and event equality for each experiment against the old golden."""
+    for name, run in new.items():
+        if name not in old:
+            print(f"{name}: new experiment")
+            continue
+        dy = float(np.max(np.abs(np.subtract(run["y"], old[name]["y"]))))
+        du = float(np.max(np.abs(np.subtract(run["u"], old[name]["u"]))))
+        same = "equal" if run["events"] == old[name]["events"] else "DIFFER"
+        print(f"{name}: max |dy| {dy:.3g}, max |du| {du:.3g}, events {same}")
+
+
 if __name__ == "__main__":
     data = {name: capture(cfg) for name, cfg in CONFIGS.items()}
+    if GOLDEN.exists():
+        report_moves(json.loads(GOLDEN.read_text()), data)
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = [f"{json.dumps(name)}: {json.dumps(run)}" for name, run in data.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
