@@ -75,24 +75,38 @@ class EvolutionState:
 
 
 def update_input_mean(state: EvolutionState, x_e: np.ndarray) -> None:
-    """Incremental mean of the extended input; increments the sample counter."""
-    state.k += 1
-    state.mu_e += (x_e - state.mu_e) / state.k
+    """Incremental mean of the extended input; increments the sample counter.
+
+    The elementwise update runs on Python floats, with numpy's float operations.
+    """
+    k = state.k = state.k + 1
+    mu = state.mu_e
+    mu[:] = [m + (x - m) / k for m, x in zip(mu.tolist(), x_e.tolist())]
 
 
 def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -> tuple[float, float]:
     """Squared bias and variance of the network output under unity firing.
 
-    E[Y] sums each rule's consequent at the input mean; E[Y^2] uses the
-    elementwise-squared input mean. The variance estimate can go negative
+    E[Y] sums each rule's consequent at the input mean, and E[Y^2] each
+    rule's consequent at the elementwise-squared input mean. Both are linear
+    in the weights, so they are the column sum s of the weights dotted with
+    mu_e and with mu_e * mu_e: E[Y] = sum_k s_k mu_k and E[Y^2] = sum_k
+    (s_k mu_k) mu_k, left to right. The variance estimate can go negative
     under this approximation and is clamped at zero. A bias too large to
     square raises FloatingPointError.
     """
     if state.k < 1:
         raise ValueError("input mean not yet populated")
     w = net.weights
-    e_y = float(np.add.reduce(w @ state.mu_e))
-    e_y2 = float(np.add.reduce(w @ (state.mu_e * state.mu_e)))
+    # s = ones @ w: one BLAS pass, where numpy's axis-0 reduce steps row by row;
+    # fill, as np.ones costs about as much as the product
+    ones = np.empty(len(w))
+    ones.fill(1.0)
+    s0, s1, s2, s3 = (ones @ w).tolist()
+    m0, m1, m2, m3 = state.mu_e.tolist()
+    t0, t1, t2, t3 = s0 * m0, s1 * m1, s2 * m2, s3 * m3
+    e_y = ((t0 + t1) + t2) + t3
+    e_y2 = ((t0 * m0 + t1 * m1) + t2 * m2) + t3 * m3
     try:
         bias2 = (e_y - y_r) ** 2
     except OverflowError:

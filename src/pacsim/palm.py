@@ -110,15 +110,23 @@ def network_output(x_e: np.ndarray, net: PalmNetwork, y_r: float) -> tuple[float
         raw = 1.0 if d == 0.0 else float(np.exp(d * (-net.eta / d)))
         if 0.0 < raw < math.inf:
             return consequent, FiringVector(raw=np.array([raw]), normalized=np.array([1.0]))
-    a = w[:, 1:]
     # a rule's consequent is also its plane height at the input
     consequents = w @ x_e
-    dists = np.abs(y_r - consequents) / np.sqrt(1.0 + np.add.reduce(a * a, axis=1))
-    d_max = float(np.maximum.reduce(dists))
+    # the row norms of w[:, 1:], summed left to right as numpy's 3-term axis-1 reduce does
+    ww = w * w
+    norms = ww[:, 1] + ww[:, 2]
+    norms += ww[:, 3]
+    norms += 1.0
+    # one temporary carries the distance, its scaling and the firing
+    t = y_r - consequents
+    np.abs(t, out=t)
+    t /= np.sqrt(norms, out=norms)
+    d_max = float(np.maximum.reduce(t))
     if d_max == 0.0:
-        raw = np.ones(len(dists))
+        raw = np.ones(len(t))
     else:
-        raw = np.exp(dists * (-net.eta / d_max))
+        t *= -net.eta / d_max
+        raw = np.exp(t, out=t)
     # the nearest plane fires at least exp(-eta) >= exp(-100), so the sum never underflows
     normalized = raw / float(np.add.reduce(raw))
     u_palm = float(normalized @ consequents)

@@ -78,9 +78,20 @@ def test_bias_two_ways_algebraic_identity():
         assert bias2 == pytest.approx(ns - var_uncl, abs=1e-12)
 
 
-@pytest.mark.parametrize("r", [1, 3, 95])
+def _column_sum_bias_variance(w, mu, y_r):
+    # the column sum s = ones @ w; E[Y] = sum_k s_k mu_k and
+    # E[Y^2] = sum_k (s_k mu_k) mu_k, left to right
+    s = (np.ones(len(w)) @ w).tolist()
+    t = [a * m for a, m in zip(s, mu)]
+    e_y = ((t[0] + t[1]) + t[2]) + t[3]
+    e_y2 = ((t[0] * mu[0] + t[1] * mu[1]) + t[2] * mu[2]) + t[3] * mu[3]
+    return (e_y - y_r) ** 2, max(e_y2 - e_y * e_y, 0.0)
+
+
+@pytest.mark.parametrize("r", [1, 3, 95, 250])
 def test_bias_variance_bit_equal_to_matrix_sums(r):
-    # E[Y] and E[Y^2] are the row-product sums exactly, for one rule as for many
+    # E[Y] and E[Y^2] are the column-sum formula exactly, for one rule as for
+    # many, and equal the per-rule sums to round-off of their terms
     rng = np.random.default_rng(40 + r)
     for _ in range(200):
         w = rng.uniform(-3, 3, size=(r, 4)) * 10.0 ** rng.integers(-3, 3, size=(r, 4))
@@ -90,10 +101,13 @@ def test_bias_variance_bit_equal_to_matrix_sums(r):
         y_r = float(rng.uniform(-3, 3))
         bias2, variance = network_bias_variance(PalmNetwork(weights=w), state, y_r)
         mu = state.mu_e
+        assert (bias2, variance) == _column_sum_bias_variance(w, mu.tolist(), y_r)
         e_y = float(np.add.reduce(w @ mu))
         e_y2 = float(np.add.reduce(w @ (mu * mu)))
-        assert bias2 == (e_y - y_r) ** 2
-        assert variance == max(e_y2 - e_y * e_y, 0.0)
+        terms = float(np.abs(w * mu).sum())
+        terms2 = float(np.abs(w * (mu * mu)).sum())
+        assert abs(math.sqrt(bias2) - abs(e_y - y_r)) <= 1e-12 * (terms + abs(y_r))
+        assert abs(variance - max(e_y2 - e_y * e_y, 0.0)) <= 1e-12 * (terms2 + 2.0 * terms * terms)
 
 
 def test_growth_factor_range():

@@ -173,15 +173,28 @@ def _matrix_network_output(x_e, weights, eta, y_r):
 
 def test_network_output_bit_equal_to_matrix_formula():
     rng = np.random.default_rng(29)
-    for r in (1, 3, 25, 100):
-        for _ in range(100):
-            weights = rng.uniform(-1, 1, size=(r, 4))
-            x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
-            y_r = rng.uniform(-4, 4)
-            u, firing = network_output(x_e, PalmNetwork(eta=5.0, weights=weights), y_r)
-            u_ref, raw, normalized = _matrix_network_output(x_e, weights, 5.0, y_r)
-            assert u == u_ref
-            assert np.array_equal(firing.raw, raw) and np.array_equal(firing.normalized, normalized)
+    for r in (1, 3, 25, 100, 250):
+        for spread in (False, True):
+            for _ in range(100 if r < 250 else 20):
+                weights = rng.uniform(-1, 1, size=(r, 4))
+                if spread:
+                    weights *= 10.0 ** rng.uniform(-3, 3, size=(r, 4))
+                x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
+                y_r = rng.uniform(-4, 4)
+                u, firing = network_output(x_e, PalmNetwork(eta=5.0, weights=weights), y_r)
+                u_ref, raw, normalized = _matrix_network_output(x_e, weights, 5.0, y_r)
+                assert u == u_ref
+                assert np.array_equal(firing.raw, raw) and np.array_equal(firing.normalized, normalized)
+    # every plane through the point: d_max == 0 and all rules fire fully
+    for r in (2, 25):
+        y_r = float(rng.uniform(-4, 4))
+        weights = np.column_stack([np.full(r, y_r), rng.uniform(-1, 1, size=(r, 2)), np.zeros(r)])
+        x_e = extended_input(0.0, 0.0, y_r)
+        u, firing = network_output(x_e, PalmNetwork(eta=5.0, weights=weights), y_r)
+        u_ref, raw, normalized = _matrix_network_output(x_e, weights, 5.0, y_r)
+        assert raw.tolist() == [1.0] * r
+        assert u == u_ref
+        assert np.array_equal(firing.raw, raw) and np.array_equal(firing.normalized, normalized)
 
 
 def test_one_rule_fires_fully_and_outputs_its_consequent():
