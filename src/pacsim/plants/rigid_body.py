@@ -107,7 +107,10 @@ def _non_finite(x, names=_STATE_NAMES) -> str:
 
 
 def _wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
+    """Wrap to (-pi, pi]; an angle already in range is returned unchanged
+    (the shift by pi and back would round it)."""
+    if -math.pi < a <= math.pi:
+        return a
     a = math.fmod(a + math.pi, 2.0 * math.pi)
     if a <= 0.0:
         a += 2.0 * math.pi

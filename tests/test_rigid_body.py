@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 from pacsim.plants.rigid_body import (
     GRAVITY,
     InertiaSet,
+    _wrap_angle,
     dcm_inertial_to_body,
     kinetic_energy,
     rigid_body_step,
@@ -108,6 +109,19 @@ def test_attitude_wraps_to_pi_interval():
         assert -math.pi < state[8] <= math.pi
 
 
+def test_wrap_leaves_in_range_angles_unchanged():
+    # the shift by pi and back used to round them: 0.1 came back as 0.10000000000000009
+    rng = np.random.default_rng(13)
+    for a in [0.1, 1e-5, -1e-5, 5e-324, 0.0, math.pi, -3.14159, *rng.uniform(-math.pi, math.pi, 1000)]:
+        assert _wrap_angle(a) == a
+    # out of range, the shift, fmod and shift back still apply
+    for a in [-math.pi, 4.0, -4.0, 7.0, -50.0, *rng.uniform(math.pi, 30.0, 1000), *rng.uniform(-30.0, -math.pi, 1000)]:
+        shifted = math.fmod(a + math.pi, 2.0 * math.pi)
+        want = (shifted + 2.0 * math.pi if shifted <= 0.0 else shifted) - math.pi
+        assert _wrap_angle(a) == want
+        assert -math.pi < want <= math.pi
+
+
 def test_singular_inertia_rejected():
     with pytest.raises(ValueError):
         InertiaSet(i_x=0.04, i_z=0.04, i_xz=0.04)
@@ -145,7 +159,7 @@ PINNED_STEPS = [
         (
             "0x1.0422d15846536p-1", "-0x1.3f4acf932ad22p+0", "-0x1.7fdb98594ba18p+1",
             "0x1.99b38475a3173p-1", "-0x1.3622b9a3c2fc9p-2", "0x1.b32c0d32aab20p-5",
-            "0x1.a13fa09572ea0p-4", "-0x1.a46b996a4dc00p-5", "0x1.67e142f20037cp-1",
+            "0x1.a13fa09572e9cp-4", "-0x1.a46b996a4dbeap-5", "0x1.67e142f20037dp-1",
             "0x1.9f347576ccffap-3", "-0x1.aca3076383ef2p-4", "0x1.3442db24dde7fp-2",
         ),
     ),
@@ -158,7 +172,7 @@ PINNED_STEPS = [
         (
             "0x1.714e9b85cc8e5p-14", "-0x1.4f0357d207226p-15", "-0x1.ffc0f8a5fafccp-1",
             "0x1.fb8e4313c4487p-13", "-0x1.0280b78a17a3fp-10", "-0x1.91c9f653e8bd9p-4",
-            "-0x1.8fae8ae6b7ec2p+1", "0x1.8f704bfa14a00p-3", "-0x1.96871464e8218p-2",
+            "-0x1.8fae8ae6b7ec2p+1", "0x1.8f704bfa149fep-3", "-0x1.96871464e8217p-2",
             "0x1.021b6dbf67406p+1", "0x1.f2d5937bfb4a6p-2", "-0x1.3023967d180d8p-2",
         ),
     ),
@@ -171,7 +185,7 @@ PINNED_STEPS = [
         (
             "0x1.014c25d97aceep+1", "0x1.fda3675986ac1p-1", "-0x1.400f8b7d291e6p+2",
             "-0x1.0103af53bddc5p+0", "0x1.f096afc7e2ca6p-2", "-0x1.a1c27dfdc873ap-4",
-            "-0x1.34b437636b440p-2", "0x1.8f2278a77cdc0p-4", "0x1.90683144d3baap+1",
+            "-0x1.34b437636b442p-2", "0x1.8f2278a77cdb8p-4", "0x1.90683144d3baap+1",
             "0x1.0e9a640622e56p-9", "0x1.92a785f68fa4dp-3", "-0x1.80fb80b343bd7p+0",
         ),
     ),
@@ -184,7 +198,7 @@ PINNED_STEPS = [
         (
             "0x1.fcd00ec638565p-7", "0x1.367317579d73ap-7", "0x1.1f57ffdfce9cfp-8",
             "0x1.49ed6048f5ce2p+1", "-0x1.435b40cf26fccp+1", "0x1.fc7c538ff8d87p-1",
-            "0x1.7d5b937ebeb10p-1", "-0x1.5e1a385ee9528p-1", "0x1.51f623749cb88p+0",
+            "0x1.7d5b937ebeb12p-1", "-0x1.5e1a385ee9526p-1", "0x1.51f623749cb88p+0",
             "0x1.5550b80dd874cp+5", "-0x1.bf66d43f27e73p+4", "0x1.a5cae9cae2534p+5",
         ),
     ),
@@ -197,7 +211,7 @@ PINNED_STEPS = [
         (
             "0x1.dca41173601f0p-4", "-0x1.11ce372f53b9bp-8", "-0x1.ff2ec2bdb68c7p+0",
             "0x1.ae947c2d646b7p+0", "-0x1.354a6edb142b6p-7", "-0x1.997f06c73e256p-2",
-            "0x1.830da855b3ec0p-5", "0x1.8fb9687f59a58p+1", "0x1.728b7f5213278p+1",
+            "0x1.830da855b3eaap-5", "0x1.8fb9687f59a58p+1", "0x1.728b7f5213277p+1",
             "-0x1.0c2f92ad972eap-2", "-0x1.803fc92761f3fp+2", "0x1.9e05ba3df84a6p-1",
         ),
     ),
@@ -210,7 +224,7 @@ PINNED_STEPS = [
         (
             "0x1.0a522032bf14ap-6", "0x1.14fc68590ab09p-7", "0x1.dec3a4deb9423p-7",
             "0x1.b5a783eb5cb9fp+0", "0x1.ba087d33f6035p+1", "-0x1.7f7df566ef1d5p+1",
-            "0x1.353d765ba0730p-1", "-0x1.a28e04f462730p-1", "0x1.7a1c2a6cb7460p-2",
+            "0x1.353d765ba0730p-1", "-0x1.a28e04f462732p-1", "0x1.7a1c2a6cb7460p-2",
             "-0x1.0afcd36e766c4p+3", "-0x1.1c24ed4796abcp+6", "0x1.d6087c7102fa2p+7",
         ),
     ),
