@@ -2,7 +2,8 @@
 
 Conventions: rise time is the first RISE_LO -> RISE_HI (10% -> 90%)
 traversal of the first commanded step, settling time is the last instant the
-response leaves a +/-SETTLE_BAND (2%) band around the final reference, peak is
+response leaves a +/-SETTLE_BAND (2%) band around the final reference (None
+when the last sample lies outside the band: the run never settles), peak is
 the maximum response value over the run.
 """
 
@@ -101,7 +102,12 @@ def compute_step_metrics(
     final_ref = float(y_r[-1])
     band = SETTLE_BAND * abs(final_ref) if final_ref != 0.0 else SETTLE_BAND
     outside = np.nonzero(np.abs(y - final_ref) > band)[0]
-    settle_ms = 0.0 if outside.size == 0 else (int(outside[-1]) + 1) * dt * 1e3
+    if outside.size == 0:
+        settle_ms = 0.0
+    elif outside[-1] == y.size - 1:
+        settle_ms = None
+    else:
+        settle_ms = (int(outside[-1]) + 1) * dt * 1e3
 
     return rise_ms, settle_ms, peak
 

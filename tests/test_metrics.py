@@ -94,7 +94,25 @@ def test_never_rising_response_marks_rise_undefined():
     y_r = np.ones(500)
     rise, settle, peak = compute_step_metrics(y, y_r, dt)
     assert rise is None
-    assert settle == pytest.approx(500 * dt * 1e3)  # never enters the band
+    assert settle is None  # never enters the band
+
+
+def test_response_settling_on_its_last_sample_keeps_its_time():
+    dt = 0.01
+    y = np.concatenate([np.zeros(500), [1.0]])
+    rise, settle, peak = compute_step_metrics(y, np.ones(501), dt)
+    assert settle == pytest.approx(500 * dt * 1e3)
+
+
+def test_report_of_a_run_that_never_settles():
+    # rises through 90 % and still swings 10 % about the reference at the end
+    t = np.arange(0, 5, 0.01)
+    y = 1.0 - np.exp(-3.0 * t) + 0.1 * np.sin(2.0 * np.pi * t + 0.5)
+    assert abs(y[-1] - 1.0) > 0.02
+    rep = report(y, np.ones_like(y), 0.01)
+    assert rep.rise_time_ms is not None
+    assert rep.settling_time_ms is None
+    assert rep.as_row()["settling_time_ms"] == ""
 
 
 def test_first_commanded_step_midway():
