@@ -30,9 +30,6 @@ class PMatrix:
     p21: float
     p22: float
 
-    def is_positive_definite(self) -> bool:
-        return self.p11 > 0 and (self.p11 * self.p22 - self.p12 * self.p21) > 0
-
 
 def p_matrix(alpha1: float, alpha2: float) -> PMatrix:
     """P for Q = I2 as published: p11 = a2/a1 + 1/(2 a2), p12 = 1/(2 a1),

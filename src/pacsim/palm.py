@@ -32,32 +32,6 @@ class FiringVector:
     normalized: np.ndarray
 
 
-def point_to_plane_distance(x_e: np.ndarray, w: np.ndarray, y_r: float) -> float:
-    """Distance from the point (x_1..x_N, y_r) to the hyperplane of weights w.
-
-    The plane is z = sum(a_i * x_i) + b0 with b0 = w[0] and a = w[1:]; the
-    numerator compares y_r against the plane height at the non-intercept
-    input entries.
-    """
-    a = w[1:]
-    plane = float(np.dot(a, x_e[1:])) + w[0]
-    return abs(y_r - plane) / math.sqrt(1.0 + float(np.dot(a, a)))
-
-
-def membership(d_j: float, d_max: float, eta: float) -> float:
-    """exp(-eta * d_j / d_max); all planes through the point (d_max == 0) fire fully."""
-    if d_max == 0.0:
-        return 1.0
-    return math.exp(-eta * d_j / d_max)
-
-
-def rule_consequent(x_e: np.ndarray, w: np.ndarray) -> float:
-    """Hyperplane output: dot(extended input, rule weights)."""
-    if x_e.shape != np.shape(w):
-        raise ValueError("extended input and rule weights disagree in dimension")
-    return float(np.dot(x_e, w))
-
-
 @dataclass
 class PalmNetwork:
     """Rule base as one (R, DIM) weight matrix (a row per rule) plus the fuzziness
@@ -137,8 +111,3 @@ def save_rules(net: PalmNetwork, path) -> None:
     """Write the rule set as plain-text rows: rule_index, w0, ..., wN."""
     rows = np.column_stack([np.arange(net.rule_count), net.weights])
     np.savetxt(path, rows, fmt=["%d"] + ["%.17g"] * DIM, delimiter=", ")
-
-
-def load_rules(path) -> np.ndarray:
-    """Read a rule snapshot back into an (R, DIM) weight matrix."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)[:, 1:]

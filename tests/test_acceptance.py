@@ -78,7 +78,7 @@ def test_fuzzy_core_suite():
         worst_dup = max(worst_dup, abs(u1 - u2))
 
     # Monte-Carlo plane-sampling oracle for the distance formula
-    from pacsim.palm import point_to_plane_distance
+    from palm_oracles import point_to_plane_distance
 
     mc_ok = True
     for _ in range(3):
