@@ -80,8 +80,9 @@ def update_input_mean(state: EvolutionState, x_e: np.ndarray) -> None:
     The elementwise update runs on Python floats, with numpy's float operations.
     """
     k = state.k = state.k + 1
-    mu = state.mu_e
-    mu[:] = [m + (x - m) / k for m, x in zip(mu.tolist(), x_e.tolist())]
+    m0, m1, m2, m3 = state.mu_e.tolist()
+    x0, x1, x2, x3 = x_e.tolist()
+    state.mu_e[:] = (m0 + (x0 - m0) / k, m1 + (x1 - m1) / k, m2 + (x2 - m2) / k, m3 + (x3 - m3) / k)
 
 
 def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -> tuple[float, float]:
@@ -102,7 +103,7 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
     # fill, as np.ones costs about as much as the product
     ones = np.empty(len(w))
     ones.fill(1.0)
-    s0, s1, s2, s3 = (ones @ w).tolist()
+    s0, s1, s2, s3 = np.dot(ones, w).tolist()
     m0, m1, m2, m3 = state.mu_e.tolist()
     t0, t1, t2, t3 = s0 * m0, s1 * m1, s2 * m2, s3 * m3
     e_y = ((t0 + t1) + t2) + t3

@@ -85,7 +85,7 @@ def network_output(x_e: np.ndarray, net: PalmNetwork, y_r: float) -> tuple[float
         if 0.0 < raw < math.inf:
             return consequent, FiringVector(raw=np.array([raw]), normalized=np.array([1.0]))
     # a rule's consequent is also its plane height at the input
-    consequents = w @ x_e
+    consequents = np.dot(w, x_e)
     # the row norms of w[:, 1:], summed left to right as numpy's 3-term axis-1 reduce does
     ww = w * w
     norms = ww[:, 1] + ww[:, 2]
@@ -103,7 +103,7 @@ def network_output(x_e: np.ndarray, net: PalmNetwork, y_r: float) -> tuple[float
         raw = np.exp(t, out=t)
     # the nearest plane fires at least exp(-eta) >= exp(-100), so the sum never underflows
     normalized = raw / float(np.add.reduce(raw))
-    u_palm = float(normalized @ consequents)
+    u_palm = float(np.dot(normalized, consequents))
     return u_palm, FiringVector(raw=raw, normalized=normalized)
 
 
