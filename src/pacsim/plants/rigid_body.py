@@ -6,6 +6,7 @@ fixed-step RK4. Frames follow the aerospace NED convention, Z positive down.
 from __future__ import annotations
 
 import math
+from math import cos, isfinite, sin, tan
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,53 +55,6 @@ def body_gravity(phi: float, theta: float, mass: float) -> tuple[float, float, f
     return (-math.sin(theta) * mg, math.sin(phi) * cth * mg, math.cos(phi) * cth * mg)
 
 
-def _derivatives(s, k) -> tuple:
-    """Derivative of the 12-float state.
-
-    ``s`` holds the 9 components it reads, u .. r; ``k`` the constants of
-    one step, as ``rigid_body_step`` builds them: force per unit mass, the
-    roll/pitch/yaw moments L, M, N and the inertia terms.
-    """
-    u, v, w, phi, theta, psi, p, q, r = s
-    a_x, a_y, a_z, l, m, n, i_x, i_y, i_z, i_xz, d_xz, d_zy, d_yx, det = k
-
-    # translational: F = m(dv/dt + omega x v), solved for dv/dt
-    du = a_x - q * w + r * v
-    dv = a_y - r * u + p * w
-    dw = a_z - p * v + q * u
-
-    # rotational: q decouples; (p, r) couple through I_xz
-    dq = (m - r * p * d_xz - i_xz * (p * p - r * r)) / i_y
-    rhs_l = l - q * r * d_zy + i_xz * p * q
-    rhs_n = n - p * q * d_yx - i_xz * q * r
-    dp = (i_z * rhs_l + i_xz * rhs_n) / det
-    dr = (i_xz * rhs_l + i_x * rhs_n) / det
-
-    # Euler-angle kinematics
-    cph, sph = math.cos(phi), math.sin(phi)
-    cth, sth = math.cos(theta), math.sin(theta)
-    cps, sps = math.cos(psi), math.sin(psi)
-    qr = q * sph + r * cph
-    dphi = p + qr * math.tan(theta)
-    dtheta = q * cph - r * sph
-    dpsi = qr / cth
-
-    # position: body velocity rotated into the inertial frame by the DCM transpose
-    sph_sth, cph_sth = sph * sth, cph * sth
-    dx = cth * cps * u + (sph_sth * cps - cph * sps) * v + (cph_sth * cps + sph * sps) * w
-    dy = cth * sps * u + (sph_sth * sps + cph * cps) * v + (cph_sth * sps - sph * cps) * w
-    dz = -sth * u + sph * cth * v + cph * cth * w
-    return (dx, dy, dz, du, dv, dw, dphi, dtheta, dpsi, dp, dq, dr)
-
-
-def _advance(s, d, h: float) -> tuple:
-    """RK4 stage: the 9 components u .. r of ``s`` moved by ``h`` along the derivative ``d``."""
-    u, v, w, phi, theta, psi, p, q, r = s
-    _, _, _, du, dv, dw, dphi, dtheta, dpsi, dp, dq, dr = d
-    return (u + h * du, v + h * dv, w + h * dw, phi + h * dphi, theta + h * dtheta, psi + h * dpsi,
-            p + h * dp, q + h * dq, r + h * dr)
-
-
 def _non_finite(x, names=_STATE_NAMES) -> str:
     """Names of the non-finite components of ``x``, one per name."""
     return ", ".join(name for name, value in zip(names, x) if not math.isfinite(value))
@@ -121,36 +75,64 @@ def rigid_body_step(x: list[float], inertia: InertiaSet, forces, moments, dt: fl
     """One RK4 step of the 12-float state ``x`` under zero-order-hold body-frame
     forces and moments (3-sequences); returns the new state as a new list.
 
-    The stages advance only u .. r, the 9 components the derivatives read;
-    the final combine covers all 12. Raises FloatingPointError naming the
-    non-finite state components when a stage or the new state leaves the
-    finite range.
+    One loop takes the four stages on local floats: each pass evaluates the
+    derivative at the current stage, then moves the 9 components u .. r (the
+    only ones a derivative reads) to the next stage. The final combine covers
+    all 12. Raises FloatingPointError naming the non-finite state components
+    when a stage or the new state leaves the finite range.
     """
     f_x, f_y, f_z = map(float, forces)
     l, m, n = map(float, moments)
     mass, i_x, i_y, i_z, i_xz = inertia.m, inertia.i_x, inertia.i_y, inertia.i_z, inertia.i_xz
     # what the derivatives read besides the state, each computed once per step
-    k = (f_x / mass, f_y / mass, f_z / mass, l, m, n, i_x, i_y, i_z, i_xz,
-         i_x - i_z, i_z - i_y, i_y - i_x, i_x * i_z - i_xz * i_xz)
-    s = x[3:]
+    a_x, a_y, a_z = f_x / mass, f_y / mass, f_z / mass
+    d_xz, d_zy, d_yx, det = i_x - i_z, i_z - i_y, i_y - i_x, i_x * i_z - i_xz * i_xz
+    u0, v0, w0, phi0, theta0, psi0, p0, q0, r0 = u, v, w, phi, theta, psi, p, q, r = x[3:]
     h = 0.5 * dt
-    stage = s
+    k = []
     try:
-        k1 = _derivatives(stage, k)
-        stage = _advance(s, k1, h)
-        k2 = _derivatives(stage, k)
-        stage = _advance(s, k2, h)
-        k3 = _derivatives(stage, k)
-        stage = _advance(s, k3, dt)
-        k4 = _derivatives(stage, k)
+        # each pass: the derivative at this stage, then the move to the next (the last pass's move is unused)
+        for step in (h, h, dt, 0.0):
+            # translational: F = m(dv/dt + omega x v), solved for dv/dt
+            du = a_x - q * w + r * v
+            dv = a_y - r * u + p * w
+            dw = a_z - p * v + q * u
+
+            # rotational: q decouples; (p, r) couple through I_xz
+            dq = (m - r * p * d_xz - i_xz * (p * p - r * r)) / i_y
+            rhs_l = l - q * r * d_zy + i_xz * p * q
+            rhs_n = n - p * q * d_yx - i_xz * q * r
+            dp = (i_z * rhs_l + i_xz * rhs_n) / det
+            dr = (i_xz * rhs_l + i_x * rhs_n) / det
+
+            # Euler-angle kinematics
+            cph, sph = cos(phi), sin(phi)
+            cth, sth = cos(theta), sin(theta)
+            cps, sps = cos(psi), sin(psi)
+            qr = q * sph + r * cph
+            dphi = p + qr * tan(theta)
+            dtheta = q * cph - r * sph
+            dpsi = qr / cth
+
+            # position: body velocity rotated into the inertial frame by the DCM transpose
+            sph_sth, cph_sth = sph * sth, cph * sth
+            dx = cth * cps * u + (sph_sth * cps - cph * sps) * v + (cph_sth * cps + sph * sps) * w
+            dy = cth * sps * u + (sph_sth * sps + cph * cps) * v + (cph_sth * sps - sph * cps) * w
+            dz = -sth * u + sph * cth * v + cph * cth * w
+            k.append((dx, dy, dz, du, dv, dw, dphi, dtheta, dpsi, dp, dq, dr))
+
+            u, v, w = u0 + step * du, v0 + step * dv, w0 + step * dw
+            phi, theta, psi = phi0 + step * dphi, theta0 + step * dtheta, psi0 + step * dpsi
+            p, q, r = p0 + step * dp, q0 + step * dq, r0 + step * dr
     except ValueError:
         # math.sin/cos/tan of an infinite stage angle
+        stage = (u, v, w, phi, theta, psi, p, q, r)
         raise FloatingPointError(
             f"rigid body RK4 stage diverged: non-finite {_non_finite(stage, _STATE_NAMES[3:])}"
         ) from None
     c = dt / 6.0
-    x_new = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, x_new)):
+    x_new = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, *k)]
+    if not all(map(isfinite, x_new)):
         raise FloatingPointError(f"rigid body state diverged: non-finite {_non_finite(x_new)}")
     x_new[6:9] = map(_wrap_angle, x_new[6:9])
     return x_new

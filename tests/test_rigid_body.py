@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from rigid_body_oracles import staged_rk4_step
 from scipy.integrate import solve_ivp
 
 from pacsim.plants.rigid_body import (
@@ -245,6 +246,32 @@ PINNED_IDS = [
 def test_step_is_pinned_bit_for_bit(inertia, x, forces, moments, dt, want):
     got = rigid_body_step(list(x), InertiaSet(**inertia), forces, moments, dt)
     assert [v.hex() for v in got] == list(want)
+
+
+def test_stage_loop_equals_staged_oracle():
+    # the one-loop RK4 against the stage-by-stage derivative/advance/combine it replaced
+    rng = np.random.default_rng(53)
+    signs = set()
+    for dt in (0.005, 0.01, 0.02):
+        for _ in range(700):
+            i_x, i_y, i_z = rng.uniform(1e-4, 0.1, size=3)
+            i_xz = float(rng.uniform(-0.9, 0.9) * math.sqrt(i_x * i_z))
+            signs.add(math.copysign(1.0, i_xz))
+            mass = float(rng.uniform(0.02, 5.0))
+            inertia = InertiaSet(m=mass, i_x=float(i_x), i_y=float(i_y), i_z=float(i_z), i_xz=i_xz)
+            scale = 10.0 ** rng.integers(-2, 2)
+            x = [
+                *rng.uniform(-5.0, 5.0, size=3).tolist(),
+                *(scale * rng.uniform(-3.0, 3.0, size=3)).tolist(),
+                *rng.uniform(-3.6, 3.6, size=3).tolist(),  # angles on both sides of +-pi
+                *(scale * rng.uniform(-20.0, 20.0, size=3)).tolist(),
+            ]
+            forces = (rng.uniform(-1.0, 1.0, size=3) * inertia.m * 20.0).tolist()
+            moments = (rng.uniform(-1.0, 1.0, size=3) * 10.0 ** rng.integers(-4, 1)).tolist()
+            got = rigid_body_step(list(x), inertia, forces, moments, dt)
+            want = staged_rk4_step(list(x), inertia, forces, moments, dt)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert signs == {1.0, -1.0}
 
 
 @pytest.mark.parametrize(
