@@ -125,14 +125,23 @@ class BiFwmav:
         a_max = p.amplitude_max
         collective = 4.0 * self._lift_gain * min(max(self._hover_amplitude + p.amplitude_gain * u, 0.0), a_max)
         # attitude trim: drive roll/pitch moments toward level
-        phi, theta, psi = x[6:9]
-        m_x = self._att_pids[0].step(phi, 0.0, dt)
-        m_y = self._att_pids[1].step(theta, 0.0, dt)
-        # flapping_actuator clamps negative or over-range amplitudes
-        amps = [a * collective + b * m_x + c * m_y for a, b, c in self._allocation]
-        lifts = [flapping_actuator(a, self._lift_gain, a_max) for a in amps]
-        f_total, m_wings = bifwmav_force_moment(lifts, (phi, theta, psi), p.inertia.m)
-        m_total = [m + t for m, t in zip(m_wings, stroke_plane_trim_moment(lifts))]
+        phi, theta = x[6:8]
+        roll_cmd = self._att_pids[0].step(phi, 0.0, dt)
+        pitch_cmd = self._att_pids[1].step(theta, 0.0, dt)
+        # flapping_actuator, bifwmav_force_moment and stroke_plane_trim_moment
+        # in one pass over the wings, with their operations in their order
+        k = self._lift_gain
+        lift_sum = fz = m_x = m_y = 0.0
+        for (a, b, c), (r_x, r_y) in zip(self._allocation, _WING_ARMS):
+            lift = k * min(max(a * collective + b * roll_cmd + c * pitch_cmd, 0.0), a_max)
+            lift_sum += lift
+            fz -= lift
+            m_x += r_y * lift
+            m_y -= r_x * lift
+        mean_lift = lift_sum / 4
+        g_x, g_y, g_z = body_gravity(phi, theta, p.inertia.m)
+        f_total = (g_x, g_y, fz + g_z)
+        m_total = (m_x + -_CP_SUM_Y * mean_lift, m_y + _CP_SUM_X * mean_lift, 0.0)
 
         # additive body-x velocity perturbation ahead of the force computation
         wind = 0.0 if self.gust is None else self.gust.advance(x[3], dt)

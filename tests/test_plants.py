@@ -290,6 +290,40 @@ def test_fused_rotor_loop_equals_mixing_then_forces(monkeypatch):
     assert at_zero and at_max and between
 
 
+def test_fused_wing_pass_equals_actuator_then_force_moment(monkeypatch):
+    # BiFwmav.step fuses flapping_actuator, bifwmav_force_moment and stroke_plane_trim_moment;
+    # the three functions are the reference
+    calls = _record_rigid_body_step(monkeypatch, flapping)
+    rng = np.random.default_rng(59)
+    at_zero = at_max = between = 0
+    for _ in range(300):
+        p = FlapParams(
+            frequency=rng.uniform(10.0, 30.0),
+            amplitude_max=rng.uniform(0.6, 1.6),
+            amplitude_gain=rng.uniform(0.02, 0.2),
+        )
+        plant = BiFwmav(p)
+        attitude = [float(a) for a in (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))]
+        plant.state[6:9] = attitude
+        cmds = [float(c) for c in rng.uniform(-0.2, 0.2, size=2)]  # attitude-trim moments
+        plant._att_pids = [_FixedOutput(c) for c in cmds]
+        u = float(rng.uniform(-15.0, 15.0))  # the collective clamps at both ends
+        plant.step(u, 0.01)
+        k = p.k_lift() * p.frequency**2
+        collective = 4.0 * k * min(max(p.hover_amplitude() + p.amplitude_gain * u, 0.0), p.amplitude_max)
+        amps = [a * collective + b * cmds[0] + c * cmds[1] for a, b, c in plant._allocation]
+        lifts = [flapping_actuator(a, k, p.amplitude_max) for a in amps]
+        want_f, m_wings = bifwmav_force_moment(lifts, attitude, p.inertia.m)
+        want_m = [m + t for m, t in zip(m_wings, flapping.stroke_plane_trim_moment(lifts))]
+        _, got_f, got_m = calls[-1]
+        assert [float(v).hex() for v in got_f] == [v.hex() for v in want_f]
+        assert [float(v).hex() for v in got_m] == [v.hex() for v in want_m]
+        at_zero += sum(a <= 0.0 for a in amps)
+        at_max += sum(a >= p.amplitude_max for a in amps)
+        between += sum(0.0 < a < p.amplitude_max for a in amps)
+    assert at_zero and at_max and between
+
+
 # --- disturbances -------------------------------------------------------------
 
 def test_gust_onset_on_the_step_clock():
