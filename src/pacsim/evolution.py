@@ -56,9 +56,9 @@ class SigmaRule:
 
 @dataclass
 class EvolutionState:
-    """Running input mean plus the grow and prune detectors."""
+    """Running input mean, as a tuple of DIM Python floats, plus the grow and prune detectors."""
 
-    mu_e: np.ndarray = field(default_factory=lambda: np.zeros(DIM))
+    mu_e: tuple[float, ...] = (0.0,) * DIM
     k: int = 0
     grow: SigmaRule = field(default_factory=SigmaRule)
     prune: SigmaRule = field(default_factory=SigmaRule)
@@ -80,9 +80,9 @@ def update_input_mean(state: EvolutionState, x_e: np.ndarray) -> None:
     The elementwise update runs on Python floats, with numpy's float operations.
     """
     k = state.k = state.k + 1
-    m0, m1, m2, m3 = state.mu_e.tolist()
+    m0, m1, m2, m3 = state.mu_e
     x0, x1, x2, x3 = x_e.tolist()
-    state.mu_e[:] = (m0 + (x0 - m0) / k, m1 + (x1 - m1) / k, m2 + (x2 - m2) / k, m3 + (x3 - m3) / k)
+    state.mu_e = (m0 + (x0 - m0) / k, m1 + (x1 - m1) / k, m2 + (x2 - m2) / k, m3 + (x3 - m3) / k)
 
 
 def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -> tuple[float, float]:
@@ -104,7 +104,7 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
     ones = np.empty(len(w))
     ones.fill(1.0)
     s0, s1, s2, s3 = np.dot(ones, w).tolist()
-    m0, m1, m2, m3 = state.mu_e.tolist()
+    m0, m1, m2, m3 = state.mu_e
     t0, t1, t2, t3 = s0 * m0, s1 * m1, s2 * m2, s3 * m3
     e_y = ((t0 + t1) + t2) + t3
     e_y2 = ((t0 * m0 + t1 * m1) + t2 * m2) + t3 * m3
@@ -151,7 +151,7 @@ def grow_rule(net: PalmNetwork, firing: np.ndarray) -> None:
 
 def rule_significances(net: PalmNetwork, state: EvolutionState) -> np.ndarray:
     """Expected contribution of each rule: dot(weights, input mean)."""
-    return net.weights @ state.mu_e
+    return net.weights @ np.array(state.mu_e)
 
 
 def prune_rule(net: PalmNetwork, state: EvolutionState) -> int:

@@ -64,7 +64,7 @@ class OneRowReference:
         u = robustifying_term(s_l, s, c) - float(x_e @ self.w)
 
         update_input_mean(self.evo, x_e)
-        mu = self.evo.mu_e
+        mu = np.asarray(self.evo.mu_e)
         e_y = self.R * float(self.w @ mu)
         e_y2 = self.R * float(self.w @ (mu * mu))
         grow = check_grow(self.evo, math.sqrt((e_y - y_r) ** 2))

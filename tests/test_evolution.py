@@ -72,7 +72,7 @@ def test_bias_two_ways_algebraic_identity():
         y_r = rng.uniform(-3, 3)
         bias2, _ = network_bias_variance(net, state, y_r)
         e_y = float(np.sum(w @ state.mu_e))
-        e_y2 = float(np.sum(w @ (state.mu_e**2)))
+        e_y2 = float(np.sum(w @ (np.asarray(state.mu_e)**2)))
         ns = e_y2 - 2.0 * y_r * e_y + y_r**2
         var_uncl = e_y2 - e_y**2
         assert bias2 == pytest.approx(ns - var_uncl, abs=1e-12)
@@ -100,7 +100,7 @@ def test_bias_variance_bit_equal_to_matrix_sums(r):
             update_input_mean(state, np.concatenate([[1.0], rng.uniform(-4, 4, 3)]))
         y_r = float(rng.uniform(-3, 3))
         bias2, variance = network_bias_variance(PalmNetwork(weights=w), state, y_r)
-        mu = state.mu_e
+        mu = np.asarray(state.mu_e)
         assert (bias2, variance) == _column_sum_bias_variance(w, mu.tolist(), y_r)
         e_y = float(np.add.reduce(w @ mu))
         e_y2 = float(np.add.reduce(w @ (mu * mu)))
