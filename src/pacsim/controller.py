@@ -149,6 +149,7 @@ class ControllerConfig:
     """Controller settings. alpha1..alpha3 are the starting sliding
     coefficients: they stay fixed while learn_rates are all zero (the
     default) and otherwise self-evolve upward, clamped to [start, alpha_max].
+    The learn rates must be non-negative.
     """
 
     eta: float = 5.0
@@ -166,6 +167,10 @@ class ControllerConfig:
     def __post_init__(self):
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("alpha1 and alpha2 must be positive")
+        self.learn_rates = tuple(map(float, self.learn_rates))
+        self.alpha_max = tuple(map(float, self.alpha_max))
+        if not all(r >= 0.0 for r in self.learn_rates):
+            raise ValueError("learn_rates must be non-negative: the sliding coefficients only grow")
         # keeps the min/max clamps on u and u_src float-valued
         self.actuator_limit = float(self.actuator_limit)
         self.sat_limit = float(self.sat_limit)
@@ -181,6 +186,9 @@ class ParsimoniousController:
         self.sliding = SlidingState(c.alpha1, c.alpha2, c.alpha3)
         self.evo = evolution.EvolutionState()
         self.P = p_matrix(c.alpha1, c.alpha2)
+        # the alphas only grow and the clamp holds each at its ceiling, so once
+        # all three sit there no step moves them and their adaptation is skipped
+        self._alphas_at_max = (c.alpha1, c.alpha2, c.alpha3) == c.alpha_max
         self._e_prev: float | None = None
         self.steps = 0
         self.events: list[tuple[float, str, int, float, float]] = []
@@ -220,8 +228,9 @@ class ParsimoniousController:
             self._evolve(diag, x_e, y_r, self.steps * dt)
 
         adapt_weights(self.net, diag, c, self.P, x_e, dt)
-        if adapt_sliding_params(s, c, e, e_dot, s_l, dt):
+        if not self._alphas_at_max and adapt_sliding_params(s, c, e, e_dot, s_l, dt):
             self.P = p_matrix(s.alpha1, s.alpha2)
+            self._alphas_at_max = (s.alpha1, s.alpha2, s.alpha3) == c.alpha_max
 
         self.steps += 1
         return min(max(u, -c.actuator_limit), c.actuator_limit), diag

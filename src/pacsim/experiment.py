@@ -107,9 +107,6 @@ class ExperimentConfig:
 def build_controller(cfg: ExperimentConfig):
     params = dict(cfg.controller_params)
     if cfg.controller == "pac":
-        for key in ("learn_rates", "alpha_max"):
-            if key in params:
-                params[key] = tuple(params[key])
         return ParsimoniousController(ControllerConfig(**params))
     if cfg.controller == "pid":
         if "output_limits" in params:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pacsim import controller
 from pacsim.controller import (
     ControlStep,
     ControllerConfig,
@@ -259,6 +260,64 @@ def test_adapt_sliding_params_frozen_at_zero_error():
     before = (s.alpha1, s.alpha2, s.alpha3)
     adapt_sliding_params(s, c, 0.0, 0.0, 0.0, 0.01)
     assert (s.alpha1, s.alpha2, s.alpha3) == before
+
+
+def test_negative_learn_rate_rejected():
+    with pytest.raises(ValueError, match="learn_rates"):
+        ControllerConfig(learn_rates=(0.1, -0.5, 0.001))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(controller, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(controller, name, counted)
+    return calls
+
+
+def test_saturated_alphas_skip_the_sliding_adaptation(monkeypatch):
+    # the alphas only grow, so once all three reach alpha_max the adaptation
+    # and the P rebuild are skipped; a controller made to run them every step
+    # flies the same loop bit for bit
+    adapt_calls = _count_calls(monkeypatch, "adapt_sliding_params")
+    p_calls = _count_calls(monkeypatch, "p_matrix")
+    cfg = ControllerConfig(gamma=1e-3, learn_rates=(10.0, 10.0, 10.0), alpha_max=(0.05, 0.02, 0.001))
+    loops = {}
+    for skip in (True, False):
+        ctl = ParsimoniousController(cfg)
+        plant = DoubleIntegrator()
+        trace, saturated_at, calls_then = [], None, None
+        for i in range(2000):
+            if not skip:
+                ctl._alphas_at_max = False
+            u, diag = ctl.step(plant.output(), 1.0 + math.sin(0.01 * i), 0.01)
+            plant.step(u, 0.01)
+            trace.append(tuple(v.hex() for v in (plant.output(), u, diag.u_palm)))
+            if saturated_at is None and (ctl.sliding.alpha1, ctl.sliding.alpha2, ctl.sliding.alpha3) == cfg.alpha_max:
+                saturated_at, calls_then = i, (len(adapt_calls), len(p_calls))
+        loops[skip] = trace, saturated_at, calls_then, (len(adapt_calls), len(p_calls)), (ctl.P.p12, ctl.P.p22)
+        del adapt_calls[:], p_calls[:]
+    trace, saturated_at, calls_then, calls_end, p = loops[True]
+    assert saturated_at is not None and saturated_at < 1000
+    assert calls_then == calls_end  # no adaptation and no P rebuild after the step that reached the ceiling
+    assert calls_end[0] == saturated_at + 1
+    ref_trace, ref_saturated_at, _, ref_calls_end, ref_p = loops[False]
+    assert ref_calls_end[0] == 2000 and ref_saturated_at == saturated_at
+    assert trace == ref_trace
+    assert p == ref_p
+
+
+def test_alphas_starting_at_the_ceiling_never_adapt(monkeypatch):
+    adapt_calls = _count_calls(monkeypatch, "adapt_sliding_params")
+    ctl = ParsimoniousController(ControllerConfig(learn_rates=(1.0, 1.0, 1.0), alpha_max=(1e-2, 1e-3, 1e-9)))
+    for i in range(50):
+        ctl.step(0.1 * i, 1.0, 0.01)
+    assert adapt_calls == []
+    assert (ctl.sliding.alpha1, ctl.sliding.alpha2, ctl.sliding.alpha3) == (1e-2, 1e-3, 1e-9)
 
 
 def test_control_step_zero_error_zero_output():
