@@ -1,8 +1,11 @@
+import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import bench_json  # noqa: E402
 import bench_pairs  # noqa: E402
 
 
@@ -29,3 +32,52 @@ def test_raw_pass_wall_is_summarised_next_to_the_normalised_metrics():
     assert raw["change"]["median"] == 2.6  # 2.6, 2.9, 2.6
     assert raw["median_gap"] == 2.6 - 3.4
     assert raw["better_by_more_than_parent_iqr"]  # parent quartiles 3.1 and 3.5
+
+
+def _git(repo: Path, *args: str) -> str:
+    cmd = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false"]
+    return subprocess.run([*cmd, *args], capture_output=True, text=True, check=True).stdout
+
+
+def _repo(path: Path) -> Path:
+    (path / "src").mkdir(parents=True)
+    (path / "src" / "a.py").write_text("x = 1\n")
+    (path / "configs").mkdir()
+    (path / "configs" / "c.yaml").write_text("k: 1\n")
+    (path / "README.md").write_text("r\n")
+    _git(path, "init", "-q")
+    _git(path, "add", "-A")
+    _git(path, "commit", "-q", "-m", "base")
+    return path
+
+
+def test_checkout_label_names_uncommitted_changes(tmp_path):
+    repo = _repo(tmp_path / "repo")
+    sha = _git(repo, "rev-parse", "--short", "HEAD").strip()
+    assert bench_json.checkout_label(repo) == sha
+    (repo / "README.md").write_text("outside the benched paths\n")
+    assert bench_json.checkout_label(repo) == sha
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    diff = subprocess.run(
+        ["git", "-C", str(repo), "diff", "HEAD", "--", "src", "configs", "perfbench"], capture_output=True, check=True
+    ).stdout
+    first = bench_json.checkout_label(repo)
+    assert first == f"{sha}+{hashlib.sha256(diff).hexdigest()[:8]}"
+    (repo / "src" / "a.py").write_text("x = 3\n")
+    second = bench_json.checkout_label(repo)
+    assert second.startswith(f"{sha}+") and second != first
+    # a new file that git does not track yet is part of the change too
+    (repo / "src" / "b.py").write_text("y = 1\n")
+    assert bench_json.checkout_label(repo) not in (sha, first, second)
+
+
+def test_bench_pairs_refuses_two_checkouts_with_one_label(tmp_path, capsys):
+    repo = _repo(tmp_path / "repo")
+    clone = tmp_path / "clone"
+    subprocess.run(["git", "clone", "-q", str(repo), str(clone)], check=True)
+    # no BENCHMARK.json in either: the refusal comes before anything is read or run
+    assert bench_pairs.main([str(repo), str(clone), "--workload", "w"]) == 2
+    (repo / "configs" / "c.yaml").write_text("k: 2\n")
+    (clone / "configs" / "c.yaml").write_text("k: 2\n")
+    assert bench_pairs.main([str(repo), str(clone), "--workload", "w"]) == 2
+    assert "nothing to compare" in capsys.readouterr().err

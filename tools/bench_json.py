@@ -13,13 +13,15 @@ inside CHECKOUT (default: the current directory), with S the file's
 each with ``--trace 1`` for the per-layer split. It writes
 ``BENCH_<short-sha>.json`` to the current directory, holding per workload
 every run's context line and result line and the per-metric medians, the
-traced run kept apart. The label is the short git SHA of the checkout's HEAD;
-paths under src/, configs/ or perfbench/ that differ from HEAD are listed as
-``dirty_paths``.
+traced run kept apart. The label is the short git SHA of the checkout's HEAD
+(see ``checkout_label``); a checkout whose src/, configs/ or perfbench/
+differ from HEAD is labelled ``<sha>+<hash of the difference>``, and those
+paths are listed as ``dirty_paths``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import statistics
 import subprocess
@@ -28,10 +30,36 @@ from pathlib import Path
 
 COMMAND = ["python3", "perfbench/run.py"]
 REPEATS = 3  # medians of at least 3 runs, as a speed claim needs
+BENCHED_PATHS = ("src", "configs", "perfbench")  # what a benchmark run builds and runs from
+
+
+def _git_bytes(root: Path, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, check=True).stdout
 
 
 def _git(root: Path, *args: str) -> str:
-    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True, check=True).stdout.strip()
+    return _git_bytes(root, *args).decode().strip()
+
+
+def dirty_paths(root: Path) -> list[str]:
+    """``git status --porcelain`` lines of the benched paths that differ from HEAD, untracked files included."""
+    return _git(root, "status", "--porcelain", "--", *BENCHED_PATHS).splitlines()
+
+
+def checkout_label(root: Path) -> str:
+    """The short SHA of the checkout's HEAD, with ``+<8 hex>`` when its benched paths differ from HEAD.
+
+    The 8 hex digits open the sha256 of ``git diff HEAD -- src configs
+    perfbench``, followed by the path and bytes of each untracked file there,
+    so two different uncommitted changes on one HEAD get two labels.
+    """
+    sha = _git(root, "rev-parse", "--short", "HEAD")
+    if not dirty_paths(root):
+        return sha
+    digest = hashlib.sha256(_git_bytes(root, "diff", "HEAD", "--", *BENCHED_PATHS))
+    for path in _git(root, "ls-files", "--others", "--exclude-standard", "--", *BENCHED_PATHS).splitlines():
+        digest.update(path.encode() + b"\0" + (root / path).read_bytes())
+    return f"{sha}+{digest.hexdigest()[:8]}"
 
 
 def run_once(root: Path, workload: str, seconds: float, trace: int, seed: int = 0) -> dict:
@@ -61,8 +89,8 @@ def main(argv=None) -> int:
     spec = json.loads((root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    sha = _git(root, "rev-parse", "--short", "HEAD")
-    dirty = _git(root, "status", "--porcelain", "--", "src", "configs", "perfbench").splitlines()
+    sha = checkout_label(root)
+    dirty = dirty_paths(root)
 
     runs = {w: [] for w in workloads}
     for i in range(REPEATS):

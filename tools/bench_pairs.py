@@ -13,9 +13,12 @@ of that file, and for the raw per-pass wall time (the median of a run's
 ``passes.wall_s``, not divided by the host slowness), it prints each side's
 median and quartiles, the change's wins (pairs where it is strictly better)
 and whether the median gap exceeds the parent's interquartile range. It
-writes every run and that summary to ``PAIRS_<parent-sha>_<change-sha>.json``
-in the current directory, under the key "W seed S"; entries for other
-workloads or seeds already in that file are kept.
+writes every run and that summary to ``PAIRS_<parent>_<change>.json`` in the
+current directory, under the key "W seed S"; entries for other workloads or
+seeds already in that file are kept. Each side is named by its checkout label
+(``bench_json.checkout_label``): the short SHA of HEAD, with ``+<8 hex>`` when
+src/, configs/ or perfbench/ differ from HEAD. Two sides with one label are
+the same code, and the script exits with status 2 without running them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from bench_json import _git, run_once
+from bench_json import checkout_label, dirty_paths, run_once
 
 SIDES = ("parent", "change")
 # the median of a run's raw pass wall times; a change the host normalisation hides still shows here
@@ -82,9 +85,12 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     roots = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    sha = {side: checkout_label(root) for side, root in roots.items()}
+    if sha["parent"] == sha["change"]:
+        print(f"bench_pairs: both checkouts are {sha['parent']}; nothing to compare", file=sys.stderr)
+        return 2
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    sha = {side: _git(root, "rev-parse", "--short", "HEAD") for side, root in roots.items()}
 
     pairs = []
     for i in range(args.pairs):
@@ -102,10 +108,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "seconds": seconds,
-        "dirty_paths": {
-            side: _git(root, "status", "--porcelain", "--", "src", "configs", "perfbench").splitlines()
-            for side, root in roots.items()
-        },
+        "dirty_paths": {side: dirty_paths(root) for side, root in roots.items()},
         "summary": summary,
         "pairs": pairs,
     }
