@@ -9,7 +9,7 @@ from .controller import (
     lyapunov_p_matrix,
     p_matrix,
 )
-from .palm import DIM, N_INPUTS, FiringVector, PalmNetwork, extended_input, network_output
+from .palm import DIM, N_INPUTS, PalmNetwork, extended_input, network_output
 from .pid import PidConfig, PidController
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "p_matrix",
     "DIM",
     "N_INPUTS",
-    "FiringVector",
     "PalmNetwork",
     "extended_input",
     "network_output",

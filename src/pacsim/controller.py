@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evolution, palm
-from .palm import DIM, PalmNetwork, extended_input, network_output
+from . import evolution
+from .palm import PalmNetwork, extended_input, network_output
 
 
 class ControllerFault(RuntimeError):
@@ -87,7 +87,6 @@ class ControlStep:
     u_src: float
     u_palm: float
     u: float
-    firing: palm.FiringVector
     bias: float = 0.0
     variance: float = 0.0
 
@@ -110,19 +109,17 @@ def adapt_weights(
     x_e: np.ndarray,
     dt: float,
 ) -> None:
-    """Sliding-mode update: w_j <- w_j - dt * gamma * (e p12 + de p22) * lam_j * x_e.
+    """Sliding-mode update: w <- w - dt * (gamma / R) * (e p12 + de p22) * x_e.
 
-    psi_j = lam_j * x_e reproduces the defuzzified output u_palm = psi' w;
-    all rows move in one rank-1 update. Entries are clipped to the weight
-    bound afterwards.
+    PALM moves rule j by lam_j * x_e; each of the R equal rules fires
+    lam_j = 1/R, so the shared row moves at gain gamma / R. Entries are
+    clipped to the weight bound afterwards.
     """
     g = step.e * P.p12 + step.e_dot * P.p22
-    w = net.weights
-    w -= (dt * c.gamma * g * step.firing.normalized)[:, None] * x_e
+    w = net.w
+    w -= (dt * c.gamma * g / net.rule_count) * x_e
     np.minimum(np.maximum(w, -c.weight_limit, out=w), c.weight_limit, out=w)
-    # clipped entries are bounded: a non-finite sum means a NaN or an infinite bound,
-    # unless a bound near the float max overflowed it (numpy warns), which the entrywise test rules out
-    if not math.isfinite(np.add.reduce(w, axis=None)) and not np.isfinite(w).all():
+    if not all(map(math.isfinite, w.tolist())):
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
@@ -152,7 +149,6 @@ class ControllerConfig:
     The learn rates must be non-negative.
     """
 
-    eta: float = 5.0
     gamma: float = 50.0
     weight_limit: float = 10.0
     actuator_limit: float = float("inf")
@@ -182,7 +178,7 @@ class ParsimoniousController:
     def __init__(self, config: ControllerConfig | None = None):
         self.config = config or ControllerConfig()
         c = self.config
-        self.net = PalmNetwork(eta=c.eta, weights=np.zeros((1, DIM)))
+        self.net = PalmNetwork()
         self.sliding = SlidingState(c.alpha1, c.alpha2, c.alpha3)
         self.evo = evolution.EvolutionState()
         self.P = p_matrix(c.alpha1, c.alpha2)
@@ -216,13 +212,13 @@ class ParsimoniousController:
         u_src = robustifying_term(s_l, s, c)
 
         x_e = extended_input(e, e_dot, y_r)
-        u_palm, firing = network_output(x_e, self.net, y_r)
+        u_palm = network_output(x_e, self.net)
         u = u_src - u_palm
 
         if not math.isfinite(u):
             raise ControllerFault(f"non-finite control at step {self.steps}: u_palm={u_palm}")
 
-        diag = ControlStep(e=e, e_dot=e_dot, s_l=s_l, u_src=u_src, u_palm=u_palm, u=u, firing=firing)
+        diag = ControlStep(e=e, e_dot=e_dot, s_l=s_l, u_src=u_src, u_palm=u_palm, u=u)
 
         if c.evolution_enabled:
             self._evolve(diag, x_e, y_r, self.steps * dt)
@@ -244,17 +240,15 @@ class ParsimoniousController:
         grow = evolution.check_grow(self.evo, bias)
         prune = evolution.check_prune(self.evo, variance)
         if grow:
-            evolution.grow_rule(self.net, diag.firing.normalized)
+            self.net.rule_count += 1
         elif prune and self.net.rule_count >= 2:
-            evolution.prune_rule(self.net, self.evo)
+            self.net.rule_count -= 1
         else:
             return
         self.events.append((t, "GROW" if grow else "PRUNE", self.net.rule_count, bias, variance))
         # re-baseline the drift detectors, as the underlying
         # process-control method does after a detection
         self.evo.restart_detectors()
-        # refresh the firing vector so the adaptation sees the edited rule set
-        _, diag.firing = network_output(x_e, self.net, y_r)
 
     def save_evolution_log(self, path) -> None:
         """Plain-text rows: time_s, event, rule_count, bias, variance."""

@@ -2,7 +2,8 @@
 
 All statistics are strictly one-pass: a Welford recurrence tracks the running
 mean/std of the bias and variance signals, and only the recorded minima are
-reset when a grow/prune condition fires.
+reset when a grow/prune condition fires. A grow adds a copy of the shared
+rule and a prune drops one, never the last (see ``pacsim.controller``).
 """
 
 from __future__ import annotations
@@ -90,20 +91,15 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
 
     E[Y] sums each rule's consequent at the input mean, and E[Y^2] each
     rule's consequent at the elementwise-squared input mean. Both are linear
-    in the weights, so they are the column sum s of the weights dotted with
-    mu_e and with mu_e * mu_e: E[Y] = sum_k s_k mu_k and E[Y^2] = sum_k
-    (s_k mu_k) mu_k, left to right. The variance estimate can go negative
-    under this approximation and is clamped at zero. A bias too large to
-    square raises FloatingPointError.
+    in the weights, so they are the column sum s = R * w of the R equal rows
+    dotted with mu_e and with mu_e * mu_e: E[Y] = sum_k s_k mu_k and E[Y^2] =
+    sum_k (s_k mu_k) mu_k, left to right. The variance estimate can go
+    negative under this approximation and is clamped at zero. A bias too
+    large to square raises FloatingPointError.
     """
     if state.k < 1:
         raise ValueError("input mean not yet populated")
-    w = net.weights
-    # s = ones @ w: one BLAS pass, where numpy's axis-0 reduce steps row by row;
-    # fill, as np.ones costs about as much as the product
-    ones = np.empty(len(w))
-    ones.fill(1.0)
-    s0, s1, s2, s3 = np.dot(ones, w).tolist()
+    s0, s1, s2, s3 = (net.rule_count * net.w).tolist()
     m0, m1, m2, m3 = state.mu_e
     t0, t1, t2, t3 = s0 * m0, s1 * m1, s2 * m2, s3 * m3
     e_y = ((t0 + t1) + t2) + t3
@@ -137,27 +133,3 @@ def check_prune(state: EvolutionState, variance: float) -> bool:
     The extra 2 keeps a prune from chasing directly after a grow.
     """
     return state.prune.fires(variance, 2.0 * pruning_factor(variance))
-
-
-def grow_rule(net: PalmNetwork, firing: np.ndarray) -> None:
-    """Append a copy of the highest-firing rule; ties go to the lowest index.
-
-    The copy has its original's distance, firing and update from then on, so
-    the rule base stays R copies of one row and growth only divides the
-    adaptation gain by R. Giving a new rule capacity of its own is open.
-    """
-    net.add_rule(net.weights[int(np.argmax(firing))])
-
-
-def rule_significances(net: PalmNetwork, state: EvolutionState) -> np.ndarray:
-    """Expected contribution of each rule: dot(weights, input mean)."""
-    return net.weights @ np.array(state.mu_e)
-
-
-def prune_rule(net: PalmNetwork, state: EvolutionState) -> int:
-    """Remove the rule with the smallest |significance|; ties go to the lowest index."""
-    if net.rule_count < 2:
-        raise ValueError("refusing to prune the last rule")
-    idx = int(np.argmin(np.abs(rule_significances(net, state))))  # argmin returns the first minimum
-    net.remove_rule(idx)
-    return idx

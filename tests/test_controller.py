@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from pacsim.controller import (
     robustifying_term,
     sliding_value,
 )
-from pacsim.palm import FiringVector, PalmNetwork
+from pacsim.palm import PalmNetwork
 from pacsim.plants import DoubleIntegrator
+from palm_oracles import PalmReference
 
 
 def _initial_sliding(**config) -> SlidingState:
@@ -111,109 +113,102 @@ def test_published_p_agrees_with_lyapunov_solution_on_adaptation_entries():
         assert pub.p22 == pytest.approx(exact.p22, rel=1e-14)
 
 
-def _firing(lams):
-    lams = np.asarray(lams, dtype=float)
-    return FiringVector(raw=lams.copy(), normalized=lams)
+def _step(e, e_dot=0.0):
+    return ControlStep(e=e, e_dot=e_dot, s_l=0.0, u_src=0.0, u_palm=0.0, u=0.0)
 
 
 def test_adapt_weights_no_error_no_change():
-    net = PalmNetwork(weights=[[0.1, 0.2, 0.3, 0.4]])
-    step = ControlStep(e=0.0, e_dot=0.0, s_l=0.0, u_src=0.0, u_palm=0.0, u=0.0, firing=_firing([1.0]))
-    before = net.weights[0].copy()
-    adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, 0, 0, 1.0]), 1.0)
-    np.testing.assert_array_equal(net.weights[0], before)
+    net = PalmNetwork(w=np.array([0.1, 0.2, 0.3, 0.4]))
+    before = net.w.copy()
+    adapt_weights(net, _step(0.0), ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, 0, 0, 1.0]), 1.0)
+    np.testing.assert_array_equal(net.w, before)
 
 
 def test_adapt_weights_hand_arithmetic():
     # g = e*p12 + de*p22 = 2 with the crafted P below
-    net = PalmNetwork(weights=np.zeros((1, 4)))
-    step = ControlStep(e=2.0, e_dot=0.0, s_l=0.0, u_src=0.0, u_palm=0.0, u=0.0, firing=_firing([1.0]))
+    net = PalmNetwork()
     P = PMatrix(p11=1.0, p12=1.0, p21=1.0, p22=1.0)
     x_e = np.array([1.0, 0.0, 0.0, 1.0])
-    adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 1.0)
-    np.testing.assert_allclose(net.weights[0], [-2.0, 0.0, 0.0, -2.0])
+    adapt_weights(net, _step(2.0), ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 1.0)
+    np.testing.assert_allclose(net.w, [-2.0, 0.0, 0.0, -2.0])
+    # four rules share the row, so it moves at a quarter of the gain
+    net = PalmNetwork(rule_count=4)
+    adapt_weights(net, _step(2.0), ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 1.0)
+    np.testing.assert_allclose(net.w, [-0.5, 0.0, 0.0, -0.5])
 
 
 def test_adapt_weights_direction_opposes_g():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        net = PalmNetwork(weights=np.zeros((1, 4)))
+        net = PalmNetwork()
         e, ed = rng.uniform(-1, 1, size=2)
         P = p_matrix(1e-2, 1e-3)
         g = e * P.p12 + ed * P.p22
         x_e = np.array([1.0, abs(e), abs(ed), 2.0])  # positive entries
-        step = ControlStep(e=e, e_dot=ed, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([1.0]))
-        adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 0.01)
+        adapt_weights(net, _step(e, ed), ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 0.01)
         if g != 0:
-            assert np.all(np.sign(net.weights[0]) == -np.sign(g) * np.sign(x_e))
+            assert np.all(np.sign(net.w) == -np.sign(g) * np.sign(x_e))
 
 
 def test_adapt_weights_clipped_to_limit():
-    net = PalmNetwork(weights=np.zeros((1, 4)))
-    step = ControlStep(e=100.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([1.0]))
-    adapt_weights(net, step, ControllerConfig(gamma=100.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.ones(4), 1.0)
-    assert np.all(np.abs(net.weights[0]) <= 10.0)
+    net = PalmNetwork()
+    adapt_weights(net, _step(100.0), ControllerConfig(gamma=100.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.ones(4), 1.0)
+    assert np.all(np.abs(net.w) <= 10.0)
 
 
 def test_adapt_weights_many_rules_match_per_row_update():
+    # PALM moves each of R equal rows by its firing share 1/R
     rng = np.random.default_rng(33)
     for r in (2, 7, 40):
-        w0 = rng.uniform(-3, 3, size=(r, 4))
-        net = PalmNetwork(weights=w0)
-        lam = rng.dirichlet(np.ones(r))
+        w0 = rng.uniform(-3, 3, size=4)
+        net = PalmNetwork(w=w0.copy(), rule_count=r)
         e, ed = rng.uniform(-2, 2, size=2)
-        step = ControlStep(e=e, e_dot=ed, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
         P = p_matrix(1e-2, 1e-3)
         x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
-        adapt_weights(net, step, ControllerConfig(gamma=0.5, weight_limit=2.5), P, x_e, 0.01)
+        adapt_weights(net, _step(e, ed), ControllerConfig(gamma=0.5, weight_limit=2.5), P, x_e, 0.01)
         g = e * P.p12 + ed * P.p22
-        for j in range(r):
-            want = [max(-2.5, min(2.5, w0[j, q] - 0.01 * 0.5 * g * lam[j] * x_e[q])) for q in range(4)]
-            np.testing.assert_allclose(net.weights[j], want, rtol=0.0, atol=1e-12)
+        want = [max(-2.5, min(2.5, w0[q] - 0.01 * 0.5 * g * (1.0 / r) * x_e[q])) for q in range(4)]
+        np.testing.assert_allclose(net.w, want, rtol=0.0, atol=1e-12)
 
 
 def test_adapt_weights_bit_equal_to_outer_and_clip_reference():
+    # the update is one scaled input, then np.clip, bit for bit
     rng = np.random.default_rng(34)
     P = p_matrix(1e-2, 1e-3)
     for r in (1, 3, 95):
         for gamma in (0.5, 5e3):  # the large gain drives entries past both bounds
-            w0 = rng.uniform(-3, 3, size=(r, 4))
-            lam = rng.dirichlet(np.ones(r))
+            w0 = rng.uniform(-3, 3, size=4)
             e, ed = rng.uniform(-2, 2, size=2)
             x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
-            net = PalmNetwork(weights=w0)
-            step = ControlStep(e=e, e_dot=ed, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
-            adapt_weights(net, step, ControllerConfig(gamma=gamma, weight_limit=2.5), P, x_e, 0.01)
+            net = PalmNetwork(w=w0.copy(), rule_count=r)
+            adapt_weights(net, _step(e, ed), ControllerConfig(gamma=gamma, weight_limit=2.5), P, x_e, 0.01)
             g = e * P.p12 + ed * P.p22
-            want = np.clip(w0 - np.outer(0.01 * gamma * g * lam, x_e), -2.5, 2.5)
-            assert np.array_equal(net.weights, want)
+            want = np.clip(w0 - (0.01 * gamma * g / r) * x_e, -2.5, 2.5)
+            assert np.array_equal(net.w, want)
             if gamma > 1.0:
-                assert (net.weights == 2.5).any() and (net.weights == -2.5).any()
+                assert (net.w == 2.5).any() and (net.w == -2.5).any()
 
 
 def test_adapt_weights_nan_input_raises():
-    for lam in ([1.0], [0.2, 0.3, 0.5]):
-        net = PalmNetwork(weights=np.zeros((len(lam), 4)))
-        step = ControlStep(e=1.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
+    for r in (1, 3):
+        net = PalmNetwork(rule_count=r)
         with pytest.raises(ControllerFault):
-            adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01)
+            adapt_weights(net, _step(1.0), ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01)
 
 
 def test_adapt_weights_finite_check_is_entrywise():
-    # entries at a bound near the float max overflow their sum (numpy warns)
-    # but are finite: no fault
-    net = PalmNetwork(weights=np.full((2, 4), 1e308))
-    step = ControlStep(e=0.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing([0.5, 0.5]))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=1e308), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
-    assert np.all(net.weights == 1e308)
+    # entries at a bound near the float max would overflow their sum, but are finite: no fault and no warning
+    net = PalmNetwork(w=np.full(4, 1e308), rule_count=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adapt_weights(net, _step(0.0), ControllerConfig(gamma=1.0, weight_limit=1e308), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
+    assert np.all(net.w == 1e308)
     # an infinite bound lets an infinite entry through, which is a fault
-    for lam in ([1.0], [0.5, 0.5]):
-        net = PalmNetwork(weights=np.zeros((len(lam), 4)))
-        net.weights[-1, 2] = np.inf
-        step = ControlStep(e=0.0, e_dot=0.0, s_l=0, u_src=0, u_palm=0, u=0, firing=_firing(lam))
+    for r in (1, 2):
+        net = PalmNetwork(rule_count=r)
+        net.w[2] = np.inf
         with pytest.raises(ControllerFault):
-            adapt_weights(net, step, ControllerConfig(gamma=1.0, weight_limit=float("inf")), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
+            adapt_weights(net, _step(0.0), ControllerConfig(gamma=1.0, weight_limit=float("inf")), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
 
 
 def test_clamps_match_np_clip():
@@ -229,7 +224,7 @@ def test_clamps_match_np_clip():
         # the applied u: a bias rule of +-1e3 pushes u past either bound
         for bias in (1e3, -1e3, 0.3, 0.0):
             ctl = ParsimoniousController(ControllerConfig(actuator_limit=limit, evolution_enabled=False))
-            ctl.net.weights[0, 0] = bias
+            ctl.net.w[0] = bias
             u, diag = ctl.step(1.0, 1.0, 0.01)
             assert type(u) is float
             assert u == float(np.clip(diag.u, -limit, limit))
@@ -353,121 +348,29 @@ def test_prune_never_fires_on_single_rule_controller():
         assert ctl.rule_count >= 1
 
 
-def _reference_loop(n, dt, y_r, gamma, eta, m_w, m_u, sat, rho, amax):
-    """Independent straight-line reimplementation of controller + plant."""
-    a1, a2, a3 = 1e-2, 1e-3, 1e-9
-    lo = (a1, a2, a3)
-    rules = [[0.0, 0.0, 0.0, 0.0]]
-    mu_e = [0.0] * 4
-    k = 0
-    mb_n, mb_mean, mb_m2 = 0, 0.0, 0.0
-    mv_n, mv_mean, mv_m2 = 0, 0.0, 0.0
-    mbmin = sbmin = mvmin = svmin = None
-    floor = 0.2
+def _reference_loop(n, dt, y_r, cfg):
+    """PALM's R-row controller (``palm_oracles.PalmReference``) flying a
+    straight-line double integrator."""
+    ref = PalmReference(cfg)
     y, v = 0.0, 0.0
-    e_prev = None
-    ei = 0.0
     out = []
-    for i in range(n):
-        e = y_r - y
-        ed = 0.0 if e_prev is None else (e - e_prev) / dt
-        e_prev = e
-        ei += e * dt
-        p12, p22 = 1 / (2 * a1), (1 + a1) / (2 * a1 * a2)
-        sl = e + (a2 / a1) * ed + (a3 / a1) * ei
-        usrc = max(-sat, min(sat, a1 * sl))
-        xe = [1.0, e, ed, y_r]
-        dists = []
-        for w in rules:
-            plane = w[1] * xe[1] + w[2] * xe[2] + w[3] * xe[3] + w[0]
-            dists.append(abs(y_r - plane) / math.sqrt(1 + w[1] ** 2 + w[2] ** 2 + w[3] ** 2))
-        dmax = max(dists)
-        raw = [1.0] * len(rules) if dmax == 0 else [math.exp(-eta * d / dmax) for d in dists]
-        tot = sum(raw)
-        lam = [r / tot for r in raw]
-        upalm = sum(l * sum(wi * xi for wi, xi in zip(w, xe)) for l, w in zip(lam, rules))
-        u = usrc - upalm
-        # evolution
-        k += 1
-        for q in range(4):
-            mu_e[q] += (xe[q] - mu_e[q]) / k
-        ey = sum(sum(wi * mi for wi, mi in zip(w, mu_e)) for w in rules)
-        ey2 = sum(sum(wi * mi * mi for wi, mi in zip(w, mu_e)) for w in rules)
-        bias2 = (ey - y_r) ** 2
-        var = max(ey2 - ey * ey, 0.0)
-        b = math.sqrt(bias2)
-        mb_n += 1
-        d_ = b - mb_mean
-        mb_mean += d_ / mb_n
-        mb_m2 += d_ * (b - mb_mean)
-        sdb = math.sqrt(max(mb_m2, 0.0) / mb_n)
-        if mbmin is None or mb_mean < mbmin:
-            mbmin = mb_mean
-        if sbmin is None or sdb < sbmin:
-            sbmin = sdb
-        g_f = 1.3 * math.exp(-bias2) + 0.7
-        grew = (mb_mean + sdb) > (mbmin + g_f * max(sbmin, floor * abs(mbmin), 0.01))
-        mv_n += 1
-        d_ = var - mv_mean
-        mv_mean += d_ / mv_n
-        mv_m2 += d_ * (var - mv_mean)
-        sdv = math.sqrt(max(mv_m2, 0.0) / mv_n)
-        if mvmin is None or mv_mean < mvmin:
-            mvmin = mv_mean
-        if svmin is None or sdv < svmin:
-            svmin = sdv
-        p_f = 1.3 * math.exp(-var) + 0.7
-        pruned = (mv_mean + sdv) > (mvmin + 2 * p_f * max(svmin, floor * abs(mvmin), 0.01))
-        if pruned:
-            mvmin, svmin = mv_mean, sdv
-        acted = False
-        if grew:
-            mbmin, sbmin = mb_mean, sdb
-            win = max(range(len(rules)), key=lambda j: lam[j])
-            rules.append(list(rules[win]))
-            acted = True
-        elif pruned and len(rules) >= 2:
-            hs = [abs(sum(wi * mi for wi, mi in zip(w, mu_e))) for w in rules]
-            rules.pop(hs.index(min(hs)))
-            acted = True
-        if acted:
-            # detector restart after a structural edit
-            mb_n, mb_mean, mb_m2 = 0, 0.0, 0.0
-            mv_n, mv_mean, mv_m2 = 0, 0.0, 0.0
-            mbmin = sbmin = mvmin = svmin = None
-            dists = []
-            for w in rules:
-                plane = w[1] * xe[1] + w[2] * xe[2] + w[3] * xe[3] + w[0]
-                dists.append(abs(y_r - plane) / math.sqrt(1 + w[1] ** 2 + w[2] ** 2 + w[3] ** 2))
-            dmax = max(dists)
-            raw = [1.0] * len(rules) if dmax == 0 else [math.exp(-eta * d / dmax) for d in dists]
-            tot = sum(raw)
-            lam = [r / tot for r in raw]
-        g = e * p12 + ed * p22
-        for j, w in enumerate(rules):
-            for q in range(4):
-                w[q] = max(-m_w, min(m_w, w[q] - dt * gamma * g * lam[j] * xe[q]))
-        a1 = min(amax[0], max(lo[0], a1 + dt * rho[0] * abs(sl) * abs(e)))
-        a2 = min(amax[1], max(lo[1], a2 + dt * rho[1] * abs(sl) * abs(ed)))
-        a3 = min(amax[2], max(lo[2], a3 + dt * rho[2] * abs(sl) * abs(ei)))
-        ua = max(-m_u, min(m_u, u))
-        y += v * dt + 0.5 * ua * dt * dt
-        v += ua * dt
+    for _ in range(n):
+        u = ref.step(y, y_r, dt)
+        y += v * dt + 0.5 * u * dt * dt
+        v += u * dt
         out.append(y)
     return out
 
 
 def test_closed_loop_matches_independent_reference_simulation():
     dt, n = 0.01, 10_000
-    rho, amax = (0.1, 0.5, 0.001), (1.0, 0.5, 0.01)
     cfg = ControllerConfig(
         gamma=1e-3,
-        eta=5.0,
         weight_limit=10.0,
         actuator_limit=10.0,
         sat_limit=10.0,
-        learn_rates=rho,
-        alpha_max=amax,
+        learn_rates=(0.1, 0.5, 0.001),
+        alpha_max=(1.0, 0.5, 0.01),
     )
     ctl = ParsimoniousController(cfg)
     plant = DoubleIntegrator()
@@ -477,20 +380,19 @@ def test_closed_loop_matches_independent_reference_simulation():
         u = max(-10.0, min(10.0, u))
         plant.step(u, dt)
         ys.append(plant.output())
-    ref = _reference_loop(n, dt, 1.0, 1e-3, 5.0, 10.0, 10.0, 10.0, rho, amax)
-    np.testing.assert_allclose(ys, ref, atol=1e-9)
+    np.testing.assert_allclose(ys, _reference_loop(n, dt, 1.0, cfg), atol=1e-9)
 
 
 def test_antecedent_exponent_bounded_by_eta():
-    # the membership exponent argument stays in [-eta, 0]
-    ctl = ParsimoniousController(ControllerConfig(gamma=1e-3, eta=7.0))
+    # the membership exponent argument of PALM's rows stays in [-eta, 0]
+    ref = PalmReference(ControllerConfig(gamma=1e-3), eta=7.0)
     rng = np.random.default_rng(47)
     for _ in range(500):
-        _, diag = ctl.step(float(rng.uniform(-2, 2)), 1.0, 0.01)
-        raw = diag.firing.raw
-        exponents = np.log(np.clip(raw, 1e-300, None))
+        ref.step(float(rng.uniform(-2, 2)), 1.0, 0.01)
+        exponents = np.log(np.clip(ref.raw, 1e-300, None))
         assert np.all(exponents >= -7.0 - 1e-12)
         assert np.all(exponents <= 1e-12)
+    assert ref.R > 1
 
 
 def test_controller_run_is_deterministic():

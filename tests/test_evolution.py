@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from pacsim import evolution
+from pacsim.controller import ControllerConfig, ParsimoniousController
 from pacsim.evolution import (
     EvolutionState,
     check_grow,
     check_prune,
-    grow_rule,
     growth_factor,
     network_bias_variance,
-    prune_rule,
     pruning_factor,
-    rule_significances,
     update_input_mean,
 )
-from pacsim.palm import PalmNetwork, extended_input
+from pacsim.palm import DIM, PalmNetwork, extended_input
 
 
 def test_input_mean_first_sample():
@@ -43,7 +42,7 @@ def test_input_mean_matches_batch_mean():
 
 
 def test_bias_variance_zero_network():
-    net = PalmNetwork(weights=np.zeros((1, 4)))
+    net = PalmNetwork()
     state = EvolutionState()
     update_input_mean(state, extended_input(0.0, 0.0, 0.0))
     bias2, variance = network_bias_variance(net, state, 0.0)
@@ -53,7 +52,7 @@ def test_bias_variance_zero_network():
 @pytest.mark.parametrize("c,y_r", [(0.3, 1.0), (0.9, -2.0), (0.5, 0.5)])
 def test_bias_variance_single_intercept_rule(c, y_r):
     # symbolic: E[Y] = c, E[Y^2] = c, so var = c - c^2, bias2 = (c - y_r)^2
-    net = PalmNetwork(weights=[[c, 0.0, 0.0, 0.0]])
+    net = PalmNetwork(w=np.array([c, 0.0, 0.0, 0.0]))
     state = EvolutionState()
     update_input_mean(state, extended_input(0.7, -0.4, 1.3))
     bias2, variance = network_bias_variance(net, state, y_r)
@@ -65,23 +64,21 @@ def test_bias_two_ways_algebraic_identity():
     # decomposition NS - Var versus the direct square
     rng = np.random.default_rng(8)
     for _ in range(100):
-        w = rng.uniform(-1, 1, size=(3, 4))
-        net = PalmNetwork(weights=w)
+        w = rng.uniform(-1, 1, size=4)
+        net = PalmNetwork(w=w, rule_count=3)
         state = EvolutionState()
         update_input_mean(state, np.concatenate([[1.0], rng.uniform(-2, 2, 3)]))
         y_r = rng.uniform(-3, 3)
         bias2, _ = network_bias_variance(net, state, y_r)
-        e_y = float(np.sum(w @ state.mu_e))
-        e_y2 = float(np.sum(w @ (np.asarray(state.mu_e)**2)))
+        e_y = 3.0 * float(w @ state.mu_e)
+        e_y2 = 3.0 * float(w @ (np.asarray(state.mu_e)**2))
         ns = e_y2 - 2.0 * y_r * e_y + y_r**2
         var_uncl = e_y2 - e_y**2
         assert bias2 == pytest.approx(ns - var_uncl, abs=1e-12)
 
 
-def _column_sum_bias_variance(w, mu, y_r):
-    # the column sum s = ones @ w; E[Y] = sum_k s_k mu_k and
-    # E[Y^2] = sum_k (s_k mu_k) mu_k, left to right
-    s = (np.ones(len(w)) @ w).tolist()
+def _column_sum_bias_variance(s, mu, y_r):
+    # E[Y] = sum_k s_k mu_k and E[Y^2] = sum_k (s_k mu_k) mu_k for the column sum s, left to right
     t = [a * m for a, m in zip(s, mu)]
     e_y = ((t[0] + t[1]) + t[2]) + t[3]
     e_y2 = ((t[0] * mu[0] + t[1] * mu[1]) + t[2] * mu[2]) + t[3] * mu[3]
@@ -90,22 +87,26 @@ def _column_sum_bias_variance(w, mu, y_r):
 
 @pytest.mark.parametrize("r", [1, 3, 95, 250])
 def test_bias_variance_bit_equal_to_matrix_sums(r):
-    # E[Y] and E[Y^2] are the column-sum formula exactly, for one rule as for
-    # many, and equal the per-rule sums to round-off of their terms
+    # E[Y] and E[Y^2] are the column-sum formula with s = R * w exactly; they
+    # equal the per-rule sums over PALM's R equal rows to round-off of their
+    # terms, and the matrix column sum itself at R = 1
     rng = np.random.default_rng(40 + r)
     for _ in range(200):
-        w = rng.uniform(-3, 3, size=(r, 4)) * 10.0 ** rng.integers(-3, 3, size=(r, 4))
+        w = rng.uniform(-3, 3, size=4) * 10.0 ** rng.integers(-3, 3, size=4)
         state = EvolutionState()
         for _ in range(rng.integers(1, 5)):
             update_input_mean(state, np.concatenate([[1.0], rng.uniform(-4, 4, 3)]))
         y_r = float(rng.uniform(-3, 3))
-        bias2, variance = network_bias_variance(PalmNetwork(weights=w), state, y_r)
+        bias2, variance = network_bias_variance(PalmNetwork(w=w, rule_count=r), state, y_r)
         mu = np.asarray(state.mu_e)
-        assert (bias2, variance) == _column_sum_bias_variance(w, mu.tolist(), y_r)
-        e_y = float(np.add.reduce(w @ mu))
-        e_y2 = float(np.add.reduce(w @ (mu * mu)))
-        terms = float(np.abs(w * mu).sum())
-        terms2 = float(np.abs(w * (mu * mu)).sum())
+        assert (bias2, variance) == _column_sum_bias_variance((r * w).tolist(), mu.tolist(), y_r)
+        rows = np.tile(w, (r, 1))
+        if r == 1:
+            assert (bias2, variance) == _column_sum_bias_variance((np.ones(r) @ rows).tolist(), mu.tolist(), y_r)
+        e_y = float(np.add.reduce(rows @ mu))
+        e_y2 = float(np.add.reduce(rows @ (mu * mu)))
+        terms = float(np.abs(rows * mu).sum())
+        terms2 = float(np.abs(rows * (mu * mu)).sum())
         assert abs(math.sqrt(bias2) - abs(e_y - y_r)) <= 1e-12 * (terms + abs(y_r))
         assert abs(variance - max(e_y2 - e_y * e_y, 0.0)) <= 1e-12 * (terms2 + 2.0 * terms * terms)
 
@@ -167,57 +168,28 @@ def test_minima_never_exceed_running_stats():
         assert state.prune.sigma_min <= state.prune.std + 1e-12
 
 
-def test_grow_increases_parameter_count_by_dim():
-    net = PalmNetwork(weights=np.zeros((1, 4)))
-    before = net.parameter_count
-    grow_rule(net, np.array([1.0]))
-    assert net.parameter_count == before + 4
+def _controller_with_detectors(monkeypatch, grow, prune):
+    monkeypatch.setattr(evolution, "check_grow", lambda state, bias: grow)
+    monkeypatch.setattr(evolution, "check_prune", lambda state, variance: prune)
+    return ParsimoniousController(ControllerConfig(gamma=1e-3))
 
 
-def test_grow_rule_duplicates_highest_firing_rule():
-    w = np.array([[0.1, 0.0, 0.0, 0.0], [0.2, 0.3, 0.0, 0.0], [0.4, 0.0, 0.5, 0.6]])
-    for firing, winner in (([0.2, 0.7, 0.1], 1), ([0.1, 0.45, 0.45], 1), ([0.4, 0.2, 0.4], 0)):
-        net = PalmNetwork(weights=w)
-        grow_rule(net, np.array(firing))
-        assert net.rule_count == 4
-        np.testing.assert_array_equal(net.weights[:3], w)
-        np.testing.assert_array_equal(net.weights[3], w[winner])
-        # the appended row is a copy, not a view of its source
-        net.weights[3, 0] = 9.0
-        assert net.weights[winner, 0] == w[winner, 0]
+def test_grow_increases_parameter_count_by_dim(monkeypatch):
+    ctl = _controller_with_detectors(monkeypatch, grow=True, prune=True)
+    before = ctl.parameter_count
+    ctl.step(0.0, 1.0, 0.01)  # grow goes first when both detectors fire
+    assert ctl.rule_count == 2
+    assert ctl.parameter_count == before + DIM
+    assert [kind for _, kind, *_ in ctl.events] == ["GROW"]
 
 
-def test_prune_removes_lowest_significance():
-    net = PalmNetwork(weights=[[0.9, 0, 0, 0], [0.001, 0, 0, 0]])
-    state = EvolutionState()
-    update_input_mean(state, np.array([1.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(rule_significances(net, state), [0.9, 0.001])
-    assert prune_rule(net, state) == 1
-    assert net.rule_count == 1
-    np.testing.assert_allclose(net.weights[0], [0.9, 0, 0, 0])
-
-
-def test_prune_ranks_by_absolute_value():
-    # magnitude oracle: |-0.5| > |0.01| so the second rule goes
-    net = PalmNetwork(weights=[[-0.5, 0, 0, 0], [0.01, 0, 0, 0]])
-    state = EvolutionState()
-    update_input_mean(state, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert prune_rule(net, state) == 1
-
-
-def test_prune_tie_breaks_to_lowest_index():
-    net = PalmNetwork(weights=[[0.3, 0, 0, 0], [-0.3, 0, 0, 0]])
-    state = EvolutionState()
-    update_input_mean(state, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert prune_rule(net, state) == 0
-
-
-def test_prune_refuses_last_rule():
-    net = PalmNetwork(weights=np.zeros((1, 4)))
-    state = EvolutionState()
-    update_input_mean(state, np.ones(4))
-    with pytest.raises(ValueError):
-        prune_rule(net, state)
+def test_prune_refuses_last_rule(monkeypatch):
+    ctl = _controller_with_detectors(monkeypatch, grow=False, prune=True)
+    ctl.net.rule_count = 3
+    for _ in range(5):
+        ctl.step(0.0, 1.0, 0.01)
+    assert ctl.rule_count == 1
+    assert [(kind, count) for _, kind, count, *_ in ctl.events] == [("PRUNE", 2), ("PRUNE", 1)]
 
 
 def test_one_pass_determinism():

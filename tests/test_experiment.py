@@ -25,7 +25,6 @@ from pacsim.experiment import (
 
 PAC_PARAMS = {
     "gamma": 3e-3,
-    "eta": 5.0,
     "weight_limit": 10.0,
     "actuator_limit": 20.0,
     "sat_limit": 10.0,
@@ -235,6 +234,8 @@ def test_stale_flap_param_rejected():
         ("trajectory", "hexacopter_constnat", "hexacopter_constnat"),
         ("disturbances", {"impulse": {"amplitude": 2.0, "start": 5.0, "lenght": 0.1}}, "lenght"),
         ("disturbances", {"gust": {"v_m": 4.0, "onset": 2.0}}, "onset"),
+        # eta was a controller setting once; a stale one fails like a typo
+        ("controller_params", {"eta": 5.0}, "eta"),
     ],
 )
 def test_bad_part_name_rejected_at_construction(section, value, key):
