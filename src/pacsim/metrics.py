@@ -1,9 +1,11 @@
 """Tracking metrics computed from logged time series.
 
 Conventions: rise time is the first RISE_LO -> RISE_HI (10% -> 90%)
-traversal of the first commanded step, settling time is the last instant the
-response leaves a +/-SETTLE_BAND (2%) band around the final reference (None
-when the last sample lies outside the band: the run never settles), peak is
+traversal of the first commanded step, from the level before it to the first
+level the reference then holds (None when it never holds one again), settling
+time is the last instant the response leaves a +/-SETTLE_BAND (2%) band around
+the final reference (None when the last sample lies outside the band, or when
+the reference still changes on its last step: the run never settles), peak is
 the maximum response value over the run.
 """
 
@@ -57,17 +59,21 @@ def compute_rmse(y: np.ndarray, y_r: np.ndarray) -> float | None:
     return rmse
 
 
-def _first_step(y: np.ndarray, y_r: np.ndarray) -> tuple[int, float, float]:
+def _first_step(y: np.ndarray, y_r: np.ndarray) -> tuple[int, float, float | None]:
     """Start index, base level and target level of the first commanded step.
 
-    A reference that never changes is treated as a step at t=0 from the
+    The target is the first level the reference holds (two equal samples in
+    a row) once it has changed, so a ramp is measured to the level it ends
+    at; a reference that never holds a level again has no target (None). A
+    reference that never changes is treated as a step at t=0 from the
     initial response value to the reference level.
     """
     changes = np.nonzero(np.diff(y_r))[0]
     if changes.size == 0:
         return 0, float(y[0]), float(y_r[0])
     k = int(changes[0]) + 1
-    return k, float(y_r[k - 1]), float(y_r[k])
+    holds = np.nonzero(np.diff(y_r[k:]) == 0.0)[0]
+    return k, float(y_r[k - 1]), float(y_r[k + holds[0]]) if holds.size else None
 
 
 def compute_step_metrics(
@@ -83,7 +89,7 @@ def compute_step_metrics(
 
     k0, base, target = _first_step(y, y_r)
     rise_ms = None
-    span = target - base
+    span = 0.0 if target is None else target - base
     if span != 0.0:
         lo = base + RISE_LO * span
         hi = base + RISE_HI * span
@@ -99,6 +105,9 @@ def compute_step_metrics(
             if t_hi >= t_lo:
                 rise_ms = (t_hi - t_lo) * dt * 1e3
 
+    if y.size > 1 and y_r[-1] != y_r[-2]:
+        # the reference still moves on its last step: there is no level to settle to
+        return rise_ms, None, peak
     final_ref = float(y_r[-1])
     band = SETTLE_BAND * abs(final_ref) if final_ref != 0.0 else SETTLE_BAND
     outside = np.nonzero(np.abs(y - final_ref) > band)[0]

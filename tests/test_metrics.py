@@ -136,3 +136,45 @@ def test_report_rise_not_after_settle():
     y = 1 - np.exp(-t) + 0.001 * rng.standard_normal(len(t))
     rep = report(y, np.ones_like(y), 0.01)
     assert rep.rise_time_ms <= rep.settling_time_ms
+
+
+def test_ramp_rise_is_measured_to_the_level_the_reference_holds():
+    # 1 s at 0, a 1 s ramp to 2 m in steps of 0.02 m (0.01, 0.03, ..., 1.99),
+    # then 2 m held; the response lags the reference by 0.2 s
+    dt = 0.01
+    y_r = np.concatenate([np.zeros(100), np.arange(1, 101) * 0.02 - 0.01, np.full(300, 2.0)])
+    y = np.concatenate([np.zeros(20), y_r[:-20]])
+    rise, settle, peak = compute_step_metrics(y, y_r, dt)
+    # 10 % (0.2 m) is first passed at 0.21 m and 90 % (1.8 m) at 1.81 m, 80 samples later
+    assert rise == pytest.approx(80 * dt * 1e3)
+    # the last sample outside 2 m +/- 2 % is 1.95 m, 20 + 98 samples after the ramp starts
+    assert settle == pytest.approx((100 + 20 + 98) * dt * 1e3)
+    assert peak == 2.0
+
+
+def test_sine_reference_has_no_rise_or_settling_time():
+    # the reference never holds a level and still moves on its last step
+    dt = 0.01
+    t = np.arange(0, 20, dt)
+    y_r = 1.0 + 0.5 * np.sin(t)
+    for y in (y_r, 1.0 + 0.5 * np.sin(t - 0.1)):
+        rise, settle, peak = compute_step_metrics(y, y_r, dt)
+        assert rise is None
+        assert settle is None
+        assert peak == float(np.max(y))
+    rep = report(y_r, y_r, dt)
+    assert rep.as_row()["rise_time_ms"] == "" and rep.as_row()["settling_time_ms"] == ""
+
+
+def test_reference_that_moves_on_its_last_step_never_settles():
+    # the response sits on the reference, which steps on the very last sample
+    dt = 0.01
+    y_r = np.concatenate([np.zeros(100), np.ones(399), [1.5]])
+    rise, settle, _ = compute_step_metrics(y_r.copy(), y_r, dt)
+    assert rise == 0.0
+    assert settle is None
+    # held for one more sample, the same step settles when the response reaches it
+    y_r = np.append(y_r, 1.5)
+    y = np.append(y_r[:-2], [1.0, 1.5])
+    _, settle, _ = compute_step_metrics(y, y_r, dt)
+    assert settle == pytest.approx(500 * dt * 1e3)
