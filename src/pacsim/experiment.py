@@ -203,14 +203,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     return result
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 # rows per block of the step-log codec: columns are converted a block at a
 # time, so the memory a log takes beyond its series stays bounded
 _BLOCK_ROWS = 1000
@@ -302,8 +294,7 @@ def write_summary_csv(rows: list[dict], path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) if isinstance(v, float) or v is None else v for k, v in row.items()})
+        writer.writerows(rows)
 
 
 def run_suite(experiments: list[ExperimentConfig], out_dir: str | Path) -> list[ExperimentResult]:

@@ -31,7 +31,7 @@ SUITES = ("hexacopter_suite.yaml", "bifwmav_suite.yaml")
 
 def save(path: Path, checkout: Path, seconds: float) -> None:
     sys.path.insert(0, str(checkout / "src"))
-    from pacsim.experiment import DivergenceError, ExperimentConfig, _fmt, run_experiment, summary_row
+    from pacsim.experiment import DivergenceError, ExperimentConfig, run_experiment, summary_row
 
     arrays, meta = {}, {}
     for suite in SUITES:
@@ -47,7 +47,7 @@ def save(path: Path, checkout: Path, seconds: float) -> None:
             arrays[f"{name}:u"] = np.array(series["u"], dtype=float)
             arrays[f"{name}:R"] = np.array([r for r in series["R"] if r is not None], dtype=int)
             events = [[t, kind, count] for t, kind, count, _, _ in getattr(result.controller, "events", [])]
-            cells = {k: _fmt(v) if isinstance(v, float) or v is None else str(v) for k, v in summary_row(result).items()}
+            cells = {k: "" if v is None else str(v) for k, v in summary_row(result).items()}
             meta[name] = {"error": None, "events": events, "summary": cells}
             print(f"{name}: {len(series['y'])} steps", file=sys.stderr)
     np.savez_compressed(path, meta=np.array(json.dumps(meta)), **arrays)
