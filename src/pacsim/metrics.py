@@ -79,7 +79,12 @@ def _first_step(y: np.ndarray, y_r: np.ndarray) -> tuple[int, float, float | Non
 def compute_step_metrics(
     y: np.ndarray, y_r: np.ndarray, dt: float
 ) -> tuple[float | None, float | None, float | None]:
-    """(rise_ms, settle_ms, peak) for a logged response against its reference."""
+    """(rise_ms, settle_ms, peak) for a logged response against its reference.
+
+    Times are whole samples n, in ms as n * 1e3 * dt: n * 1e3 is exact, so
+    one rounding remains (164 samples at dt 0.01 read 1640.0, where
+    n * dt * 1e3 rounds twice to 1640.0000000000002).
+    """
     y = np.asarray(y, dtype=float)
     y_r = np.asarray(y_r, dtype=float)
     if y.size == 0:
@@ -103,7 +108,7 @@ def compute_step_metrics(
         if lo_hits.size and hi_hits.size:
             t_lo, t_hi = int(lo_hits[0]), int(hi_hits[0])
             if t_hi >= t_lo:
-                rise_ms = (t_hi - t_lo) * dt * 1e3
+                rise_ms = (t_hi - t_lo) * 1e3 * dt
 
     if y.size > 1 and y_r[-1] != y_r[-2]:
         # the reference still moves on its last step: there is no level to settle to
@@ -116,7 +121,7 @@ def compute_step_metrics(
     elif outside[-1] == y.size - 1:
         settle_ms = None
     else:
-        settle_ms = (int(outside[-1]) + 1) * dt * 1e3
+        settle_ms = (int(outside[-1]) + 1) * 1e3 * dt
 
     return rise_ms, settle_ms, peak
 

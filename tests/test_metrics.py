@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,3 +179,20 @@ def test_reference_that_moves_on_its_last_step_never_settles():
     y = np.append(y_r[:-2], [1.0, 1.5])
     _, settle, _ = compute_step_metrics(y, y_r, dt)
     assert settle == pytest.approx(500 * dt * 1e3)
+
+
+@pytest.mark.parametrize("dt", [0.005, 0.01, 0.02])
+def test_whole_sample_times_read_as_decimal_milliseconds(dt):
+    # a rise of n samples and a settle after m samples read exactly n and m
+    # times the step in ms: 164 samples at dt 0.01 are 1640.0 ms
+    step_ms = Fraction(str(dt)) * 1000
+    for n in (1, 3, 164, 999, 4321):
+        m = n + 7
+        y_r = np.ones(m + 50)
+        y = np.ones(m + 50)
+        y[:m] = 0.5  # inside 10 % .. 90 %, outside the 2 % band
+        y[0] = 0.0  # below 10 %: 10 % is reached at sample 1
+        y[n + 1 :] = np.where(np.arange(n + 1, m + 50) < m, 0.95, 1.0)
+        rise, settle, _ = compute_step_metrics(y, y_r, dt)
+        assert rise == float(n * step_ms)
+        assert settle == float(m * step_ms)
