@@ -67,10 +67,10 @@ class ExperimentConfig:
             raise ValueError(f"{self.name}: {exc}") from exc
 
     def _check(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, not {self.dt!r}")
-        if not self.duration >= 0:
-            raise ValueError(f"duration must be non-negative, not {self.duration!r}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, not {self.dt!r}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be non-negative and finite, not {self.duration!r}")
         steps = self.duration / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integer number of steps")

@@ -243,7 +243,9 @@ def test_bad_part_name_rejected_at_construction(section, value, key):
         ExperimentConfig(name="typo", **{section: value})
 
 
-@pytest.mark.parametrize("key, value", [("dt", -0.01), ("dt", 0.0), ("duration", -5.0)])
+@pytest.mark.parametrize(
+    "key, value", [("dt", -0.01), ("dt", 0.0), ("dt", math.inf), ("duration", -5.0), ("duration", math.inf)]
+)
 def test_nonpositive_step_or_negative_duration_rejected(key, value):
     with pytest.raises(ValueError, match=f"^bad_time: {key} must be"):
         ExperimentConfig(name="bad_time", **{key: value})
