@@ -12,7 +12,9 @@ parent commit can be snapshotted from its own clone. For each experiment it
 stores the y, u and R series, the GROW/PRUNE events as (time, kind, rule
 count) and the summary.csv cells. ``compare`` prints one line per experiment:
 max |dy|, max |du|, whether the events and the R series are equal, and each
-summary cell that differs with both values; then one line of totals.
+summary cell that differs with both values; then one line of totals. It
+exits 1 when any experiment's events or R series differ, or when only one
+side ran it, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -65,16 +67,21 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b), initial=0.0))
 
 
-def compare(old_path: Path, new_path: Path) -> None:
+def compare(old_path: Path, new_path: Path) -> bool:
+    """Print the per-experiment lines and the totals; True when no events or R series differ
+    and every experiment ran on both sides or on neither."""
     old_meta, old = load(old_path)
     new_meta, new = load(new_path)
     worst_y = worst_u = 0.0
     same_events = same_r = cells_moved = 0
+    same = True
     names = list(old_meta) + [n for n in new_meta if n not in old_meta]
     for name in names:
         a, b = old_meta.get(name), new_meta.get(name)
-        if a is None or b is None or a["error"] or b["error"]:
+        ran_a, ran_b = bool(a and not a["error"]), bool(b and not b["error"])
+        if not (ran_a and ran_b):
             print(f"{name}: old {a and (a['error'] or 'ran')}, new {b and (b['error'] or 'ran')}")
+            same = same and ran_a == ran_b
             continue
         dy = max_abs_diff(old[f"{name}:y"], new[f"{name}:y"])
         du = max_abs_diff(old[f"{name}:u"], new[f"{name}:u"])
@@ -84,6 +91,7 @@ def compare(old_path: Path, new_path: Path) -> None:
         worst_y, worst_u = max(worst_y, dy), max(worst_u, du)
         same_events += events
         same_r += r
+        same = same and events and r
         cells_moved += len(moved)
         print(
             f"{name}: max |dy| {dy:.3g}, max |du| {du:.3g}, events {'equal' if events else 'DIFFER'}, "
@@ -93,9 +101,10 @@ def compare(old_path: Path, new_path: Path) -> None:
         f"{len(names)} experiments: max |dy| {worst_y:.3g}, max |du| {worst_u:.3g}, "
         f"events equal in {same_events}, R equal in {same_r}, {cells_moved} summary cells moved"
     )
+    return same
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     p_save = sub.add_parser("save", help="run both suites and snapshot them")
@@ -108,9 +117,9 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     if args.command == "save":
         save(args.snapshot, args.checkout.resolve(), args.seconds)
-    else:
-        compare(args.old, args.new)
+        return 0
+    return 0 if compare(args.old, args.new) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
