@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import evolution
 from .palm import PalmNetwork, extended_input, network_output
 
@@ -106,7 +104,7 @@ def adapt_weights(
     step: ControlStep,
     c: ControllerConfig,
     P: PMatrix,
-    x_e: np.ndarray,
+    x_e,
     dt: float,
 ) -> None:
     """Sliding-mode update: w <- w - dt * (gamma / R) * (e p12 + de p22) * x_e.
@@ -116,10 +114,10 @@ def adapt_weights(
     clipped to the weight bound afterwards.
     """
     g = step.e * P.p12 + step.e_dot * P.p22
-    w = net.w
-    w -= (dt * c.gamma * g / net.rule_count) * x_e
-    np.minimum(np.maximum(w, -c.weight_limit, out=w), c.weight_limit, out=w)
-    if not all(map(math.isfinite, w.tolist())):
+    k = dt * c.gamma * g / net.rule_count
+    lim = c.weight_limit
+    w = net.w = [min(max(v - k * x, -lim), lim) for v, x in zip(net.w, x_e)]
+    if not all(map(math.isfinite, w)):
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
@@ -167,9 +165,10 @@ class ControllerConfig:
         self.alpha_max = tuple(map(float, self.alpha_max))
         if not all(r >= 0.0 for r in self.learn_rates):
             raise ValueError("learn_rates must be non-negative: the sliding coefficients only grow")
-        # keeps the min/max clamps on u and u_src float-valued
+        # keeps the min/max clamps on u, u_src and the weights float-valued
         self.actuator_limit = float(self.actuator_limit)
         self.sat_limit = float(self.sat_limit)
+        self.weight_limit = float(self.weight_limit)
 
 
 class ParsimoniousController:
@@ -231,7 +230,7 @@ class ParsimoniousController:
         self.steps += 1
         return min(max(u, -c.actuator_limit), c.actuator_limit), diag
 
-    def _evolve(self, diag: ControlStep, x_e: np.ndarray, y_r: float, t: float) -> None:
+    def _evolve(self, diag: ControlStep, x_e: tuple, y_r: float, t: float) -> None:
         """Structure learning: grow first, prune otherwise (never both); ``t`` stamps the event."""
         evolution.update_input_mean(self.evo, x_e)
         bias2, variance = evolution.network_bias_variance(self.net, self.evo, y_r)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .palm import DIM, PalmNetwork
 
 # Floors of the sigma-rule spread. The stored minimum of a standard deviation
@@ -75,14 +73,11 @@ class EvolutionState:
         self.prune = SigmaRule()
 
 
-def update_input_mean(state: EvolutionState, x_e: np.ndarray) -> None:
-    """Incremental mean of the extended input; increments the sample counter.
-
-    The elementwise update runs on Python floats, with numpy's float operations.
-    """
+def update_input_mean(state: EvolutionState, x_e) -> None:
+    """Incremental mean of the extended input; increments the sample counter."""
     k = state.k = state.k + 1
     m0, m1, m2, m3 = state.mu_e
-    x0, x1, x2, x3 = x_e.tolist()
+    x0, x1, x2, x3 = x_e
     state.mu_e = (m0 + (x0 - m0) / k, m1 + (x1 - m1) / k, m2 + (x2 - m2) / k, m3 + (x3 - m3) / k)
 
 
@@ -99,9 +94,10 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
     """
     if state.k < 1:
         raise ValueError("input mean not yet populated")
-    s0, s1, s2, s3 = (net.rule_count * net.w).tolist()
+    r = net.rule_count
+    w0, w1, w2, w3 = net.w
     m0, m1, m2, m3 = state.mu_e
-    t0, t1, t2, t3 = s0 * m0, s1 * m1, s2 * m2, s3 * m3
+    t0, t1, t2, t3 = (r * w0) * m0, (r * w1) * m1, (r * w2) * m2, (r * w3) * m3
     e_y = ((t0 + t1) + t2) + t3
     e_y2 = ((t0 * m0 + t1 * m1) + t2 * m2) + t3 * m3
     try:

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics, trajectories
 from .controller import ControllerConfig, ControllerFault, ParsimoniousController
 from .palm import save_rules

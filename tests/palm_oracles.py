@@ -34,6 +34,7 @@ def membership(d_j: float, d_max: float, eta: float) -> float:
 
 def rule_consequent(x_e: np.ndarray, w: np.ndarray) -> float:
     """Hyperplane output: dot(extended input, rule weights)."""
+    x_e = np.asarray(x_e)
     if x_e.shape != np.shape(w):
         raise ValueError("extended input and rule weights disagree in dimension")
     return float(np.dot(x_e, w))

@@ -196,7 +196,7 @@ def _run_double_integrator(params, seconds=100.0, dt=0.01, y_r=1.0):
         log["e"].append(diag.e)
         log["e_dot"].append(diag.e_dot)
         log["u"].append(u)
-        log["w"].append(ctl.net.w.copy())
+        log["w"].append(np.array(ctl.net.w))
         log["y"].append(plant.output())
     return ctl, log
 

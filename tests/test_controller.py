@@ -20,7 +20,7 @@ from pacsim.controller import (
     robustifying_term,
     sliding_value,
 )
-from pacsim.palm import PalmNetwork
+from pacsim.palm import PalmNetwork, extended_input
 from pacsim.plants import DoubleIntegrator
 from palm_oracles import PalmReference
 
@@ -186,7 +186,7 @@ def test_adapt_weights_bit_equal_to_outer_and_clip_reference():
             want = np.clip(w0 - (0.01 * gamma * g / r) * x_e, -2.5, 2.5)
             assert np.array_equal(net.w, want)
             if gamma > 1.0:
-                assert (net.w == 2.5).any() and (net.w == -2.5).any()
+                assert 2.5 in net.w and -2.5 in net.w
 
 
 def test_adapt_weights_nan_input_raises():
@@ -196,13 +196,29 @@ def test_adapt_weights_nan_input_raises():
             adapt_weights(net, _step(1.0), ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01)
 
 
+def test_weights_stay_python_floats_after_adaptation():
+    # a numpy row in, an integer bound from YAML that clips some entries: every entry stays a float
+    rng = np.random.default_rng(35)
+    P = p_matrix(1e-2, 1e-3)
+    net = PalmNetwork(w=rng.uniform(-1, 1, size=4), rule_count=3)
+    for _ in range(50):
+        e, ed, y_r = rng.uniform(-2, 2, size=3).tolist()
+        adapt_weights(net, _step(e, ed), ControllerConfig(gamma=5e3, weight_limit=2), P, extended_input(e, ed, y_r), 0.01)
+        assert all(type(v) is float for v in net.w)
+    assert 2.0 in net.w or -2.0 in net.w
+    ctl = ParsimoniousController()
+    for y in np.linspace(0.0, 1.0, 20).tolist():
+        ctl.step(y, 1.0, 0.01)
+    assert all(type(v) is float for v in ctl.net.w) and all(type(v) is float for v in ctl.evo.mu_e)
+
+
 def test_adapt_weights_finite_check_is_entrywise():
     # entries at a bound near the float max would overflow their sum, but are finite: no fault and no warning
     net = PalmNetwork(w=np.full(4, 1e308), rule_count=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adapt_weights(net, _step(0.0), ControllerConfig(gamma=1.0, weight_limit=1e308), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
-    assert np.all(net.w == 1e308)
+    assert net.w == [1e308] * 4
     # an infinite bound lets an infinite entry through, which is a fault
     for r in (1, 2):
         net = PalmNetwork(rule_count=r)

@@ -138,9 +138,19 @@ def test_network_output_matches_reference_implementation():
             assert network_output(x_e, PalmNetwork(w=weights[0], rule_count=r)) == pytest.approx(copies, abs=1e-12)
 
 
+def _left_to_right(w, x_e) -> float:
+    return ((w[0] * x_e[0] + w[1] * x_e[1]) + w[2] * x_e[2]) + w[3] * x_e[3]
+
+
+def _near_matrix_oracle(u, u_ref, w, x_e) -> bool:
+    # two summation orders of one 4-term dot product differ by at most
+    # 2 * gamma_4 * sum |w_k x_k| (gamma_4 = 4u / (1 - 4u), u = 2^-53), below 1e-15 * sum |w_k x_k|
+    return abs(u - u_ref) <= 1e-15 * sum(abs(a * b) for a, b in zip(w, x_e))
+
+
 def test_network_output_bit_equal_to_matrix_formula():
     # PALM's one-rule network fires fully, raw / raw == 1.0, so the matrix
-    # formula outputs the rule's consequent with the bits of the network output
+    # formula outputs the rule's consequent; the network sums it left to right
     rng = np.random.default_rng(29)
     for spread in (False, True):
         for _ in range(500):
@@ -151,7 +161,9 @@ def test_network_output_bit_equal_to_matrix_formula():
             y_r = rng.uniform(-4, 4)
             u_ref, _, normalized = matrix_network_output(x_e, w[None, :], 5.0, y_r)
             assert normalized.tolist() == [1.0]
-            assert network_output(x_e, PalmNetwork(w=w)) == u_ref
+            u = network_output(x_e, PalmNetwork(w=w))
+            assert u == _left_to_right(w.tolist(), x_e.tolist())
+            assert _near_matrix_oracle(u, u_ref, w, x_e)
     # every plane through the point: d_max == 0 and all rules fire fully
     for r in (1, 2, 25):
         y_r = float(rng.uniform(-4, 4))
@@ -159,11 +171,14 @@ def test_network_output_bit_equal_to_matrix_formula():
         x_e = extended_input(0.0, 0.0, y_r)
         u_ref, raw, _ = matrix_network_output(x_e, np.tile(w, (r, 1)), 5.0, y_r)
         assert raw.tolist() == [1.0] * r
-        assert network_output(x_e, PalmNetwork(w=w, rule_count=r)) == pytest.approx(u_ref, abs=1e-12)
+        u = network_output(x_e, PalmNetwork(w=w, rule_count=r))
+        assert u == _left_to_right(w.tolist(), x_e)
+        assert u == pytest.approx(u_ref, abs=1e-12)
 
 
 def test_one_rule_fires_fully_and_outputs_its_consequent():
-    # over weights and inputs of many magnitudes, the output is the BLAS consequent itself
+    # over weights and inputs of many magnitudes, the output is the rule's
+    # consequent summed left to right, next to the BLAS consequent of the oracle
     rng = np.random.default_rng(37)
     for _ in range(2000):
         w = rng.uniform(-3, 3, size=(1, 4)) * 10.0 ** rng.integers(-4, 4, size=(1, 4))
@@ -171,7 +186,24 @@ def test_one_rule_fires_fully_and_outputs_its_consequent():
         y_r = float(rng.uniform(-10, 10))
         u_ref, _, normalized = matrix_network_output(x_e, w, float(rng.uniform(1, 100)), y_r)
         assert normalized.tolist() == [1.0]
-        assert network_output(x_e, PalmNetwork(w=w[0])) == u_ref == (w @ x_e)[0]
+        assert u_ref == (w @ x_e)[0]
+        u = network_output(x_e, PalmNetwork(w=w[0]))
+        assert u == _left_to_right(w[0].tolist(), x_e.tolist())
+        assert _near_matrix_oracle(u, u_ref, w[0], x_e)
+
+
+def test_network_output_is_the_left_to_right_sum_on_floats():
+    # the consequent of the step's own input, summed term by term from the
+    # intercept on, whatever order a BLAS kernel would take
+    rng = np.random.default_rng(41)
+    for _ in range(20_000):
+        w = (rng.uniform(-3, 3, size=4) * 10.0 ** rng.integers(-6, 6, size=4)).tolist()
+        e, e_dot, y_r = (rng.uniform(-5, 5, size=3) * 10.0 ** rng.integers(-6, 6, size=3)).tolist()
+        x_e = extended_input(e, e_dot, y_r)
+        assert x_e == (1.0, e, e_dot, y_r)
+        u = network_output(x_e, PalmNetwork(w=w, rule_count=int(rng.integers(1, 100))))
+        assert type(u) is float
+        assert u == ((w[0] + w[1] * e) + w[2] * e_dot) + w[3] * y_r
 
 
 def test_partition_of_unity_and_membership_bounds():
@@ -201,3 +233,23 @@ def test_rule_snapshot_round_trip(tmp_path):
     rows = np.loadtxt(path, delimiter=",", ndmin=2)
     assert rows[:, 0].tolist() == [0.0, 1.0, 2.0]
     np.testing.assert_array_equal(rows[:, 1:], np.tile(net.w, (3, 1)))
+
+
+def test_weight_row_holds_python_floats():
+    net = PalmNetwork(w=np.array([0.5, -1, 2.25, 3], dtype=np.float32))
+    assert net.w == [0.5, -1.0, 2.25, 3.0]
+    assert all(type(v) is float for v in net.w)
+    assert all(type(v) is float for v in PalmNetwork().w)
+
+
+@pytest.mark.parametrize("r", [1, 3, 250])
+def test_rule_snapshot_bytes_equal_np_savetxt(tmp_path, r):
+    # oracle: the rows as one (R, 1 + DIM) array written by np.savetxt
+    rng = np.random.default_rng(6 + r)
+    w = rng.uniform(-2, 2, size=DIM) * 10.0 ** rng.integers(-20, 20, size=DIM)
+    w[1] = -0.0
+    net = PalmNetwork(w=w, rule_count=r)
+    save_rules(net, tmp_path / "rules.txt")
+    rows = np.column_stack([np.arange(r), np.tile(w, (r, 1))])
+    np.savetxt(tmp_path / "oracle.txt", rows, fmt=["%d"] + ["%.17g"] * DIM, delimiter=", ")
+    assert (tmp_path / "rules.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
