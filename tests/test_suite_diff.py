@@ -1,4 +1,3 @@
-import json
 import sys
 from pathlib import Path
 
@@ -11,40 +10,48 @@ import suite_diff  # noqa: E402
 
 
 def _snapshot(path: Path, runs: dict) -> Path:
-    """A snapshot as ``suite_diff save`` writes it: each run is None for a divergence, else (y, R, events)."""
+    """A snapshot as ``suite_diff save`` writes it: each run is None for a divergence, else (y, R, events, cells)."""
     arrays, meta = {}, {}
     for name, run in runs.items():
         if run is None:
             meta[name] = {"error": f"{name}: diverged at step 3"}
             continue
-        y, r, events = run
+        y, r, events, cells = run
         arrays[f"{name}:y"] = np.array(y, dtype=float)
         arrays[f"{name}:u"] = np.array(y, dtype=float) * 2.0
         arrays[f"{name}:R"] = np.array(r, dtype=int)
-        meta[name] = {"error": None, "events": events, "summary": {"name": name, "rmse": repr(float(y[-1]))}}
-    np.savez_compressed(path, meta=np.array(json.dumps(meta)), **arrays)
+        meta[name] = {"error": None, "events": events, "summary": {"name": name, **cells}}
+    suite_diff.write(path, (meta, arrays))
     return path
 
 
+CELLS = {"controller": "pac", "rmse": 0.5, "rise_time_ms": "", "final_rule_count": 2}
 BASE = {
-    "a_pac": ([1.0, 2.0, 3.0], [1, 2, 2], [[0.01, "GROW", 2]]),
-    "b_pid": ([0.5, 0.25, 0.125], [], []),
+    "a_pac": ([1.0, 2.0, 3.0], [1, 2, 2], [[0.01, "GROW", 2]], CELLS),
+    "b_pid": ([0.5, 0.25, 0.125], [], [], {**CELLS, "controller": "pid", "final_rule_count": ""}),
 }
+
+
+def _a_pac(y=(1.0, 2.0, 3.0), r=(1, 2, 2), events=([0.01, "GROW", 2],), **cells):
+    return {"a_pac": (list(y), list(r), list(events), {**CELLS, **cells})}
 
 
 @pytest.mark.parametrize(
     "change, status",
     [
         ({}, 0),
-        # y and u move at round-off, a summary cell with them: a declared tolerance, not a failure
-        ({"a_pac": ([1.0, 2.0, 3.0 + 4e-15], [1, 2, 2], [[0.01, "GROW", 2]])}, 0),
-        ({"a_pac": ([1.0, 2.0, 3.0], [1, 2, 2], [[0.02, "GROW", 2]])}, 1),
-        ({"a_pac": ([1.0, 2.0, 3.0], [1, 2, 3], [[0.01, "GROW", 2]])}, 1),
-        ({"a_pac": ([1.0, 2.0], [1, 2], [[0.01, "GROW", 2]])}, 1),
+        # y and u move at round-off, a summary cell with them: within ATOL, not a failure
+        (_a_pac(y=(1.0, 2.0, 3.0 + 4e-15), rmse=0.5 + 4e-15), 0),
+        (_a_pac(y=(1.0, 2.0, 3.0 + 1e-6)), 1),
+        (_a_pac(rmse=0.5 + 1e-6), 1),
+        (_a_pac(controller="pid"), 1),
+        (_a_pac(events=([0.02, "GROW", 2],)), 1),
+        (_a_pac(r=(1, 2, 3)), 1),
+        (_a_pac(y=(1.0, 2.0), r=(1, 2)), 1),
         ({"b_pid": None}, 1),
         ({"c_new": BASE["b_pid"]}, 1),
     ],
-    ids=["same", "round-off", "events", "R", "shorter", "diverged", "only-new"],
+    ids=["same", "round-off", "y", "cell", "text-cell", "events", "R", "shorter", "diverged", "only-new"],
 )
 def test_compare_exits_1_when_events_or_r_differ_or_one_side_ran(tmp_path, capsys, change, status):
     old = _snapshot(tmp_path / "old.npz", BASE)

@@ -10,11 +10,16 @@ Run from the repository root:
 configs of the checkout ``DIR`` (default: the one holding this script), so a
 parent commit can be snapshotted from its own clone. For each experiment it
 stores the y, u and R series, the GROW/PRUNE events as (time, kind, rule
-count) and the summary.csv cells. ``compare`` prints one line per experiment:
-max |dy|, max |du|, whether the events and the R series are equal, and each
-summary cell that differs with both values; then one line of totals. It
-exits 1 when any experiment's events or R series differ, or when only one
-side ran it, and 0 otherwise.
+count) and the summary.csv cells as their JSON values.
+
+Two runs of an experiment agree when both sides ran it or neither did, their
+events, R series and non-numeric cells are equal, and every float (y, u and
+the numeric cells) is within ``ATOL`` of the other side's. ``compare`` prints
+one line per experiment: max |dy|, max |du|, whether the events and the R
+series are equal, each summary cell that differs with both values, and what
+disagrees; then one line of totals. It exits 1 when any experiment
+disagrees, and 0 otherwise. ``tests/test_golden.py`` holds the suites at 20 s
+to a snapshot of this format.
 """
 
 from __future__ import annotations
@@ -29,29 +34,42 @@ import numpy as np
 import yaml
 
 SUITES = ("hexacopter_suite.yaml", "bifwmav_suite.yaml")
+# libm sin/cos may round differently on another machine; a real metric change
+# moves rise and settling times by whole samples (10 ms), far beyond this
+ATOL = 1e-9
 
 
-def save(path: Path, checkout: Path, seconds: float) -> None:
-    sys.path.insert(0, str(checkout / "src"))
+def suite_configs(checkout: Path) -> list[dict]:
+    """The raw experiment mappings of both suites of ``checkout``, in suite order."""
+    return [
+        raw for suite in SUITES for raw in yaml.safe_load((checkout / "configs" / suite).read_text())["experiments"]
+    ]
+
+
+def snapshot(checkout: Path, seconds: float) -> tuple[dict, dict]:
+    """Run every suite experiment of ``checkout`` cut to ``seconds`` with the pacsim
+    that is importable; return the snapshot as (meta, arrays)."""
     from pacsim.experiment import DivergenceError, ExperimentConfig, run_experiment, summary_row
 
     arrays, meta = {}, {}
-    for suite in SUITES:
-        for raw in yaml.safe_load((checkout / "configs" / suite).read_text())["experiments"]:
-            name = raw["name"]
-            try:
-                result = run_experiment(ExperimentConfig.from_dict({**raw, "duration": seconds}))
-            except DivergenceError as exc:
-                meta[name] = {"error": str(exc)}
-                continue
-            series = result.series
-            arrays[f"{name}:y"] = np.array(series["y"], dtype=float)
-            arrays[f"{name}:u"] = np.array(series["u"], dtype=float)
-            arrays[f"{name}:R"] = np.array([r for r in series["R"] if r is not None], dtype=int)
-            events = [[t, kind, count] for t, kind, count, _, _ in getattr(result.controller, "events", [])]
-            cells = {k: "" if v is None else str(v) for k, v in summary_row(result).items()}
-            meta[name] = {"error": None, "events": events, "summary": cells}
-            print(f"{name}: {len(series['y'])} steps", file=sys.stderr)
+    for raw in suite_configs(checkout):
+        name = raw["name"]
+        try:
+            result = run_experiment(ExperimentConfig.from_dict({**raw, "duration": seconds}))
+        except DivergenceError as exc:
+            meta[name] = {"error": str(exc)}
+            continue
+        series = result.series
+        arrays[f"{name}:y"] = np.array(series["y"], dtype=float)
+        arrays[f"{name}:u"] = np.array(series["u"], dtype=float)
+        arrays[f"{name}:R"] = np.array([r for r in series["R"] if r is not None], dtype=int)
+        events = [[t, kind, count] for t, kind, count, _, _ in getattr(result.controller, "events", [])]
+        meta[name] = {"error": None, "events": events, "summary": summary_row(result)}
+    return meta, arrays
+
+
+def write(path: Path, snap: tuple[dict, dict]) -> None:
+    meta, arrays = snap
     np.savez_compressed(path, meta=np.array(json.dumps(meta)), **arrays)
 
 
@@ -67,41 +85,48 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b), initial=0.0))
 
 
-def compare(old_path: Path, new_path: Path) -> bool:
-    """Print the per-experiment lines and the totals; True when no events or R series differ
-    and every experiment ran on both sides or on neither."""
-    old_meta, old = load(old_path)
-    new_meta, new = load(new_path)
-    worst_y = worst_u = 0.0
-    same_events = same_r = cells_moved = 0
-    same = True
-    names = list(old_meta) + [n for n in new_meta if n not in old_meta]
-    for name in names:
+def compare(old: tuple[dict, dict], new: tuple[dict, dict]) -> dict[str, tuple[str, list[str]]]:
+    """For each experiment of either snapshot: a line saying what moved, and the list of
+    what disagrees (empty when the two runs agree)."""
+    (old_meta, old_arrays), (new_meta, new_arrays) = old, new
+    diffs = {}
+    for name in list(old_meta) + [n for n in new_meta if n not in old_meta]:
         a, b = old_meta.get(name), new_meta.get(name)
         ran_a, ran_b = bool(a and not a["error"]), bool(b and not b["error"])
         if not (ran_a and ran_b):
-            print(f"{name}: old {a and (a['error'] or 'ran')}, new {b and (b['error'] or 'ran')}")
-            same = same and ran_a == ran_b
+            line = f"old {a and (a['error'] or 'ran')}, new {b and (b['error'] or 'ran')}"
+            diffs[name] = (line, [] if ran_a == ran_b else ["ran on one side only"])
             continue
-        dy = max_abs_diff(old[f"{name}:y"], new[f"{name}:y"])
-        du = max_abs_diff(old[f"{name}:u"], new[f"{name}:u"])
+        dy = max_abs_diff(old_arrays[f"{name}:y"], new_arrays[f"{name}:y"])
+        du = max_abs_diff(old_arrays[f"{name}:u"], new_arrays[f"{name}:u"])
         events = a["events"] == b["events"]
-        r = np.array_equal(old[f"{name}:R"], new[f"{name}:R"])
-        moved = [f"{k} {a['summary'].get(k)!r} -> {v!r}" for k, v in b["summary"].items() if a["summary"].get(k) != v]
-        worst_y, worst_u = max(worst_y, dy), max(worst_u, du)
-        same_events += events
-        same_r += r
-        same = same and events and r
-        cells_moved += len(moved)
-        print(
-            f"{name}: max |dy| {dy:.3g}, max |du| {du:.3g}, events {'equal' if events else 'DIFFER'}, "
-            f"R {'equal' if r else 'DIFFER'}" + (f", cells: {'; '.join(moved)}" if moved else "")
+        r = np.array_equal(old_arrays[f"{name}:R"], new_arrays[f"{name}:R"])
+        cells = {k: (a["summary"].get(k), b["summary"].get(k)) for k in {**a["summary"], **b["summary"]}}
+        moved = {k: (va, vb) for k, (va, vb) in cells.items() if va != vb}
+        problems = [k for k, d in (("y", dy), ("u", du)) if not d <= ATOL]
+        problems += [k for k, same in (("events", events), ("R", r)) if not same]
+        problems += [
+            f"cell {k}"
+            for k, (va, vb) in moved.items()
+            if not (isinstance(va, float) and isinstance(vb, float) and abs(va - vb) <= ATOL)
+        ]
+        line = (
+            f"max |dy| {dy:.3g}, max |du| {du:.3g}, events {'equal' if events else 'DIFFER'}, "
+            f"R {'equal' if r else 'DIFFER'}, "
+            + (f"cells: {'; '.join(f'{k} {va!r} -> {vb!r}' for k, (va, vb) in moved.items())}" if moved else "no cell moved")
         )
-    print(
-        f"{len(names)} experiments: max |dy| {worst_y:.3g}, max |du| {worst_u:.3g}, "
-        f"events equal in {same_events}, R equal in {same_r}, {cells_moved} summary cells moved"
-    )
-    return same
+        diffs[name] = (line, problems)
+    return diffs
+
+
+def report(old: tuple[dict, dict], new: tuple[dict, dict]) -> bool:
+    """Print ``compare``'s line for each experiment, then the totals; True when every experiment agrees."""
+    diffs = compare(old, new)
+    for name, (line, problems) in diffs.items():
+        print(f"{name}: {line}" + (f"; DISAGREE on {', '.join(problems)}" if problems else ""))
+    bad = sum(bool(problems) for _, problems in diffs.values())
+    print(f"{len(diffs)} experiments: {len(diffs) - bad} agree within ATOL {ATOL:g}, {bad} disagree")
+    return bad == 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,9 +141,11 @@ def main(argv: list[str] | None = None) -> int:
     p_cmp.add_argument("new", type=Path)
     args = parser.parse_args(argv)
     if args.command == "save":
-        save(args.snapshot, args.checkout.resolve(), args.seconds)
+        checkout = args.checkout.resolve()
+        sys.path.insert(0, str(checkout / "src"))
+        write(args.snapshot, snapshot(checkout, args.seconds))
         return 0
-    return 0 if compare(args.old, args.new) else 1
+    return 0 if report(load(args.old), load(args.new)) else 1
 
 
 if __name__ == "__main__":
