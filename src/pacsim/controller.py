@@ -202,6 +202,7 @@ class ParsimoniousController:
         c = self.config
         s = self.sliding
 
+        y, y_r = float(y), float(y_r)  # a caller's numpy scalar stays out of the float path
         e = y_r - y
         e_dot = 0.0 if self._e_prev is None else (e - self._e_prev) / dt
         self._e_prev = e

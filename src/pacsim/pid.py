@@ -27,7 +27,7 @@ class PidController:
         if dt <= 0:
             raise ValueError("dt must be positive")
         c = self.config
-        e = y_r - y
+        e = float(y_r) - float(y)
         e_dot = 0.0 if self._e_prev is None else (e - self._e_prev) / dt
         self._e_prev = e
         lo, hi = c.output_limits

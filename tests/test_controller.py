@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -21,6 +22,7 @@ from pacsim.controller import (
     sliding_value,
 )
 from pacsim.palm import PalmNetwork, extended_input
+from pacsim.pid import PidConfig, PidController
 from pacsim.plants import DoubleIntegrator
 from palm_oracles import PalmReference
 
@@ -210,6 +212,18 @@ def test_weights_stay_python_floats_after_adaptation():
     for y in np.linspace(0.0, 1.0, 20).tolist():
         ctl.step(y, 1.0, 0.01)
     assert all(type(v) is float for v in ctl.net.w) and all(type(v) is float for v in ctl.evo.mu_e)
+
+
+def test_numpy_scalar_inputs_leave_python_floats_in_both_controllers():
+    # the controllers take y and y_r as floats at entry, so a caller's numpy scalar
+    # reaches neither their state, nor their output, nor a step log cell
+    pac, pid = ParsimoniousController(), PidController(PidConfig(kp=2.0, ki=0.5, kd=0.1))
+    for y in np.linspace(0.0, 1.0, 20):
+        u, diag = pac.step(y, np.float64(1.0), 0.01)
+        values = [u, *dataclasses.astuple(diag), *pac.evo.mu_e, *pac.net.w, pac.sliding.err_integral, pac._e_prev]
+        assert [type(v) for v in values] == [float] * len(values)
+        values = [pid.step(y, np.float64(1.0), 0.01), pid.err_integral, pid._e_prev]
+        assert [type(v) for v in values] == [float] * len(values)
 
 
 def test_adapt_weights_finite_check_is_entrywise():
