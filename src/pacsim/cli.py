@@ -4,7 +4,8 @@
   pacsim suite <config.yaml> [--out DIR]        batch with summary.csv
   pacsim compare <stepsA.csv> <stepsB.csv>      Wilcoxon on residuals
 
-Exit status is 1 when a run diverges and 2 when a config is invalid.
+Exit status is 1 when a run diverges, and 2 when a config is invalid or a
+step log given to ``compare`` is missing, malformed or shorter than 6 rows.
 """
 
 from __future__ import annotations
@@ -70,10 +71,14 @@ def _residuals(path: str) -> np.ndarray:
 
 
 def _cmd_compare(args) -> int:
-    a = _residuals(args.csv_a)
-    b = _residuals(args.csv_b)
-    n = min(len(a), len(b))
-    result = wilcoxon_signed_rank(a[:n], b[:n], alpha=args.alpha)
+    try:
+        a = _residuals(args.csv_a)
+        b = _residuals(args.csv_b)
+        n = min(len(a), len(b))
+        result = wilcoxon_signed_rank(a[:n], b[:n], alpha=args.alpha)
+    except (OSError, ValueError) as exc:
+        print(f"INPUT ERROR: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
     print(f"p={result.p:.6g}, h={result.h}, W={result.w}, n={result.n}")
     return 0
 

@@ -414,6 +414,23 @@ def test_cli_run_and_compare(tmp_path, capsys):
     assert "p=" in captured.out and "h=" in captured.out
 
 
+_LOG_HEADER = ",".join(STEP_COLUMNS) + "\n"
+_LOG_ROW = ",".join(["1"] * len(STEP_COLUMNS)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text", [None, "t,y_r\n0.0,1.0\n", _LOG_HEADER + _LOG_ROW * 5], ids=["missing", "malformed", "fewer-than-6-pairs"]
+)
+def test_cli_compare_input_error_is_one_line(tmp_path, capsys, text):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(_LOG_HEADER + _LOG_ROW * 10)
+    if text is not None:
+        bad.write_text(text)
+    assert main(["compare", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("INPUT ERROR: ")
+
+
 def test_cli_suite_and_divergence_exit_code(tmp_path):
     suite = {
         "experiments": [
