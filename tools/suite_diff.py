@@ -101,8 +101,8 @@ def compare(old: tuple[dict, dict], new: tuple[dict, dict]) -> dict[str, tuple[s
         du = max_abs_diff(old_arrays[f"{name}:u"], new_arrays[f"{name}:u"])
         events = a["events"] == b["events"]
         r = np.array_equal(old_arrays[f"{name}:R"], new_arrays[f"{name}:R"])
-        cells = {k: (a["summary"].get(k), b["summary"].get(k)) for k in {**a["summary"], **b["summary"]}}
-        moved = {k: (va, vb) for k, (va, vb) in cells.items() if va != vb}
+        sa, sb = a["summary"], b["summary"]
+        moved = {k: (sa.get(k), sb.get(k)) for k in {**sa, **sb} if sa.get(k) != sb.get(k)}
         problems = [k for k, d in (("y", dy), ("u", du)) if not d <= ATOL]
         problems += [k for k, same in (("events", events), ("R", r)) if not same]
         problems += [
@@ -110,10 +110,10 @@ def compare(old: tuple[dict, dict], new: tuple[dict, dict]) -> dict[str, tuple[s
             for k, (va, vb) in moved.items()
             if not (isinstance(va, float) and isinstance(vb, float) and abs(va - vb) <= ATOL)
         ]
+        cells_moved = "; ".join(f"{k} {va!r} -> {vb!r}" for k, (va, vb) in moved.items())
         line = (
             f"max |dy| {dy:.3g}, max |du| {du:.3g}, events {'equal' if events else 'DIFFER'}, "
-            f"R {'equal' if r else 'DIFFER'}, "
-            + (f"cells: {'; '.join(f'{k} {va!r} -> {vb!r}' for k, (va, vb) in moved.items())}" if moved else "no cell moved")
+            f"R {'equal' if r else 'DIFFER'}, " + (f"cells: {cells_moved}" if moved else "no cell moved")
         )
         diffs[name] = (line, problems)
     return diffs
