@@ -26,14 +26,13 @@ def _snapshot(path: Path, runs: dict) -> Path:
 
 
 CELLS = {"controller": "pac", "rmse": 0.5, "rise_time_ms": "", "final_rule_count": 2}
-BASE = {
-    "a_pac": ([1.0, 2.0, 3.0], [1, 2, 2], [[0.01, "GROW", 2]], CELLS),
-    "b_pid": ([0.5, 0.25, 0.125], [], [], {**CELLS, "controller": "pid", "final_rule_count": ""}),
-}
 
 
 def _a_pac(y=(1.0, 2.0, 3.0), r=(1, 2, 2), events=([0.01, "GROW", 2],), **cells):
     return {"a_pac": (list(y), list(r), list(events), {**CELLS, **cells})}
+
+
+BASE = {**_a_pac(), "b_pid": ([0.5, 0.25, 0.125], [], [], {**CELLS, "controller": "pid", "final_rule_count": ""})}
 
 
 @pytest.mark.parametrize(
