@@ -9,7 +9,7 @@ from .controller import (
     lyapunov_p_matrix,
     p_matrix,
 )
-from .palm import DIM, N_INPUTS, PalmNetwork, extended_input, network_output
+from .palm import DIM, N_INPUTS, PalmNetwork, network_output
 from .pid import PidConfig, PidController
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "DIM",
     "N_INPUTS",
     "PalmNetwork",
-    "extended_input",
     "network_output",
     "PidConfig",
     "PidController",

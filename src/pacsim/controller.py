@@ -8,11 +8,11 @@ term, u = u_src - u_palm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite, sqrt
 
 from . import evolution
-from .palm import PalmNetwork, extended_input, network_output
+from .palm import PalmNetwork, network_output
 
 
 class ControllerFault(RuntimeError):
@@ -89,16 +89,6 @@ class ControlStep:
     variance: float = 0.0
 
 
-def sliding_value(e: float, e_dot: float, err_integral: float, s: SlidingState) -> float:
-    """s_l = e + (a2/a1) de/dt + (a3/a1) int(e)."""
-    return e + (s.alpha2 / s.alpha1) * e_dot + (s.alpha3 / s.alpha1) * err_integral
-
-
-def robustifying_term(s_l: float, s: SlidingState, c: ControllerConfig) -> float:
-    """alpha1 * s_l, saturated to suppress chattering."""
-    return min(max(s.alpha1 * s_l, -c.sat_limit), c.sat_limit)
-
-
 def adapt_weights(
     net: PalmNetwork,
     step: ControlStep,
@@ -111,13 +101,20 @@ def adapt_weights(
 
     PALM moves rule j by lam_j * x_e; each of the R equal rules fires
     lam_j = 1/R, so the shared row moves at gain gamma / R. Entries are
-    clipped to the weight bound afterwards.
+    clipped to the weight bound afterwards, by the two comparisons of
+    ``min(max(v, -lim), lim)``, so a NaN passes through as it does there.
     """
     g = step.e * P.p12 + step.e_dot * P.p22
     k = dt * c.gamma * g / net.rule_count
-    lim = c.weight_limit
-    w = net.w = [min(max(v - k * x, -lim), lim) for v, x in zip(net.w, x_e)]
-    if not all(map(math.isfinite, w)):
+    hi = c.weight_limit
+    lo = -hi
+    w0, w1, w2, w3 = net.w
+    x0, x1, x2, x3 = x_e
+    w0, w1, w2, w3 = w0 - k * x0, w1 - k * x1, w2 - k * x2, w3 - k * x3
+    w0, w1, w2, w3 = lo if lo > w0 else w0, lo if lo > w1 else w1, lo if lo > w2 else w2, lo if lo > w3 else w3
+    w0, w1, w2, w3 = hi if hi < w0 else w0, hi if hi < w1 else w1, hi if hi < w2 else w2, hi if hi < w3 else w3
+    net.w = [w0, w1, w2, w3]
+    if not (isfinite(w0) and isfinite(w1) and isfinite(w2) and isfinite(w3)):
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
@@ -165,7 +162,7 @@ class ControllerConfig:
         self.alpha_max = tuple(map(float, self.alpha_max))
         if not all(r >= 0.0 for r in self.learn_rates):
             raise ValueError("learn_rates must be non-negative: the sliding coefficients only grow")
-        # keeps the min/max clamps on u, u_src and the weights float-valued
+        # keeps the clamps on u, u_src and the weights float-valued
         self.actuator_limit = float(self.actuator_limit)
         self.sat_limit = float(self.sat_limit)
         self.weight_limit = float(self.weight_limit)
@@ -197,58 +194,77 @@ class ParsimoniousController:
         return self.net.parameter_count
 
     def step(self, y: float, y_r: float, dt: float) -> tuple[float, ControlStep]:
+        """One control step in one pass: sliding surface, network output,
+        structure learning (grow first, prune otherwise, never both and
+        never the last rule), then the adaptation.
+
+        The network output, the weight adaptation, the bias/variance and the
+        two drift detectors stay calls through the ``pacsim.controller`` and
+        ``pacsim.evolution`` globals, so a tracer that replaces them there
+        sees every call. The saturations are the two comparisons of
+        ``min(max(x, lo), hi)``.
+        """
         if dt <= 0:
             raise ValueError("dt must be positive")
         c = self.config
         s = self.sliding
+        net = self.net
 
         y, y_r = float(y), float(y_r)  # a caller's numpy scalar stays out of the float path
         e = y_r - y
         e_dot = 0.0 if self._e_prev is None else (e - self._e_prev) / dt
         self._e_prev = e
-        s.err_integral += e * dt
+        err_integral = s.err_integral = s.err_integral + e * dt
 
-        s_l = sliding_value(e, e_dot, s.err_integral, s)
-        u_src = robustifying_term(s_l, s, c)
+        # s_l = e + (a2/a1) de/dt + (a3/a1) int(e); u_src = alpha1 s_l, saturated to suppress chattering
+        a1 = s.alpha1
+        s_l = e + (s.alpha2 / a1) * e_dot + (s.alpha3 / a1) * err_integral
+        hi = c.sat_limit
+        lo = -hi
+        u_src = a1 * s_l
+        if lo > u_src:
+            u_src = lo
+        if hi < u_src:
+            u_src = hi
 
-        x_e = extended_input(e, e_dot, y_r)
-        u_palm = network_output(x_e, self.net)
+        x_e = (1.0, e, e_dot, y_r)
+        u_palm = network_output(x_e, net)
         u = u_src - u_palm
-
-        if not math.isfinite(u):
+        if not isfinite(u):
             raise ControllerFault(f"non-finite control at step {self.steps}: u_palm={u_palm}")
 
-        diag = ControlStep(e=e, e_dot=e_dot, s_l=s_l, u_src=u_src, u_palm=u_palm, u=u)
-
+        bias = variance = 0.0
         if c.evolution_enabled:
-            self._evolve(diag, x_e, y_r, self.steps * dt)
+            evo = self.evo
+            # the running mean of the extended input x_e
+            k = evo.k = evo.k + 1
+            m0, m1, m2, m3 = evo.mu_e
+            evo.mu_e = (m0 + (1.0 - m0) / k, m1 + (e - m1) / k, m2 + (e_dot - m2) / k, m3 + (y_r - m3) / k)
+            bias2, variance = evolution.network_bias_variance(net, evo, y_r)
+            bias = sqrt(bias2)
+            grow = evolution.check_grow(evo, bias)
+            prune = evolution.check_prune(evo, variance)
+            if grow or (prune and net.rule_count >= 2):
+                net.rule_count += 1 if grow else -1
+                self.events.append((self.steps * dt, "GROW" if grow else "PRUNE", net.rule_count, bias, variance))
+                # re-baseline the drift detectors, as the underlying
+                # process-control method does after a detection
+                evo.restart_detectors()
 
-        adapt_weights(self.net, diag, c, self.P, x_e, dt)
+        diag = ControlStep(e, e_dot, s_l, u_src, u_palm, u, bias, variance)
+        adapt_weights(net, diag, c, self.P, x_e, dt)
         if not self._alphas_at_max and adapt_sliding_params(s, c, e, e_dot, s_l, dt):
             self.P = p_matrix(s.alpha1, s.alpha2)
             self._alphas_at_max = (s.alpha1, s.alpha2, s.alpha3) == c.alpha_max
 
         self.steps += 1
-        return min(max(u, -c.actuator_limit), c.actuator_limit), diag
-
-    def _evolve(self, diag: ControlStep, x_e: tuple, y_r: float, t: float) -> None:
-        """Structure learning: grow first, prune otherwise (never both); ``t`` stamps the event."""
-        evolution.update_input_mean(self.evo, x_e)
-        bias2, variance = evolution.network_bias_variance(self.net, self.evo, y_r)
-        bias = diag.bias = math.sqrt(bias2)
-        diag.variance = variance
-        grow = evolution.check_grow(self.evo, bias)
-        prune = evolution.check_prune(self.evo, variance)
-        if grow:
-            self.net.rule_count += 1
-        elif prune and self.net.rule_count >= 2:
-            self.net.rule_count -= 1
-        else:
-            return
-        self.events.append((t, "GROW" if grow else "PRUNE", self.net.rule_count, bias, variance))
-        # re-baseline the drift detectors, as the underlying
-        # process-control method does after a detection
-        self.evo.restart_detectors()
+        hi = c.actuator_limit
+        lo = -hi
+        if lo > u:
+            u = lo
+        if hi < u:
+            u = hi
+        return u, diag
 
     def save_evolution_log(self, path) -> None:
         """Plain-text rows: time_s, event, rule_count, bias, variance."""

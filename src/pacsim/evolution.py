@@ -73,14 +73,6 @@ class EvolutionState:
         self.prune = SigmaRule()
 
 
-def update_input_mean(state: EvolutionState, x_e) -> None:
-    """Incremental mean of the extended input; increments the sample counter."""
-    k = state.k = state.k + 1
-    m0, m1, m2, m3 = state.mu_e
-    x0, x1, x2, x3 = x_e
-    state.mu_e = (m0 + (x0 - m0) / k, m1 + (x1 - m1) / k, m2 + (x2 - m2) / k, m3 + (x3 - m3) / k)
-
-
 def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -> tuple[float, float]:
     """Squared bias and variance of the network output under unity firing.
 

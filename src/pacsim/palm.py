@@ -17,11 +17,6 @@ N_INPUTS = 3  # e, de/dt, y_r
 DIM = N_INPUTS + 1  # leading intercept slot
 
 
-def extended_input(e: float, e_dot: float, y_r: float) -> tuple[float, float, float, float]:
-    """Build the extended input (1, e, de/dt, y_r)."""
-    return (1.0, e, e_dot, y_r)
-
-
 @dataclass
 class PalmNetwork:
     """R rules that share one hyperplane: the weight row w (DIM Python floats) and the rule count."""

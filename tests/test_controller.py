@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pacsim import controller
+from pacsim import controller, evolution
 from pacsim.controller import (
     ControlStep,
     ControllerConfig,
@@ -18,12 +18,11 @@ from pacsim.controller import (
     adapt_weights,
     lyapunov_p_matrix,
     p_matrix,
-    robustifying_term,
-    sliding_value,
 )
-from pacsim.palm import PalmNetwork, extended_input
+from pacsim.palm import PalmNetwork
 from pacsim.pid import PidConfig, PidController
 from pacsim.plants import DoubleIntegrator
+from controller_oracles import extended_input, robustifying_term, sliding_value, staged_step
 from palm_oracles import PalmReference
 
 
@@ -292,15 +291,15 @@ def test_negative_learn_rate_rejected():
         ControllerConfig(learn_rates=(0.1, -0.5, 0.001))
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=controller):
     calls = []
-    real = getattr(controller, name)
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(controller, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -440,3 +439,108 @@ def test_controller_run_is_deterministic():
     b, ev_b = run()
     assert a == b
     assert ev_a == ev_b
+
+
+def _bits(value):
+    """Floats as their hex form, recursively through tuples, lists and dataclasses, so -0.0 and NaN compare exactly."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits(dataclasses.astuple(value))
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [_bits(v) for v in value]
+    return value
+
+
+def _controller_bits(ctl):
+    """Every value a PAC step reads or writes; of the events, the count and the newest."""
+    evo = ctl.evo
+    return _bits(
+        (ctl.net.w, ctl.net.rule_count, ctl.sliding, ctl.P, ctl._alphas_at_max, ctl._e_prev, ctl.steps,
+         len(ctl.events), ctl.events[-1:], evo.mu_e, evo.k, evo.grow, evo.prune)
+    )
+
+
+def _lockstep(fused, staged, y, y_r, dt):
+    """One step of each controller on the same inputs; both must agree to the bit, state included."""
+    got, want = fused.step(y, y_r, dt), staged_step(staged, y, y_r, dt)
+    assert _bits(got) == _bits(want)
+    assert _controller_bits(fused) == _controller_bits(staged)
+    return got
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ControllerConfig(),
+        ControllerConfig(gamma=3e-3, actuator_limit=0.2, sat_limit=0.05, learn_rates=(0.1, 0.5, 0.001)),
+        ControllerConfig(weight_limit=0.3, evolution_enabled=False),
+    ],
+    ids=["default", "limits-and-learning", "no-evolution"],
+)
+def test_fused_step_bit_equal_to_staged_oracle_on_random_inputs(cfg):
+    rng = np.random.default_rng(61)
+    fused, staged = ParsimoniousController(cfg), ParsimoniousController(cfg)
+    for _ in range(1500):
+        y, y_r = (rng.uniform(-3.0, 3.0, size=2) * 10.0 ** rng.integers(-3, 2)).tolist()
+        _lockstep(fused, staged, y, y_r, float(rng.choice([0.005, 0.01, 0.02])))
+
+
+def test_fused_step_bit_equal_to_staged_oracle_through_grow_prune_clip_and_ceiling():
+    # a closed loop on a staircase that grows and prunes rules, drives the
+    # weights onto both bounds and the sliding coefficients onto their ceiling
+    lim = 0.05
+    cfg = ControllerConfig(gamma=0.01, weight_limit=lim, actuator_limit=5.0, learn_rates=(5.0, 5.0, 5.0),
+                           alpha_max=(0.05, 0.02, 0.001))
+    fused, staged = ParsimoniousController(cfg), ParsimoniousController(cfg)
+    plant = DoubleIntegrator()
+    clipped, at_ceiling = set(), False
+    for i in range(3000):
+        y_r = (0.0, 2.0, -1.0, 0.5, 3.0)[(i // 300) % 5] + math.sin(0.05 * i)
+        u, _ = _lockstep(fused, staged, plant.output(), y_r, 0.01)
+        plant.step(u, 0.01)
+        clipped.update(v for v in fused.net.w if abs(v) == lim)
+        at_ceiling = at_ceiling or (fused.sliding.alpha1, fused.sliding.alpha2, fused.sliding.alpha3) == cfg.alpha_max
+    kinds = {kind for _, kind, *_ in fused.events}
+    assert kinds == {"GROW", "PRUNE"}
+    assert clipped == {lim, -lim}
+    assert at_ceiling
+
+
+def test_fused_step_bit_equal_to_staged_oracle_on_numpy_scalars():
+    cfg = ControllerConfig(gamma=3e-3, learn_rates=(0.1, 0.5, 0.001))
+    fused, staged = ParsimoniousController(cfg), ParsimoniousController(cfg)
+    rng = np.random.default_rng(62)
+    for y, y_r in rng.uniform(-2.0, 2.0, size=(300, 2)):
+        u, diag = _lockstep(fused, staged, y, np.float32(y_r), 0.01)
+        values = [u, *dataclasses.astuple(diag), *fused.net.w, *fused.evo.mu_e, fused.sliding.err_integral]
+        assert [type(v) for v in values] == [float] * len(values)
+
+
+@pytest.mark.parametrize("evolution_enabled", [True, False])
+def test_one_step_calls_each_traced_function_once(monkeypatch, evolution_enabled):
+    # the benchmark's tracer replaces these five names in their modules and
+    # times the step by them: a fused step must keep calling each through
+    # that module attribute, once a step
+    calls = {
+        name: _count_calls(monkeypatch, name, module)
+        for module, name in [
+            (controller, "network_output"),
+            (controller, "adapt_weights"),
+            (evolution, "network_bias_variance"),
+            (evolution, "check_grow"),
+            (evolution, "check_prune"),
+        ]
+    }
+    ctl = ParsimoniousController(ControllerConfig(evolution_enabled=evolution_enabled))
+    for i in range(1, 4):
+        ctl.step(0.1 * i, 1.0, 0.01)
+        counts = {name: len(c) for name, c in calls.items()}
+        evolving = i if evolution_enabled else 0
+        assert counts == {
+            "network_output": i,
+            "adapt_weights": i,
+            "network_bias_variance": evolving,
+            "check_grow": evolving,
+            "check_prune": evolving,
+        }

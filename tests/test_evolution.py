@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from controller_oracles import extended_input, update_input_mean
 from pacsim import evolution
 from pacsim.controller import ControllerConfig, ParsimoniousController
 from pacsim.evolution import (
@@ -12,9 +13,8 @@ from pacsim.evolution import (
     growth_factor,
     network_bias_variance,
     pruning_factor,
-    update_input_mean,
 )
-from pacsim.palm import DIM, PalmNetwork, extended_input
+from pacsim.palm import DIM, PalmNetwork
 
 
 def test_input_mean_first_sample():

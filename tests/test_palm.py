@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from controller_oracles import extended_input
 from palm_oracles import (
     matrix_network_output,
     membership,
@@ -11,7 +12,7 @@ from palm_oracles import (
     point_to_plane_distance,
     rule_consequent,
 )
-from pacsim.palm import DIM, PalmNetwork, extended_input, network_output, save_rules
+from pacsim.palm import DIM, PalmNetwork, network_output, save_rules
 
 
 def test_distance_zero_when_point_on_plane():
