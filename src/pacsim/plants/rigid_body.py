@@ -6,7 +6,7 @@ fixed-step RK4. Frames follow the aerospace NED convention, Z positive down.
 from __future__ import annotations
 
 import math
-from math import cos, isfinite, sin, tan
+from math import cos, isfinite, pi, sin, tan
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +76,12 @@ def rigid_body_step(x: list[float], inertia: InertiaSet, forces, moments, dt: fl
     forces and moments (3-sequences); returns the new state as a new list.
 
     One loop takes the four stages on local floats: each pass evaluates the
-    derivative at the current stage, then moves the 9 components u .. r (the
-    only ones a derivative reads) to the next stage. The final combine covers
-    all 12. Raises FloatingPointError naming the non-finite state components
-    when a stage or the new state leaves the finite range.
+    derivative at the current stage, adds it with its RK4 weight to the
+    combine's sum b1 + 2 b2 + 2 b3 + b4 (started from stage 1's derivative
+    itself, since 0.0 + -0.0 is 0.0), then moves the 9 components u .. r
+    (the only ones a derivative reads) to the next stage. The final combine
+    covers all 12. Raises FloatingPointError naming the non-finite state
+    components when a stage or the new state leaves the finite range.
     """
     f_x, f_y, f_z = map(float, forces)
     l, m, n = map(float, moments)
@@ -87,12 +89,13 @@ def rigid_body_step(x: list[float], inertia: InertiaSet, forces, moments, dt: fl
     # what the derivatives read besides the state, each computed once per step
     a_x, a_y, a_z = f_x / mass, f_y / mass, f_z / mass
     d_xz, d_zy, d_yx, det = i_x - i_z, i_z - i_y, i_y - i_x, i_x * i_z - i_xz * i_xz
-    u0, v0, w0, phi0, theta0, psi0, p0, q0, r0 = u, v, w, phi, theta, psi, p, q, r = x[3:]
+    x0, y0, z0, u0, v0, w0, phi0, theta0, psi0, p0, q0, r0 = x
+    u, v, w, phi, theta, psi, p, q, r = u0, v0, w0, phi0, theta0, psi0, p0, q0, r0
     h = 0.5 * dt
-    k = []
     try:
-        # each pass: the derivative at this stage, then the move to the next (the last pass's move is unused)
-        for step in (h, h, dt, 0.0):
+        # each pass: the derivative at this stage, its weighted add to the sums,
+        # then the move to the next stage (the last pass's move is unused)
+        for step, weight in ((h, None), (h, 2.0), (dt, 2.0), (0.0, 1.0)):
             # translational: F = m(dv/dt + omega x v), solved for dv/dt
             du = a_x - q * w + r * v
             dv = a_y - r * u + p * w
@@ -119,7 +122,15 @@ def rigid_body_step(x: list[float], inertia: InertiaSet, forces, moments, dt: fl
             dx = cth * cps * u + (sph_sth * cps - cph * sps) * v + (cph_sth * cps + sph * sps) * w
             dy = cth * sps * u + (sph_sth * sps + cph * cps) * v + (cph_sth * sps - sph * cps) * w
             dz = -sth * u + sph * cth * v + cph * cth * w
-            k.append((dx, dy, dz, du, dv, dw, dphi, dtheta, dpsi, dp, dq, dr))
+
+            if weight is None:
+                sx, sy, sz, su, sv, sw = dx, dy, dz, du, dv, dw
+                sphi, stheta, spsi, sp, sq, sr = dphi, dtheta, dpsi, dp, dq, dr
+            else:
+                sx, sy, sz = sx + weight * dx, sy + weight * dy, sz + weight * dz
+                su, sv, sw = su + weight * du, sv + weight * dv, sw + weight * dw
+                sphi, stheta, spsi = sphi + weight * dphi, stheta + weight * dtheta, spsi + weight * dpsi
+                sp, sq, sr = sp + weight * dp, sq + weight * dq, sr + weight * dr
 
             u, v, w = u0 + step * du, v0 + step * dv, w0 + step * dw
             phi, theta, psi = phi0 + step * dphi, theta0 + step * dtheta, psi0 + step * dpsi
@@ -131,10 +142,13 @@ def rigid_body_step(x: list[float], inertia: InertiaSet, forces, moments, dt: fl
             f"rigid body RK4 stage diverged: non-finite {_non_finite(stage, _STATE_NAMES[3:])}"
         ) from None
     c = dt / 6.0
-    x_new = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, *k)]
+    phi, theta, psi = phi0 + c * sphi, theta0 + c * stheta, psi0 + c * spsi
+    x_new = [x0 + c * sx, y0 + c * sy, z0 + c * sz, u0 + c * su, v0 + c * sv, w0 + c * sw,
+             phi, theta, psi, p0 + c * sp, q0 + c * sq, r0 + c * sr]
     if not all(map(isfinite, x_new)):
         raise FloatingPointError(f"rigid body state diverged: non-finite {_non_finite(x_new)}")
-    x_new[6:9] = map(_wrap_angle, x_new[6:9])
+    if not (-pi < phi <= pi and -pi < theta <= pi and -pi < psi <= pi):
+        x_new[6:9] = map(_wrap_angle, x_new[6:9])
     return x_new
 
 

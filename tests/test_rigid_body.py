@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -272,6 +273,36 @@ def test_stage_loop_equals_staged_oracle():
             want = staged_rk4_step(list(x), inertia, forces, moments, dt)
             assert [v.hex() for v in got] == [v.hex() for v in want]
     assert signs == {1.0, -1.0}
+
+    # zero state, forces and moments with zeros of either sign: the sums of the
+    # combine start from stage 1's derivatives, as 0.0 + -0.0 would give 0.0
+    cases = []
+    for _ in range(200):
+        zeros = [math.copysign(0.0, sign) for sign in rng.choice([1.0, -1.0], size=19)]
+        cases.append((zeros[:12], InertiaSet(i_xz=math.copysign(0.004, zeros[18])), zeros[12:15], zeros[15:18]))
+    # the angles at exactly +-pi: pi is kept, -pi wraps to pi
+    for angles in itertools.product((math.pi, -math.pi), repeat=3):
+        cases.append(([0.0] * 6 + list(angles) + [0.0] * 3, InertiaSet(), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    # one angle at a time carried across +-pi by its own rate, the other two at zero
+    crossing = []
+    for i in (6, 7, 8):
+        for sign in (1.0, -1.0):
+            x = [0.0] * 12
+            x[i], x[i + 3] = sign * (math.pi - 1e-4), sign * 1.0
+            crossing.append((i, sign))
+            cases.append((x, InertiaSet(), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    results = []
+    for x, inertia, forces, moments in cases:
+        got = rigid_body_step(list(x), inertia, forces, moments, 0.01)
+        want = staged_rk4_step(list(x), inertia, forces, moments, 0.01)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        results.append(got)
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for got in results[:200] for v in got)
+    assert {tuple(got[6:9]) for got in results[200:208]} == {(math.pi, math.pi, math.pi)}
+    for (i, sign), got in zip(crossing, results[208:]):
+        assert [math.copysign(1.0, got[j]) if j == i else got[j] for j in (6, 7, 8)] == [
+            -sign if j == i else 0.0 for j in (6, 7, 8)
+        ]
 
 
 @pytest.mark.parametrize(
