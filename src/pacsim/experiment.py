@@ -107,8 +107,6 @@ def build_controller(cfg: ExperimentConfig):
     if cfg.controller == "pac":
         return ParsimoniousController(ControllerConfig(**params))
     if cfg.controller == "pid":
-        if "output_limits" in params:
-            params["output_limits"] = tuple(params["output_limits"])
         return PidController(PidConfig(**params))
     raise ValueError(f"unknown controller {cfg.controller!r}")
 

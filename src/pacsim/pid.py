@@ -16,6 +16,11 @@ class PidConfig:
     kd: float = 0.0
     output_limits: tuple[float, float] = (float("-inf"), float("inf"))
 
+    def __post_init__(self):
+        # a saturated step returns a limit itself, so an integer limit from YAML must not reach it
+        lo, hi = self.output_limits
+        self.output_limits = (float(lo), float(hi))
+
 
 class PidController:
     def __init__(self, config: PidConfig | None = None):

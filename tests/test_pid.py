@@ -24,6 +24,16 @@ def test_output_respects_limits():
     assert pid.step(10.0, 0.0, 0.01) == -1.0
 
 
+def test_integer_limits_saturate_to_a_float():
+    # limits as YAML gives them, as a list of ints: the saturated output is still a float
+    for limits in ((-1, 1), [-1, 1]):
+        pid = PidController(PidConfig(kp=100, output_limits=limits))
+        assert pid.config.output_limits == (-1.0, 1.0)
+        for y_r, want in ((1.0, 1.0), (-1.0, -1.0)):
+            u = pid.step(0.0, y_r, 0.01)
+            assert type(u) is float and u == want
+
+
 def test_anti_windup_freezes_integral_when_saturated():
     pid = PidController(PidConfig(kp=0.0, ki=1.0, output_limits=(-0.5, 0.5)))
     for _ in range(100):
