@@ -141,7 +141,8 @@ class ControllerConfig:
     """Controller settings. alpha1..alpha3 are the starting sliding
     coefficients: they stay fixed while learn_rates are all zero (the
     default) and otherwise self-evolve upward, clamped to [start, alpha_max].
-    The learn rates must be non-negative.
+    learn_rates and alpha_max hold one value per alpha; the learn rates and
+    the three limits must be non-negative.
     """
 
     gamma: float = 50.0
@@ -158,14 +159,21 @@ class ControllerConfig:
     def __post_init__(self):
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("alpha1 and alpha2 must be positive")
-        self.learn_rates = tuple(map(float, self.learn_rates))
-        self.alpha_max = tuple(map(float, self.alpha_max))
+        # one value per sliding coefficient, alpha1..alpha3
+        for name in ("learn_rates", "alpha_max"):
+            values = tuple(map(float, getattr(self, name)))
+            if len(values) != 3:
+                raise ValueError(f"{name} takes three values, one per alpha, not {len(values)}")
+            setattr(self, name, values)
         if not all(r >= 0.0 for r in self.learn_rates):
             raise ValueError("learn_rates must be non-negative: the sliding coefficients only grow")
-        # keeps the clamps on u, u_src and the weights float-valued
-        self.actuator_limit = float(self.actuator_limit)
-        self.sat_limit = float(self.sat_limit)
-        self.weight_limit = float(self.weight_limit)
+        # float keeps the clamps on u, u_src and the weights float-valued; a negative
+        # or NaN limit would make each clamp return the limit whatever its input
+        for name in ("weight_limit", "sat_limit", "actuator_limit"):
+            limit = float(getattr(self, name))
+            if not limit >= 0.0:
+                raise ValueError(f"{name} must be non-negative, not {limit!r}")
+            setattr(self, name, limit)
 
 
 class ParsimoniousController:
@@ -204,13 +212,13 @@ class ParsimoniousController:
         sees every call. The saturations are the two comparisons of
         ``min(max(x, lo), hi)``.
         """
+        y, y_r, dt = float(y), float(y_r), float(dt)  # a caller's numpy scalar stays out of the float path
         if dt <= 0:
             raise ValueError("dt must be positive")
         c = self.config
         s = self.sliding
         net = self.net
 
-        y, y_r = float(y), float(y_r)  # a caller's numpy scalar stays out of the float path
         e = y_r - y
         e_dot = 0.0 if self._e_prev is None else (e - self._e_prev) / dt
         self._e_prev = e

@@ -17,7 +17,7 @@ from . import metrics, trajectories
 from .controller import ControllerConfig, ControllerFault, ParsimoniousController
 from .palm import save_rules
 from .pid import PidConfig, PidController
-from .plants import BiFwmav, DoubleIntegrator, FlapParams, GustSpec, Hexacopter, HexacopterParams, ImpulseSpec
+from .plants import BiFwmav, DoubleIntegrator, GustSpec, Hexacopter, ImpulseSpec
 from .plants.disturbances import impulse_noise
 from .plants.rigid_body import InertiaSet
 
@@ -37,6 +37,7 @@ SUMMARY_COLUMNS = [
 
 DISTURBANCE_KEYS = {"gust", "impulse"}
 OUTPUT_KEYS = {"steps_csv", "events_txt", "rules_txt"}
+PLANT_KEYS = {"inertia"}  # the vehicles' other constants are fixed in their plant modules
 
 
 class DivergenceError(RuntimeError):
@@ -72,7 +73,7 @@ class ExperimentConfig:
         steps = self.duration / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integer number of steps")
-        for key, valid in (("disturbances", DISTURBANCE_KEYS), ("outputs", OUTPUT_KEYS)):
+        for key, valid in (("disturbances", DISTURBANCE_KEYS), ("outputs", OUTPUT_KEYS), ("plant_params", PLANT_KEYS)):
             unknown = set(getattr(self, key)) - valid
             if unknown:
                 raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
@@ -122,14 +123,13 @@ def _impulse(cfg: ExperimentConfig) -> ImpulseSpec | None:
 
 
 def build_plant(cfg: ExperimentConfig):
-    params = dict(cfg.plant_params)
-    if "inertia" in params:
-        params["inertia"] = InertiaSet(**params["inertia"])
+    raw = cfg.plant_params
+    inertia = InertiaSet(**raw["inertia"]) if "inertia" in raw else None
     gust = _gust(cfg)
     if cfg.plant == "hexacopter":
-        return Hexacopter(HexacopterParams(**params), channel=cfg.channel, gust=gust)
+        return Hexacopter(inertia, channel=cfg.channel, gust=gust)
     if cfg.plant == "bifwmav":
-        return BiFwmav(FlapParams(**params), gust=gust)
+        return BiFwmav(inertia, gust=gust)
     if cfg.plant == "double_integrator":
         return DoubleIntegrator()
     raise ValueError(f"unknown plant {cfg.plant!r}")

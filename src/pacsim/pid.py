@@ -20,6 +20,8 @@ class PidConfig:
         # a saturated step returns a limit itself, so an integer limit from YAML must not reach it
         lo, hi = self.output_limits
         self.output_limits = (float(lo), float(hi))
+        if not lo <= hi:
+            raise ValueError(f"output_limits must be (lo, hi) with lo <= hi, not {self.output_limits!r}")
 
 
 class PidController:
@@ -29,6 +31,7 @@ class PidController:
         self._e_prev: float | None = None
 
     def step(self, y: float, y_r: float, dt: float) -> float:
+        dt = float(dt)  # a caller's numpy scalar stays out of the float path, like y and y_r
         if dt <= 0:
             raise ValueError("dt must be positive")
         c = self.config

@@ -1,6 +1,6 @@
 from .disturbances import GustSpec, GustTracker, ImpulseSpec, gust_velocity, impulse_noise
-from .flapping import CG, CP, BiFwmav, DoubleIntegrator, FlapParams, bifwmav_force_moment, flapping_actuator
-from .hexacopter import Hexacopter, HexacopterParams, hexacopter_mixing, rotor_forces_moments
+from .flapping import CG, CP, BiFwmav, DoubleIntegrator, bifwmav_force_moment, flapping_actuator
+from .hexacopter import Hexacopter, hexacopter_mixing, rotor_forces_moments
 from .rigid_body import (
     GRAVITY,
     InertiaSet,
@@ -19,11 +19,9 @@ __all__ = [
     "CP",
     "BiFwmav",
     "DoubleIntegrator",
-    "FlapParams",
     "bifwmav_force_moment",
     "flapping_actuator",
     "Hexacopter",
-    "HexacopterParams",
     "hexacopter_mixing",
     "rotor_forces_moments",
     "GRAVITY",

@@ -9,13 +9,17 @@ stabilizes attitude with differential amplitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..pid import PidConfig, PidController
 from .disturbances import GustSpec, GustTracker
 from .rigid_body import GRAVITY, InertiaSet, body_gravity, rigid_body_step
+
+FREQUENCY = 20.0  # Hz
+AMPLITUDE_MAX = 1.2  # rad
+HOVER_AMPLITUDE = 0.5 * AMPLITUDE_MAX  # rad; the lift gain is calibrated so that four wings hover here
+AMPLITUDE_GAIN = 0.24  # rad per unit controller output
+DEFAULT_INERTIA = InertiaSet(m=0.06, i_x=6e-4, i_y=6e-4, i_z=1e-3, i_xz=0.0)  # kg, kg*m^2
 
 CG = np.zeros(3)
 CP = np.array(
@@ -33,35 +37,13 @@ _CP_SUM_X = float(CP[:, 0].sum())
 _CP_SUM_Y = float(CP[:, 1].sum())
 
 
-@dataclass
-class FlapParams:
-    """Flapping parameters; amplitude is the altitude-dominant control input."""
-
-    frequency: float = 20.0  # Hz
-    amplitude_max: float = 1.2  # rad
-    inertia: InertiaSet = field(
-        default_factory=lambda: InertiaSet(m=0.06, i_x=6e-4, i_y=6e-4, i_z=1e-3, i_xz=0.0)
-    )
-    lift_coeff: float | None = None  # None -> calibrated for hover at mid-range amplitude
-    amplitude_gain: float = 0.06  # rad per unit controller output
-
-    def hover_amplitude(self) -> float:
-        return 0.5 * self.amplitude_max
-
-    def k_lift(self) -> float:
-        """Per-wing lift coefficient; hover occurs at mid-range amplitude."""
-        if self.lift_coeff is not None:
-            return self.lift_coeff
-        return self.inertia.m * GRAVITY / (4.0 * self.frequency**2 * self.hover_amplitude())
-
-
-def flapping_actuator(amplitude: float, lift_gain: float, amplitude_max: float) -> float:
+def flapping_actuator(amplitude: float, lift_gain: float) -> float:
     """Cycle-averaged lift of one wing for the given flapping amplitude, acting along -z.
 
     The lift is ``lift_gain * amplitude`` with the amplitude clamped to
-    [0, amplitude_max]; ``lift_gain`` is ``FlapParams.k_lift() * frequency**2``.
+    [0, AMPLITUDE_MAX]; ``lift_gain`` is ``BiFwmav.lift_gain``.
     """
-    return lift_gain * min(max(amplitude, 0.0), amplitude_max)
+    return lift_gain * min(max(amplitude, 0.0), AMPLITUDE_MAX)
 
 
 def bifwmav_force_moment(
@@ -97,21 +79,20 @@ def stroke_plane_trim_moment(wing_lifts) -> tuple[float, float, float]:
 class BiFwmav:
     """Altitude-channel flapping MAV: u commands collective amplitude about hover."""
 
-    def __init__(self, params: FlapParams | None = None, gust: GustSpec | None = None):
-        self.params = params or FlapParams()
+    def __init__(self, inertia: InertiaSet | None = None, gust: GustSpec | None = None):
+        self.inertia = inertia or DEFAULT_INERTIA
         self.state = [0.0] * 12  # x y z u v w phi theta psi p q r, see rigid_body
         self.gust = GustTracker(gust) if gust else None
         pid_cfg = PidConfig(kp=0.015, ki=1e-3, kd=4.8e-3, output_limits=(-0.1, 0.1))
         self._att_pids = [PidController(pid_cfg) for _ in range(2)]
-        p = self.params
-        self._hover_amplitude = p.hover_amplitude()
-        self._lift_gain = p.k_lift() * p.frequency**2
+        # per-wing lift per rad of amplitude, N/rad: the weight over four wings at the hover amplitude
+        self.lift_gain = self.inertia.m * GRAVITY / (4.0 * FREQUENCY**2 * HOVER_AMPLITUDE) * FREQUENCY**2
         # per-wing amplitude allocation: minimum-norm inverse of the map from
         # amplitudes to (sum of lifts, net M_x, net M_y). Lift is k * a_i
         # (downward -z); after the stroke-plane trim removes the
         # collective-mean part, M_x = cy_i f_i (mean cy is 0) and
         # M_y = -(cx_i - mean cx) f_i, so equal amplitudes carry zero moment.
-        k = self._lift_gain
+        k = self.lift_gain
         cx_dev = CP[:, 0] - CP[:, 0].mean()
         rows = np.vstack([np.ones(4) * k, CP[:, 1] * k, -cx_dev * k])
         self._allocation = tuple(map(tuple, np.linalg.pinv(rows).tolist()))
@@ -120,17 +101,15 @@ class BiFwmav:
         return -self.state[2]
 
     def step(self, u: float, dt: float) -> None:
-        p = self.params
         x = self.state
-        a_max = p.amplitude_max
-        collective = 4.0 * self._lift_gain * min(max(self._hover_amplitude + p.amplitude_gain * u, 0.0), a_max)
+        k, a_max = self.lift_gain, AMPLITUDE_MAX
+        collective = 4.0 * k * min(max(HOVER_AMPLITUDE + AMPLITUDE_GAIN * u, 0.0), a_max)
         # attitude trim: drive roll/pitch moments toward level
         phi, theta = x[6:8]
         roll_cmd = self._att_pids[0].step(phi, 0.0, dt)
         pitch_cmd = self._att_pids[1].step(theta, 0.0, dt)
         # flapping_actuator, bifwmav_force_moment and stroke_plane_trim_moment
         # in one pass over the wings, with their operations in their order
-        k = self._lift_gain
         lift_sum = fz = m_x = m_y = 0.0
         for (a, b, c), (r_x, r_y) in zip(self._allocation, _WING_ARMS):
             lift = k * min(max(a * collective + b * roll_cmd + c * pitch_cmd, 0.0), a_max)
@@ -139,14 +118,14 @@ class BiFwmav:
             m_x += r_y * lift
             m_y -= r_x * lift
         mean_lift = lift_sum / 4
-        g_x, g_y, g_z = body_gravity(phi, theta, p.inertia.m)
+        g_x, g_y, g_z = body_gravity(phi, theta, self.inertia.m)
         f_total = (g_x, g_y, fz + g_z)
         m_total = (m_x + -_CP_SUM_Y * mean_lift, m_y + _CP_SUM_X * mean_lift, 0.0)
 
         # additive body-x velocity perturbation ahead of the force computation
         wind = 0.0 if self.gust is None else self.gust.advance(x[3], dt)
         x[3] += wind
-        x = rigid_body_step(x, p.inertia, f_total, m_total, dt)
+        x = rigid_body_step(x, self.inertia, f_total, m_total, dt)
         x[3] -= wind
         self.state = x
 

@@ -291,6 +291,36 @@ def test_negative_learn_rate_rejected():
         ControllerConfig(learn_rates=(0.1, -0.5, 0.001))
 
 
+@pytest.mark.parametrize("name", ["learn_rates", "alpha_max"])
+@pytest.mark.parametrize("values", [(0.1, 0.5), (0.1, 0.5, 0.001, 0.2)], ids=["two", "four"])
+def test_learn_rates_and_alpha_max_need_three_values(name, values):
+    # each holds one value per alpha; a wrong count would only fail to unpack on the first step
+    with pytest.raises(ValueError, match=f"^{name} takes three values"):
+        ControllerConfig(**{name: values})
+
+
+@pytest.mark.parametrize("name", ["weight_limit", "sat_limit", "actuator_limit"])
+@pytest.mark.parametrize("value", [-1.0, -1, float("nan"), float("-inf")])
+def test_negative_or_nan_limit_rejected(name, value):
+    # the clamp would return the limit itself for every input
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+        ControllerConfig(**{name: value})
+
+
+def test_zero_and_infinite_limits_accepted():
+    c = ControllerConfig(weight_limit=0, sat_limit=0.0, actuator_limit=float("inf"))
+    assert (c.weight_limit, c.sat_limit, c.actuator_limit) == (0.0, 0.0, float("inf"))
+    assert type(c.weight_limit) is float
+
+
+def test_numpy_dt_keeps_the_step_float():
+    ctl = ParsimoniousController(ControllerConfig(learn_rates=(0.1, 0.5, 0.001)))
+    for y in (0.2, 0.5, 0.7):  # from the second step on, e_dot divides by dt
+        u, diag = ctl.step(y, 1.0, np.float64(0.01))
+        values = [u, *dataclasses.astuple(diag), ctl.sliding.err_integral, *ctl.net.w]
+        assert [type(v) for v in values] == [float] * len(values)
+
+
 def _count_calls(monkeypatch, name, module=controller):
     calls = []
     real = getattr(module, name)

@@ -221,9 +221,29 @@ def test_unknown_disturbance_or_output_key_rejected(key, value):
 
 
 def test_stale_flap_param_rejected():
-    # time_step was a FlapParams field that no step read
+    # time_step was a flapping-MAV parameter that no step read
     with pytest.raises(ValueError, match="time_step"):
         ExperimentConfig(plant="bifwmav", plant_params={"time_step": 0.001})
+
+
+@pytest.mark.parametrize("plant, key", [("hexacopter", "thrust_gain"), ("bifwmav", "amplitude_gain")])
+def test_vehicle_constant_is_not_a_plant_param(plant, key):
+    # inertia is the one plant setting; the other vehicle constants are fixed in the plant modules
+    with pytest.raises(ValueError, match=rf"^fixed: unknown plant_params keys: \['{key}'\]"):
+        ExperimentConfig(name="fixed", plant=plant, plant_params={key: 0.24})
+
+
+@pytest.mark.parametrize("plant, trim", [("hexacopter", "hover_trim"), ("bifwmav", "lift_gain")])
+def test_plant_inertia_mass_reaches_the_plant(plant, trim):
+    default = build_plant(ExperimentConfig(plant=plant))
+    mass = 1.2 * default.inertia.m
+    heavy = build_plant(ExperimentConfig(plant=plant, plant_params={"inertia": {"m": mass}}))
+    assert heavy.inertia.m == mass
+    # the hover trim (N) and the lift gain (N/rad) carry the weight at u = 0, so both scale with m
+    assert getattr(heavy, trim) == pytest.approx(1.2 * getattr(default, trim), rel=1e-15)
+    for _ in range(100):
+        heavy.step(0.0, 0.01)
+    assert abs(heavy.output()) < 1e-3
 
 
 @pytest.mark.parametrize(
@@ -268,6 +288,30 @@ def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command):
     assert len(err) == 1
     assert err[0].startswith("CONFIG ERROR: second: ") and "thrust_gian" in err[0]
     assert not out.exists()  # no step log, no summary
+
+
+@pytest.mark.parametrize(
+    "controller, params, key",
+    [
+        ("pac", {"weight_limit": -1.0}, "weight_limit"),
+        ("pac", {"sat_limit": float("nan")}, "sat_limit"),
+        ("pac", {"actuator_limit": -2.5}, "actuator_limit"),
+        ("pac", {"learn_rates": [0.1, 0.5]}, "learn_rates"),
+        ("pac", {"alpha_max": [0.5, 0.5, 0.01, 0.01]}, "alpha_max"),
+        ("pid", {"kp": 1.0, "output_limits": [2.5, -2.5]}, "output_limits"),
+    ],
+    ids=["weight_limit", "sat_limit", "actuator_limit", "learn_rates", "alpha_max", "output_limits"],
+)
+def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, controller, params, key):
+    raw = dict(name="bad", plant="double_integrator", controller=controller, controller_params=params, duration=1.0)
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"CONFIG ERROR: bad: {key} ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [None, "name: [unclosed"], ids=["missing", "malformed"])

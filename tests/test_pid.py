@@ -34,6 +34,25 @@ def test_integer_limits_saturate_to_a_float():
             assert type(u) is float and u == want
 
 
+@pytest.mark.parametrize("limits", [(1.0, -1.0), (0.5, float("nan")), (float("nan"), 0.5)])
+def test_inverted_or_nan_limits_rejected(limits):
+    # lo > hi used to saturate every output to a limit
+    with pytest.raises(ValueError, match="^output_limits must be"):
+        PidConfig(output_limits=limits)
+
+
+def test_equal_limits_accepted():
+    assert PidConfig(output_limits=(1, 1)).output_limits == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("limits", [(-1.0, 1.0), (float("-inf"), float("inf"))], ids=["saturating", "unbounded"])
+def test_numpy_dt_keeps_the_output_float(limits):
+    pid = PidController(PidConfig(kp=2.0, ki=1.0, kd=0.5, output_limits=limits))
+    for y in (0.1, 0.2, 0.25, 5.0):  # from the second step on, the derivative divides by dt
+        u = pid.step(y, 0.3, np.float64(0.01))
+        assert type(u) is float and type(pid.err_integral) is float
+
+
 def test_anti_windup_freezes_integral_when_saturated():
     pid = PidController(PidConfig(kp=0.0, ki=1.0, output_limits=(-0.5, 0.5)))
     for _ in range(100):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,11 @@ from pacsim.plants import (
     CG,
     CP,
     BiFwmav,
-    FlapParams,
     GustSpec,
     GustTracker,
     Hexacopter,
-    HexacopterParams,
     ImpulseSpec,
+    InertiaSet,
     bifwmav_force_moment,
     flapping_actuator,
     gust_velocity,
@@ -27,36 +27,32 @@ from pacsim.plants.rigid_body import GRAVITY, body_gravity, dcm_inertial_to_body
 # --- hexacopter mixing --------------------------------------------------------
 
 def test_mixing_pure_thrust_symmetric():
-    p = HexacopterParams()
-    speeds = hexacopter_mixing(20.0, 0.0, 0.0, 0.0, p)
+    speeds = hexacopter_mixing(20.0, 0.0, 0.0, 0.0)
     assert np.allclose(speeds, speeds[0])
-    force, moments = rotor_forces_moments(speeds, p)
+    force, moments = rotor_forces_moments(speeds)
     assert force[2] == pytest.approx(-20.0, rel=1e-9)
     np.testing.assert_allclose(moments, np.zeros(3), atol=1e-12)
 
 
 def test_mixing_pure_yaw_preserves_thrust():
-    p = HexacopterParams()
-    speeds = hexacopter_mixing(20.0, 0.0, 0.0, 0.05, p)
-    force, moments = rotor_forces_moments(speeds, p)
+    speeds = hexacopter_mixing(20.0, 0.0, 0.0, 0.05)
+    force, moments = rotor_forces_moments(speeds)
     assert force[2] == pytest.approx(-20.0, rel=1e-6)
     assert abs(moments[2]) > 1e-6
     np.testing.assert_allclose(moments[:2], np.zeros(2), atol=1e-9)
 
 
 def test_mixing_clamps_speeds():
-    p = HexacopterParams()
-    speeds = np.asarray(hexacopter_mixing(1e6, 0.0, 0.0, 0.0, p))
-    assert np.all(speeds <= p.rotor_speed_max)
-    speeds = np.asarray(hexacopter_mixing(-50.0, 0.0, 0.0, 0.0, p))
+    speeds = np.asarray(hexacopter_mixing(1e6, 0.0, 0.0, 0.0))
+    assert np.all(speeds <= hexacopter.ROTOR_SPEED_MAX)
+    speeds = np.asarray(hexacopter_mixing(-50.0, 0.0, 0.0, 0.0))
     assert np.all(speeds >= 0.0)
 
 
 def test_hover_equilibrium_holds_altitude():
     # thrust command solving 6 kT w^2 = m g keeps the plant still
     plant = Hexacopter(channel="altitude")
-    p = plant.params
-    assert p.hover_thrust() == pytest.approx(p.inertia.m * GRAVITY)
+    assert plant.hover_trim == plant.inertia.m * GRAVITY
     for _ in range(1000):  # 10 s
         plant.step(0.0, 0.01)  # u = 0 -> thrust = hover trim
     assert abs(plant.output()) < 1e-3
@@ -70,30 +66,28 @@ def test_roll_channel_produces_roll():
     assert abs(plant.state[7]) < 1e-3  # theta
 
 
-def _rotor_sum_oracle(speeds, p):
+def _rotor_sum_oracle(speeds):
     # per-rotor sum: thrust k_t w^2 along -z at the arm tip, reaction torque
     # k_q w^2 about z with alternating spin
+    h = hexacopter
     force, moment = np.zeros(3), np.zeros(3)
     for i, w in enumerate(speeds):
         angle = math.radians(60.0 * i)
-        arm = np.array([p.arm_length * math.cos(angle), p.arm_length * math.sin(angle), 0.0])
-        f = np.array([0.0, 0.0, -p.k_thrust * w * w])
+        arm = np.array([h.ARM_LENGTH * math.cos(angle), h.ARM_LENGTH * math.sin(angle), 0.0])
+        f = np.array([0.0, 0.0, -h.K_THRUST * w * w])
         force += f
-        moment += np.cross(arm, f) + np.array([0.0, 0.0, (1.0 if i % 2 == 0 else -1.0) * p.k_torque * w * w])
+        moment += np.cross(arm, f) + np.array([0.0, 0.0, (1.0 if i % 2 == 0 else -1.0) * h.K_TORQUE * w * w])
     return force, moment
 
 
 def test_forward_allocation_matches_per_rotor_sum():
     rng = np.random.default_rng(41)
     for _ in range(200):
-        p = HexacopterParams(
-            arm_length=rng.uniform(0.1, 0.5), k_thrust=rng.uniform(5e-6, 2e-5), k_torque=rng.uniform(1e-7, 4e-7)
-        )
-        speeds = rng.uniform(0.0, p.rotor_speed_max, size=6)
-        force, moment = rotor_forces_moments(speeds, p)
-        want_f, want_m = _rotor_sum_oracle(speeds, p)
+        speeds = rng.uniform(0.0, hexacopter.ROTOR_SPEED_MAX, size=6)
+        force, moment = rotor_forces_moments(speeds)
+        want_f, want_m = _rotor_sum_oracle(speeds)
         # atol covers components that cancel across rotors
-        scale = p.k_thrust * float(speeds @ speeds)
+        scale = hexacopter.K_THRUST * float(speeds @ speeds)
         np.testing.assert_allclose(force, want_f, rtol=1e-12, atol=1e-14 * scale)
         np.testing.assert_allclose(moment, want_m, rtol=1e-12, atol=1e-14 * scale)
 
@@ -101,9 +95,9 @@ def test_forward_allocation_matches_per_rotor_sum():
 # --- flapping-wing plant ------------------------------------------------------
 
 def test_bifwmav_gravity_only():
-    p = FlapParams()
-    f, m = bifwmav_force_moment(np.zeros(4), (0.0, 0.0, 0.0), p.inertia.m)
-    np.testing.assert_allclose(f, [0.0, 0.0, p.inertia.m * GRAVITY], atol=1e-15)
+    mass = flapping.DEFAULT_INERTIA.m
+    f, m = bifwmav_force_moment(np.zeros(4), (0.0, 0.0, 0.0), mass)
+    np.testing.assert_allclose(f, [0.0, 0.0, mass * GRAVITY], atol=1e-15)
     np.testing.assert_allclose(m, np.zeros(3), atol=1e-15)
 
 
@@ -132,29 +126,26 @@ def test_geometry_constants():
 
 
 def test_flapping_actuator_zero_amplitude():
-    p = FlapParams()
-    np.testing.assert_allclose(flapping_actuator(0.0, p.k_lift() * p.frequency**2, p.amplitude_max), 0.0)
+    np.testing.assert_allclose(flapping_actuator(0.0, BiFwmav().lift_gain), 0.0)
 
 
 def test_flapping_actuator_linear_in_amplitude():
-    p = FlapParams()
-    f1 = np.asarray(flapping_actuator(0.2, p.k_lift() * p.frequency**2, p.amplitude_max))
-    f2 = np.asarray(flapping_actuator(0.4, p.k_lift() * p.frequency**2, p.amplitude_max))
+    k = BiFwmav().lift_gain
+    f1 = np.asarray(flapping_actuator(0.2, k))
+    f2 = np.asarray(flapping_actuator(0.4, k))
     np.testing.assert_allclose(f2, 2.0 * f1, rtol=1e-12)
 
 
 def test_flapping_hover_balance():
     # four wings at the hover amplitude carry exactly the weight
-    p = FlapParams()
-    lift = 4.0 * flapping_actuator(p.hover_amplitude(), p.k_lift() * p.frequency**2, p.amplitude_max)
-    assert lift == pytest.approx(p.inertia.m * GRAVITY, rel=1e-12)
+    plant = BiFwmav()
+    lift = 4.0 * flapping_actuator(flapping.HOVER_AMPLITUDE, plant.lift_gain)
+    assert lift == pytest.approx(plant.inertia.m * GRAVITY, rel=1e-12)
 
 
 def test_flapping_amplitude_clamped():
-    p = FlapParams()
-    f_max = flapping_actuator(p.amplitude_max, p.k_lift() * p.frequency**2, p.amplitude_max)
-    f_over = flapping_actuator(10.0 * p.amplitude_max, p.k_lift() * p.frequency**2, p.amplitude_max)
-    np.testing.assert_allclose(f_over, f_max)
+    k, a_max = BiFwmav().lift_gain, flapping.AMPLITUDE_MAX
+    np.testing.assert_allclose(flapping_actuator(10.0 * a_max, k), flapping_actuator(a_max, k))
 
 
 def test_bifwmav_hover_near_equilibrium():
@@ -187,17 +178,19 @@ def _record_rigid_body_step(monkeypatch, module):
     return calls
 
 
-def _flapping_oracle(u, attitude, m_x, m_y, p):
-    # pinv allocation of (collective, M_x, M_y) to clamped amplitudes, per-wing
-    # lift, gravity through the DCM, per-wing np.cross moments, and the
-    # stroke-plane trim cancelling the moment of the mean lift on every wing
-    k = p.k_lift() * p.frequency**2
-    collective = 4.0 * k * np.clip(p.hover_amplitude() + p.amplitude_gain * u, 0.0, p.amplitude_max)
+def _flapping_oracle(u, attitude, m_x, m_y, mass):
+    # lift gain from the hover balance, pinv allocation of (collective, M_x, M_y)
+    # to clamped amplitudes, per-wing lift, gravity through the DCM, per-wing
+    # np.cross moments, and the stroke-plane trim cancelling the moment of the
+    # mean lift on every wing
+    f = flapping
+    k = mass * GRAVITY / (4.0 * f.HOVER_AMPLITUDE)
+    collective = 4.0 * k * np.clip(f.HOVER_AMPLITUDE + f.AMPLITUDE_GAIN * u, 0.0, f.AMPLITUDE_MAX)
     cx_dev = CP[:, 0] - CP[:, 0].mean()
     rows = np.vstack([np.ones(4), CP[:, 1], -cx_dev]) * k
-    amps = np.clip(np.linalg.pinv(rows) @ [collective, m_x, m_y], 0.0, p.amplitude_max)
+    amps = np.clip(np.linalg.pinv(rows) @ [collective, m_x, m_y], 0.0, f.AMPLITUDE_MAX)
     wing = [np.array([0.0, 0.0, -k * a]) for a in amps]
-    force = sum(wing) + dcm_inertial_to_body(*attitude) @ np.array([0.0, 0.0, p.inertia.m * GRAVITY])
+    force = sum(wing) + dcm_inertial_to_body(*attitude) @ np.array([0.0, 0.0, mass * GRAVITY])
     mean_wing = np.array([0.0, 0.0, -k * amps.mean()])
     moment = sum(np.cross(CG - CP[i], wing[i]) - np.cross(CG - CP[i], mean_wing) for i in range(4))
     return force, moment
@@ -208,7 +201,7 @@ def test_flapping_force_moment_matches_per_wing_cross_oracle(monkeypatch):
     rng = np.random.default_rng(43)
     for _ in range(200):
         plant = BiFwmav()
-        p = plant.params
+        mass = plant.inertia.m
         u = rng.uniform(-15.0, 15.0)  # the amplitude command clamps at both ends
         attitude = (rng.uniform(-math.pi, math.pi), rng.uniform(-1.4, 1.4), rng.uniform(-math.pi, math.pi))
         m_x, m_y = rng.uniform(-0.1, 0.1, size=2)
@@ -216,10 +209,10 @@ def test_flapping_force_moment_matches_per_wing_cross_oracle(monkeypatch):
         plant._att_pids = [_FixedOutput(m_x), _FixedOutput(m_y)]
         plant.step(u, 0.01)
         _, force, moment = calls[-1]
-        want_f, want_m = _flapping_oracle(u, attitude, m_x, m_y, p)
+        want_f, want_m = _flapping_oracle(u, attitude, m_x, m_y, mass)
         # atol covers components that cancel across wings
-        np.testing.assert_allclose(force, want_f, rtol=1e-12, atol=1e-14 * p.inertia.m * GRAVITY)
-        np.testing.assert_allclose(moment, want_m, rtol=1e-12, atol=1e-14 * p.inertia.m * GRAVITY)
+        np.testing.assert_allclose(force, want_f, rtol=1e-12, atol=1e-14 * mass * GRAVITY)
+        np.testing.assert_allclose(moment, want_m, rtol=1e-12, atol=1e-14 * mass * GRAVITY)
     assert len(calls) == 200
 
 
@@ -236,7 +229,7 @@ def test_gust_path_matches_direct_rigid_body_step(monkeypatch, make_plant, modul
     plant = make_plant(GustSpec(v_m=3.0, d_m=120.0))
     plant.state[3:6] = [1.0, -0.2, 0.1]
     plant.gust.x = 60.0  # half way into the gust: it blows from the first step
-    inertia = plant.params.inertia
+    inertia = plant.inertia
     for _ in range(5):
         before = list(plant.state)
         plant.step(0.3, 0.01)
@@ -263,30 +256,25 @@ def test_fused_rotor_loop_equals_mixing_then_forces(monkeypatch):
     monkeypatch.setattr(hexacopter, "rigid_body_step", recorder)
     rng = np.random.default_rng(47)
     at_zero = at_max = between = 0
+    w_max = hexacopter.ROTOR_SPEED_MAX
     for _ in range(300):
-        p = HexacopterParams(
-            arm_length=rng.uniform(0.1, 0.5),
-            k_thrust=rng.uniform(5e-6, 2e-5),
-            k_torque=rng.uniform(1e-7, 4e-7),
-            rotor_speed_max=rng.uniform(800.0, 1600.0),
-            thrust_gain=rng.uniform(1.0, 30.0),
-        )
-        plant = Hexacopter(p, channel="altitude")
+        mass = float(rng.uniform(0.5, 6.0))  # the hover trim m*g is the thrust command at u = 0
+        plant = Hexacopter(InertiaSet(m=mass), channel="altitude")
         attitude = [float(a) for a in (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))]
         plant.state[6:9] = attitude
         cmds = [float(c) for c in rng.uniform(-2.0, 2.0, size=3)]  # inner-loop moment commands
         plant._rate_pids = [_FixedOutput(c) for c in cmds]
         u = float(rng.uniform(-5.0, 30.0))  # thrust from below zero to above every rotor's limit
         plant.step(u, 0.01)
-        speeds = hexacopter_mixing(plant._trim + p.thrust_gain * u, *cmds, p)
-        force, moments = rotor_forces_moments(speeds, p)
-        want = [f + g for f, g in zip(force, body_gravity(attitude[0], attitude[1], p.inertia.m))]
+        speeds = hexacopter_mixing(mass * GRAVITY + hexacopter.THRUST_GAIN * u, *cmds)
+        force, moments = rotor_forces_moments(speeds)
+        want = [f + g for f, g in zip(force, body_gravity(attitude[0], attitude[1], mass))]
         got_forces, got_moments = calls[-1]
         assert [v.hex() for v in got_forces] == [v.hex() for v in want]
         assert [v.hex() for v in got_moments] == [v.hex() for v in moments]
         at_zero += speeds.count(0.0)
-        at_max += speeds.count(p.rotor_speed_max)
-        between += sum(0.0 < w < p.rotor_speed_max for w in speeds)
+        at_max += speeds.count(w_max)
+        between += sum(0.0 < w < w_max for w in speeds)
     assert at_zero and at_max and between
 
 
@@ -296,31 +284,29 @@ def test_fused_wing_pass_equals_actuator_then_force_moment(monkeypatch):
     calls = _record_rigid_body_step(monkeypatch, flapping)
     rng = np.random.default_rng(59)
     at_zero = at_max = between = 0
+    a_max = flapping.AMPLITUDE_MAX
     for _ in range(300):
-        p = FlapParams(
-            frequency=rng.uniform(10.0, 30.0),
-            amplitude_max=rng.uniform(0.6, 1.6),
-            amplitude_gain=rng.uniform(0.02, 0.2),
-        )
-        plant = BiFwmav(p)
+        mass = float(rng.uniform(0.02, 0.2))  # sets the lift gain, so every lift and the weight
+        plant = BiFwmav(dataclasses.replace(flapping.DEFAULT_INERTIA, m=mass))
         attitude = [float(a) for a in (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))]
         plant.state[6:9] = attitude
         cmds = [float(c) for c in rng.uniform(-0.2, 0.2, size=2)]  # attitude-trim moments
         plant._att_pids = [_FixedOutput(c) for c in cmds]
         u = float(rng.uniform(-15.0, 15.0))  # the collective clamps at both ends
         plant.step(u, 0.01)
-        k = p.k_lift() * p.frequency**2
-        collective = 4.0 * k * min(max(p.hover_amplitude() + p.amplitude_gain * u, 0.0), p.amplitude_max)
+        k = mass * GRAVITY / (4.0 * flapping.FREQUENCY**2 * flapping.HOVER_AMPLITUDE) * flapping.FREQUENCY**2
+        assert plant.lift_gain == k
+        collective = 4.0 * k * min(max(flapping.HOVER_AMPLITUDE + flapping.AMPLITUDE_GAIN * u, 0.0), a_max)
         amps = [a * collective + b * cmds[0] + c * cmds[1] for a, b, c in plant._allocation]
-        lifts = [flapping_actuator(a, k, p.amplitude_max) for a in amps]
-        want_f, m_wings = bifwmav_force_moment(lifts, attitude, p.inertia.m)
+        lifts = [flapping_actuator(a, k) for a in amps]
+        want_f, m_wings = bifwmav_force_moment(lifts, attitude, mass)
         want_m = [m + t for m, t in zip(m_wings, flapping.stroke_plane_trim_moment(lifts))]
         _, got_f, got_m = calls[-1]
         assert [float(v).hex() for v in got_f] == [v.hex() for v in want_f]
         assert [float(v).hex() for v in got_m] == [v.hex() for v in want_m]
         at_zero += sum(a <= 0.0 for a in amps)
-        at_max += sum(a >= p.amplitude_max for a in amps)
-        between += sum(0.0 < a < p.amplitude_max for a in amps)
+        at_max += sum(a >= a_max for a in amps)
+        between += sum(0.0 < a < a_max for a in amps)
     assert at_zero and at_max and between
 
 
