@@ -35,22 +35,30 @@ class SigmaRule:
     def fires(self, x: float, factor: float) -> bool:
         """Push x and test mean + std > mu_min + factor * floored sigma_min.
 
-        On fire the minima reset to the current statistics.
+        On fire the minima reset to the current statistics. Each field is
+        read once; the clamp of the sum of squares at 0 and the floored
+        spread are the comparisons ``max`` makes, in its argument order (it
+        keeps the first of equal or unordered arguments, so a NaN in front
+        stays).
         """
-        self.count += 1
-        delta = x - self.mean
-        mu = self.mean = self.mean + delta / self.count
-        self._m2 += delta * (x - mu)
-        sigma = self.std = math.sqrt(max(self._m2, 0.0) / self.count)
-        if self.mu_min is None or mu < self.mu_min:
-            self.mu_min = mu
-        if self.sigma_min is None or sigma < self.sigma_min:
-            self.sigma_min = sigma
-        spread = max(self.sigma_min, SIGMA_FLOOR_REL * abs(self.mu_min), SIGMA_FLOOR_ABS)
-        fired = mu + sigma > self.mu_min + factor * spread
-        if fired:
+        count = self.count = self.count + 1
+        mean = self.mean
+        delta = x - mean
+        mu = self.mean = mean + delta / count
+        m2 = self._m2 = self._m2 + delta * (x - mu)
+        sigma = self.std = math.sqrt((0.0 if 0.0 > m2 else m2) / count)
+        mu_min, sigma_min = self.mu_min, self.sigma_min
+        if mu_min is None or mu < mu_min:
+            mu_min = self.mu_min = mu
+        if sigma_min is None or sigma < sigma_min:
+            sigma_min = self.sigma_min = sigma
+        spread = SIGMA_FLOOR_REL * abs(mu_min)
+        spread = spread if spread > sigma_min else sigma_min
+        spread = SIGMA_FLOOR_ABS if SIGMA_FLOOR_ABS > spread else spread
+        if mu + sigma > mu_min + factor * spread:
             self.mu_min, self.sigma_min = mu, sigma
-        return fired
+            return True
+        return False
 
 
 @dataclass

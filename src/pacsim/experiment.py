@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from .palm import save_rules
 from .pid import PidConfig, PidController
 from .plants import BiFwmav, DoubleIntegrator, GustSpec, Hexacopter, ImpulseSpec
 from .plants.disturbances import impulse_noise
+from .plants.flapping import DEFAULT_INERTIA
 from .plants.rigid_body import InertiaSet
 
 STEP_COLUMNS = ["t", "y_r", "y", "e", "s_l", "u_src", "u_palm", "u", "R", "bias", "variance"]
@@ -123,13 +124,13 @@ def _impulse(cfg: ExperimentConfig) -> ImpulseSpec | None:
 
 
 def build_plant(cfg: ExperimentConfig):
-    raw = cfg.plant_params
-    inertia = InertiaSet(**raw["inertia"]) if "inertia" in raw else None
+    # a partial inertia takes its missing fields from the plant's own default
+    inertia = cfg.plant_params.get("inertia", {})
     gust = _gust(cfg)
     if cfg.plant == "hexacopter":
-        return Hexacopter(inertia, channel=cfg.channel, gust=gust)
+        return Hexacopter(InertiaSet(**inertia), channel=cfg.channel, gust=gust)
     if cfg.plant == "bifwmav":
-        return BiFwmav(inertia, gust=gust)
+        return BiFwmav(replace(DEFAULT_INERTIA, **inertia), gust=gust)
     if cfg.plant == "double_integrator":
         return DoubleIntegrator()
     raise ValueError(f"unknown plant {cfg.plant!r}")

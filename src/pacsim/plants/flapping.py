@@ -103,16 +103,22 @@ class BiFwmav:
     def step(self, u: float, dt: float) -> None:
         x = self.state
         k, a_max = self.lift_gain, AMPLITUDE_MAX
-        collective = 4.0 * k * min(max(HOVER_AMPLITUDE + AMPLITUDE_GAIN * u, 0.0), a_max)
+        # each amplitude clamp is the comparison max/min make, so -0.0 and NaN come out as they do there
+        amp = HOVER_AMPLITUDE + AMPLITUDE_GAIN * u
+        amp = 0.0 if 0.0 > amp else amp
+        collective = 4.0 * k * (a_max if a_max < amp else amp)
         # attitude trim: drive roll/pitch moments toward level
         phi, theta = x[6:8]
-        roll_cmd = self._att_pids[0].step(phi, 0.0, dt)
-        pitch_cmd = self._att_pids[1].step(theta, 0.0, dt)
+        pid_roll, pid_pitch = self._att_pids
+        roll_cmd = pid_roll.step(phi, 0.0, dt)
+        pitch_cmd = pid_pitch.step(theta, 0.0, dt)
         # flapping_actuator, bifwmav_force_moment and stroke_plane_trim_moment
         # in one pass over the wings, with their operations in their order
         lift_sum = fz = m_x = m_y = 0.0
         for (a, b, c), (r_x, r_y) in zip(self._allocation, _WING_ARMS):
-            lift = k * min(max(a * collective + b * roll_cmd + c * pitch_cmd, 0.0), a_max)
+            amp = a * collective + b * roll_cmd + c * pitch_cmd
+            amp = 0.0 if 0.0 > amp else amp
+            lift = k * (a_max if a_max < amp else amp)
             lift_sum += lift
             fz -= lift
             m_x += r_y * lift

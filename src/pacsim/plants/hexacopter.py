@@ -7,7 +7,7 @@ reference).
 
 from __future__ import annotations
 
-import math
+from math import sqrt
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def hexacopter_mixing(thrust_cmd: float, roll_cmd: float, pitch_cmd: float, yaw_
     w_max = ROTOR_SPEED_MAX
     return tuple(
         [
-            min(math.sqrt(max(a * thrust_cmd + b * roll_cmd + c * pitch_cmd + d * yaw_cmd, 0.0) / K_THRUST), w_max)
+            min(sqrt(max(a * thrust_cmd + b * roll_cmd + c * pitch_cmd + d * yaw_cmd, 0.0) / K_THRUST), w_max)
             for a, b, c, d, *_ in _ROTORS
         ]
     )
@@ -99,25 +99,31 @@ class Hexacopter:
     def step(self, u: float, dt: float) -> None:
         x = self.state
         trim = self.hover_trim
-        phi, theta, psi = x[6:9]
+        phi, theta, psi, p, q, r = x[6:12]
 
         if self.channel == "altitude":
             thrust_cmd = trim + THRUST_GAIN * u
-            rate_ref = (ANGLE_KP * -phi, ANGLE_KP * -theta, -psi)
+            p_ref, q_ref = ANGLE_KP * -phi, ANGLE_KP * -theta
         elif self.channel == "roll":
             thrust_cmd = trim
-            rate_ref = (RATE_GAIN * u, ANGLE_KP * -theta, -psi)
+            p_ref, q_ref = RATE_GAIN * u, ANGLE_KP * -theta
         else:
             thrust_cmd = trim
-            rate_ref = (ANGLE_KP * -phi, RATE_GAIN * u, -psi)
+            p_ref, q_ref = ANGLE_KP * -phi, RATE_GAIN * u
 
-        loops = zip(self._rate_pids, x[9:12], rate_ref)
-        roll_cmd, pitch_cmd, yaw_cmd = [pid.step(rate, ref, dt) for pid, rate, ref in loops]
-        # hexacopter_mixing and rotor_forces_moments in one pass, with their operations in their order
+        pid_p, pid_q, pid_r = self._rate_pids
+        roll_cmd = pid_p.step(p, p_ref, dt)
+        pitch_cmd = pid_q.step(q, q_ref, dt)
+        yaw_cmd = pid_r.step(r, -psi, dt)
+        # hexacopter_mixing and rotor_forces_moments in one pass, with their operations in their order;
+        # each clamp is the comparison max/min make, so -0.0 and NaN come out as they do there
         k_t, w_max = K_THRUST, ROTOR_SPEED_MAX
         total = roll = pitch = yaw = 0.0
         for a, b, c, d, fa, fb, fc, fd in _ROTORS:
-            w = min(math.sqrt(max(a * thrust_cmd + b * roll_cmd + c * pitch_cmd + d * yaw_cmd, 0.0) / k_t), w_max)
+            thrust = a * thrust_cmd + b * roll_cmd + c * pitch_cmd + d * yaw_cmd
+            w = sqrt((0.0 if 0.0 > thrust else thrust) / k_t)
+            if w_max < w:
+                w = w_max
             w2 = w * w
             total += fa * w2
             roll += fb * w2

@@ -14,8 +14,12 @@ import numpy as np
 GRAVITY = 9.81  # m/s^2
 
 
-@dataclass
+@dataclass(frozen=True)
 class InertiaSet:
+    """Mass (kg) and inertia (kg*m^2). ``terms``, set at construction and not a
+    field, holds what ``rigid_body_step`` reads: (m, i_x, i_y, i_z, i_xz,
+    i_x - i_z, i_z - i_y, i_y - i_x, i_x i_z - i_xz^2)."""
+
     m: float = 3.0
     i_x: float = 0.04
     i_y: float = 0.04
@@ -23,10 +27,15 @@ class InertiaSet:
     i_xz: float = 0.0
 
     def __post_init__(self):
-        if self.m <= 0 or self.i_x <= 0 or self.i_y <= 0 or self.i_z <= 0:
+        m, i_x, i_y, i_z, i_xz = self.m, self.i_x, self.i_y, self.i_z, self.i_xz
+        if not all(map(isfinite, (m, i_x, i_y, i_z, i_xz))):
+            raise ValueError(f"inertia must be finite, not {self!r}")
+        if not (m > 0 and i_x > 0 and i_y > 0 and i_z > 0):
             raise ValueError("mass and principal inertias must be positive")
-        if abs(self.i_x * self.i_z - self.i_xz**2) < 1e-15:
+        det = i_x * i_z - i_xz * i_xz
+        if abs(det) < 1e-15:
             raise ValueError("singular roll/yaw inertia coupling")
+        object.__setattr__(self, "terms", (m, i_x, i_y, i_z, i_xz, i_x - i_z, i_z - i_y, i_y - i_x, det))
 
 
 # The state is one list of 12 Python floats: position (inertial, m), velocity
@@ -75,27 +84,32 @@ def rigid_body_step(x: list[float], inertia: InertiaSet, forces, moments, dt: fl
     """One RK4 step of the 12-float state ``x`` under zero-order-hold body-frame
     forces and moments (3-sequences); returns the new state as a new list.
 
-    One loop takes the four stages on local floats: each pass evaluates the
-    derivative at the current stage, adds it with its RK4 weight to the
-    combine's sum b1 + 2 b2 + 2 b3 + b4 (started from stage 1's derivative
-    itself, since 0.0 + -0.0 is 0.0), then moves the 9 components u .. r
-    (the only ones a derivative reads) to the next stage. The final combine
-    covers all 12. Raises FloatingPointError naming the non-finite state
-    components when a stage or the new state leaves the finite range.
+    One loop takes the four stages on local floats: passes 2-4 first move
+    the 9 components u .. r (the only ones a derivative reads) to their
+    stage; each pass then evaluates the derivative there and adds it with its
+    RK4 weight to the combine's sum b1 + 2 b2 + 2 b3 + b4 (started from stage
+    1's derivative itself, since 0.0 + -0.0 is 0.0). The final combine covers
+    all 12. The inertia terms come from ``inertia.terms``. Raises
+    FloatingPointError naming the non-finite state components when a stage
+    or the new state leaves the finite range.
     """
     f_x, f_y, f_z = map(float, forces)
     l, m, n = map(float, moments)
-    mass, i_x, i_y, i_z, i_xz = inertia.m, inertia.i_x, inertia.i_y, inertia.i_z, inertia.i_xz
-    # what the derivatives read besides the state, each computed once per step
+    mass, i_x, i_y, i_z, i_xz, d_xz, d_zy, d_yx, det = inertia.terms
+    # the force per unit mass, computed once per step
     a_x, a_y, a_z = f_x / mass, f_y / mass, f_z / mass
-    d_xz, d_zy, d_yx, det = i_x - i_z, i_z - i_y, i_y - i_x, i_x * i_z - i_xz * i_xz
     x0, y0, z0, u0, v0, w0, phi0, theta0, psi0, p0, q0, r0 = x
     u, v, w, phi, theta, psi, p, q, r = u0, v0, w0, phi0, theta0, psi0, p0, q0, r0
     h = 0.5 * dt
     try:
-        # each pass: the derivative at this stage, its weighted add to the sums,
-        # then the move to the next stage (the last pass's move is unused)
-        for step, weight in ((h, None), (h, 2.0), (dt, 2.0), (0.0, 1.0)):
+        # each pass: the move to this stage (none for stage 1), the derivative
+        # there, and its weighted add to the sums
+        for step, weight in ((None, None), (h, 2.0), (h, 2.0), (dt, 1.0)):
+            if step is not None:
+                u, v, w = u0 + step * du, v0 + step * dv, w0 + step * dw
+                phi, theta, psi = phi0 + step * dphi, theta0 + step * dtheta, psi0 + step * dpsi
+                p, q, r = p0 + step * dp, q0 + step * dq, r0 + step * dr
+
             # translational: F = m(dv/dt + omega x v), solved for dv/dt
             du = a_x - q * w + r * v
             dv = a_y - r * u + p * w
@@ -131,10 +145,6 @@ def rigid_body_step(x: list[float], inertia: InertiaSet, forces, moments, dt: fl
                 su, sv, sw = su + weight * du, sv + weight * dv, sw + weight * dw
                 sphi, stheta, spsi = sphi + weight * dphi, stheta + weight * dtheta, spsi + weight * dpsi
                 sp, sq, sr = sp + weight * dp, sq + weight * dq, sr + weight * dr
-
-            u, v, w = u0 + step * du, v0 + step * dv, w0 + step * dw
-            phi, theta, psi = phi0 + step * dphi, theta0 + step * dtheta, psi0 + step * dpsi
-            p, q, r = p0 + step * dp, q0 + step * dq, r0 + step * dr
     except ValueError:
         # math.sin/cos/tan of an infinite stage angle
         stage = (u, v, w, phi, theta, psi, p, q, r)

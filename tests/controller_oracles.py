@@ -5,7 +5,9 @@ on local floats. This is the same step written as the functions it was built
 from, called one after the other: the sliding value, the robustifying term,
 the extended input, the input-mean update, the structure learning and a
 keyword ``ControlStep``, then the weight adaptation as a ``min``/``max`` list
-comprehension. The tests hold the fused step bit-equal to it.
+comprehension. The drift detectors push through ``sigma_rule_fires``, the
+sigma rule written with the builtin ``max``. The tests hold the fused step and
+``SigmaRule.fires`` bit-equal to them.
 """
 
 import math
@@ -48,14 +50,33 @@ def adapt_weights(net, step, c, P, x_e, dt: float) -> None:
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
+def sigma_rule_fires(rule, x: float, factor: float) -> bool:
+    """Push x into the ``SigmaRule`` ``rule`` field by field and test
+    mean + std > mu_min + factor * max(sigma_min, 0.2 |mu_min|, 0.01)."""
+    rule.count += 1
+    delta = x - rule.mean
+    mu = rule.mean = rule.mean + delta / rule.count
+    rule._m2 += delta * (x - mu)
+    sigma = rule.std = math.sqrt(max(rule._m2, 0.0) / rule.count)
+    if rule.mu_min is None or mu < rule.mu_min:
+        rule.mu_min = mu
+    if rule.sigma_min is None or sigma < rule.sigma_min:
+        rule.sigma_min = sigma
+    spread = max(rule.sigma_min, evolution.SIGMA_FLOOR_REL * abs(rule.mu_min), evolution.SIGMA_FLOOR_ABS)
+    fired = mu + sigma > rule.mu_min + factor * spread
+    if fired:
+        rule.mu_min, rule.sigma_min = mu, sigma
+    return fired
+
+
 def _evolve(ctl, diag, x_e, y_r: float, t: float) -> None:
     """Structure learning: grow first, prune otherwise (never both); ``t`` stamps the event."""
     update_input_mean(ctl.evo, x_e)
     bias2, variance = evolution.network_bias_variance(ctl.net, ctl.evo, y_r)
     bias = diag.bias = math.sqrt(bias2)
     diag.variance = variance
-    grow = evolution.check_grow(ctl.evo, bias)
-    prune = evolution.check_prune(ctl.evo, variance)
+    grow = sigma_rule_fires(ctl.evo.grow, bias, evolution.growth_factor(bias))
+    prune = sigma_rule_fires(ctl.evo.prune, variance, 2.0 * evolution.pruning_factor(variance))
     if grow:
         ctl.net.rule_count += 1
     elif prune and ctl.net.rule_count >= 2:

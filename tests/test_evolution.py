@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from controller_oracles import extended_input, update_input_mean
+from controller_oracles import extended_input, sigma_rule_fires, update_input_mean
 from pacsim import evolution
 from pacsim.controller import ControllerConfig, ParsimoniousController
 from pacsim.evolution import (
@@ -166,6 +166,49 @@ def test_minima_never_exceed_running_stats():
         assert state.grow.sigma_min <= state.grow.std + 1e-12
         assert state.prune.mu_min <= state.prune.mean + 1e-12
         assert state.prune.sigma_min <= state.prune.std + 1e-12
+
+
+def _rule_bits(rule) -> list:
+    """Every field of a SigmaRule, floats by float.hex."""
+    floats = (rule.mean, rule.std, rule._m2, rule.mu_min, rule.sigma_min)
+    return [rule.count] + [None if v is None else v.hex() for v in floats]
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_sigma_rule_bit_equal_to_max_oracle_on_random_streams(seed):
+    # streams that drift up and down through zero, with exact zeros of both signs,
+    # a NaN or an infinity now and then (the detector stays NaN until a restart),
+    # restarts at random steps, and a NaN as the first push after every fifth restart
+    rng = np.random.default_rng(seed)
+    fused, oracle = EvolutionState(), EvolutionState()
+    fires = nan_pushes = restarts = negatives = zeros = 0
+    level = 0.0
+    nan_next = True
+    for k in range(6000):
+        roll = rng.random()
+        if nan_next or roll < 0.001:
+            x = float(rng.choice([math.nan, math.inf, -math.inf]))
+            nan_pushes += 1
+        elif roll < 0.05:
+            x = float(rng.choice([0.0, -0.0]))
+            zeros += 1
+        else:
+            level += float(rng.normal(0.0, 0.05))
+            x = level + float(rng.normal(0.0, rng.choice([1e-3, 0.1, 2.0])))
+            negatives += x < 0.0
+        factor = float(rng.uniform(0.7, 4.0))
+        for got, want in ((fused.grow, oracle.grow), (fused.prune, oracle.prune)):
+            fired = got.fires(x, factor)
+            assert fired == sigma_rule_fires(want, x, factor), k
+            assert _rule_bits(got) == _rule_bits(want), k
+            fires += fired
+        nan_next = False
+        if rng.random() < 0.01:
+            fused.restart_detectors()
+            oracle.restart_detectors()
+            restarts += 1
+            nan_next = restarts % 5 == 0
+    assert fires > 100 and nan_pushes > 5 and restarts > 20 and negatives and zeros
 
 
 def _controller_with_detectors(monkeypatch, grow, prune):

@@ -246,6 +246,30 @@ def test_plant_inertia_mass_reaches_the_plant(plant, trim):
     assert abs(heavy.output()) < 1e-3
 
 
+@pytest.mark.parametrize("plant", ["hexacopter", "bifwmav"])
+def test_partial_inertia_keeps_the_plant_default_moments(plant):
+    # the missing fields come from the plant's own default, not from InertiaSet's (the hexacopter's)
+    default = build_plant(ExperimentConfig(plant=plant)).inertia
+    heavy = build_plant(ExperimentConfig(plant=plant, plant_params={"inertia": {"m": 1.2 * default.m}})).inertia
+    assert heavy == dataclasses.replace(default, m=1.2 * default.m)
+    if plant == "bifwmav":
+        assert heavy.i_x == 6e-4
+
+
+@pytest.mark.parametrize("plant", ["hexacopter", "bifwmav"])
+@pytest.mark.parametrize("inertia", [{"m": math.nan}, {"i_xz": math.inf}, {"i_y": -math.inf}], ids=["m", "i_xz", "i_y"])
+def test_cli_non_finite_inertia_is_one_config_error(tmp_path, capsys, plant, inertia):
+    raw = dict(name="bad", plant=plant, plant_params={"inertia": inertia}, duration=1.0)
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("CONFIG ERROR: bad: inertia must be finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section, value, key",
     [

@@ -253,47 +253,55 @@ def test_fused_rotor_loop_equals_mixing_then_forces(monkeypatch):
         calls.append((list(forces), list(moments)))
         return rigid_body_step(state, inertia, forces, moments, dt)
 
+    def step_and_compare(mass, attitude, cmds, u):
+        plant = Hexacopter(InertiaSet(m=mass), channel="altitude")
+        plant.state[6:9] = attitude
+        plant._rate_pids = [_FixedOutput(c) for c in cmds]
+        try:
+            plant.step(u, 0.01)
+        except FloatingPointError:
+            assert not all(map(math.isfinite, [*cmds, u]))  # only a NaN command diverges here
+        speeds = hexacopter_mixing(mass * GRAVITY + hexacopter.THRUST_GAIN * u, *cmds)
+        force, moments = rotor_forces_moments(speeds)
+        want = [f + g for f, g in zip(force, body_gravity(attitude[0], attitude[1], mass))]
+        got_forces, got_moments = calls[-1]  # recorded before the RK4 step runs
+        assert [v.hex() for v in got_forces] == [v.hex() for v in want]
+        assert [v.hex() for v in got_moments] == [v.hex() for v in moments]
+        return speeds
+
     monkeypatch.setattr(hexacopter, "rigid_body_step", recorder)
     rng = np.random.default_rng(47)
     at_zero = at_max = between = 0
     w_max = hexacopter.ROTOR_SPEED_MAX
     for _ in range(300):
         mass = float(rng.uniform(0.5, 6.0))  # the hover trim m*g is the thrust command at u = 0
-        plant = Hexacopter(InertiaSet(m=mass), channel="altitude")
         attitude = [float(a) for a in (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))]
-        plant.state[6:9] = attitude
         cmds = [float(c) for c in rng.uniform(-2.0, 2.0, size=3)]  # inner-loop moment commands
-        plant._rate_pids = [_FixedOutput(c) for c in cmds]
         u = float(rng.uniform(-5.0, 30.0))  # thrust from below zero to above every rotor's limit
-        plant.step(u, 0.01)
-        speeds = hexacopter_mixing(mass * GRAVITY + hexacopter.THRUST_GAIN * u, *cmds)
-        force, moments = rotor_forces_moments(speeds)
-        want = [f + g for f, g in zip(force, body_gravity(attitude[0], attitude[1], mass))]
-        got_forces, got_moments = calls[-1]
-        assert [v.hex() for v in got_forces] == [v.hex() for v in want]
-        assert [v.hex() for v in got_moments] == [v.hex() for v in moments]
+        speeds = step_and_compare(mass, attitude, cmds, u)
         at_zero += speeds.count(0.0)
         at_max += speeds.count(w_max)
         between += sum(0.0 < w < w_max for w in speeds)
     assert at_zero and at_max and between
+    # a NaN command passes both clamps, as it passes max and min
+    for cmds, u in (([0.1, -0.2, 0.3], math.nan), ([0.1, math.nan, 0.3], 1.0)):
+        assert all(math.isnan(w) for w in step_and_compare(3.0, [0.1, -0.2, 0.3], cmds, u))
 
 
 def test_fused_wing_pass_equals_actuator_then_force_moment(monkeypatch):
     # BiFwmav.step fuses flapping_actuator, bifwmav_force_moment and stroke_plane_trim_moment;
     # the three functions are the reference
     calls = _record_rigid_body_step(monkeypatch, flapping)
-    rng = np.random.default_rng(59)
-    at_zero = at_max = between = 0
     a_max = flapping.AMPLITUDE_MAX
-    for _ in range(300):
-        mass = float(rng.uniform(0.02, 0.2))  # sets the lift gain, so every lift and the weight
+
+    def step_and_compare(mass, attitude, cmds, u):
         plant = BiFwmav(dataclasses.replace(flapping.DEFAULT_INERTIA, m=mass))
-        attitude = [float(a) for a in (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))]
         plant.state[6:9] = attitude
-        cmds = [float(c) for c in rng.uniform(-0.2, 0.2, size=2)]  # attitude-trim moments
         plant._att_pids = [_FixedOutput(c) for c in cmds]
-        u = float(rng.uniform(-15.0, 15.0))  # the collective clamps at both ends
-        plant.step(u, 0.01)
+        try:
+            plant.step(u, 0.01)
+        except FloatingPointError:
+            assert not all(map(math.isfinite, [*cmds, u]))  # only a NaN command diverges here
         k = mass * GRAVITY / (4.0 * flapping.FREQUENCY**2 * flapping.HOVER_AMPLITUDE) * flapping.FREQUENCY**2
         assert plant.lift_gain == k
         collective = 4.0 * k * min(max(flapping.HOVER_AMPLITUDE + flapping.AMPLITUDE_GAIN * u, 0.0), a_max)
@@ -301,13 +309,26 @@ def test_fused_wing_pass_equals_actuator_then_force_moment(monkeypatch):
         lifts = [flapping_actuator(a, k) for a in amps]
         want_f, m_wings = bifwmav_force_moment(lifts, attitude, mass)
         want_m = [m + t for m, t in zip(m_wings, flapping.stroke_plane_trim_moment(lifts))]
-        _, got_f, got_m = calls[-1]
+        _, got_f, got_m = calls[-1]  # recorded before the RK4 step runs
         assert [float(v).hex() for v in got_f] == [v.hex() for v in want_f]
         assert [float(v).hex() for v in got_m] == [v.hex() for v in want_m]
+        return amps
+
+    rng = np.random.default_rng(59)
+    at_zero = at_max = between = 0
+    for _ in range(300):
+        mass = float(rng.uniform(0.02, 0.2))  # sets the lift gain, so every lift and the weight
+        attitude = [float(a) for a in (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))]
+        cmds = [float(c) for c in rng.uniform(-0.2, 0.2, size=2)]  # attitude-trim moments
+        u = float(rng.uniform(-15.0, 15.0))  # the collective clamps at both ends
+        amps = step_and_compare(mass, attitude, cmds, u)
         at_zero += sum(a <= 0.0 for a in amps)
         at_max += sum(a >= a_max for a in amps)
         between += sum(0.0 < a < a_max for a in amps)
     assert at_zero and at_max and between
+    # a NaN command passes the collective and the wing clamps, as it passes max and min
+    for cmds, u in (([0.01, -0.02], math.nan), ([math.nan, 0.02], 0.5)):
+        assert all(math.isnan(a) for a in step_and_compare(0.06, [0.1, -0.2, 0.3], cmds, u))
 
 
 # --- disturbances -------------------------------------------------------------

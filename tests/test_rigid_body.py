@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -127,6 +128,43 @@ def test_wrap_leaves_in_range_angles_unchanged():
 def test_singular_inertia_rejected():
     with pytest.raises(ValueError):
         InertiaSet(i_x=0.04, i_z=0.04, i_xz=0.04)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["m", "i_x", "i_y", "i_z", "i_xz"])
+def test_non_finite_inertia_rejected(name, value):
+    with pytest.raises(ValueError, match="inertia must be finite"):
+        InertiaSet(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["m", "i_x", "i_y", "i_z"])
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+def test_non_positive_mass_or_principal_inertia_rejected(name, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        InertiaSet(**{name: value})
+
+
+def test_inertia_set_is_frozen():
+    inertia = InertiaSet()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inertia.m = 2.0
+    assert inertia == InertiaSet()
+
+
+@pytest.mark.parametrize("changes", [{"m": 2.0}, {"i_x": 0.05}, {"i_z": 0.07}, {"i_xz": -0.003}, {"i_y": 0.02, "m": 0.5}])
+def test_replaced_inertia_steps_like_a_fresh_one(changes):
+    # rigid_body_step reads the terms cached at construction; replace() must compute them anew
+    base = InertiaSet(i_xz=0.004)
+    replaced = dataclasses.replace(base, **changes)
+    fresh = InertiaSet(**{**dataclasses.asdict(base), **changes})
+    assert replaced.terms == fresh.terms != base.terms
+    rng = np.random.default_rng(71)
+    x = rng.uniform(-1.0, 1.0, size=12).tolist()
+    forces, moments = rng.uniform(-5.0, 5.0, size=3).tolist(), rng.uniform(-0.1, 0.1, size=3).tolist()
+    got = rigid_body_step(list(x), replaced, forces, moments, 0.01)
+    want = rigid_body_step(list(x), fresh, forces, moments, 0.01)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert got != rigid_body_step(list(x), base, forces, moments, 0.01)
 
 
 def test_divergence_aborts():

@@ -36,31 +36,34 @@ BASE = {**_a_pac(), "b_pid": ([0.5, 0.25, 0.125], [], [], {**CELLS, "controller"
 
 
 @pytest.mark.parametrize(
-    "change, status",
+    "change, status, identical",
     [
-        ({}, 0),
-        # y and u move at round-off, a summary cell with them: within ATOL, not a failure
-        (_a_pac(y=(1.0, 2.0, 3.0 + 4e-15), rmse=0.5 + 4e-15), 0),
-        (_a_pac(y=(1.0, 2.0, 3.0 + 1e-6)), 1),
-        (_a_pac(rmse=0.5 + 1e-6), 1),
-        (_a_pac(controller="pid"), 1),
-        (_a_pac(events=([0.02, "GROW", 2],)), 1),
-        (_a_pac(r=(1, 2, 3)), 1),
-        (_a_pac(y=(1.0, 2.0), r=(1, 2)), 1),
-        ({"b_pid": None}, 1),
-        ({"c_new": BASE["b_pid"]}, 1),
+        ({}, 0, 2),
+        # y and u move at round-off, a summary cell with them: within ATOL, not a failure, but not bit-identical
+        (_a_pac(y=(1.0, 2.0, 3.0 + 4e-15), rmse=0.5 + 4e-15), 0, 1),
+        (_a_pac(y=(1.0, 2.0, 3.0 + 1e-6)), 1, 1),
+        (_a_pac(rmse=0.5 + 1e-6), 1, 1),
+        (_a_pac(controller="pid"), 1, 1),
+        (_a_pac(events=([0.02, "GROW", 2],)), 1, 1),
+        (_a_pac(r=(1, 2, 3)), 1, 1),
+        (_a_pac(y=(1.0, 2.0), r=(1, 2)), 1, 1),
+        ({"b_pid": None}, 1, 1),
+        ({"c_new": BASE["b_pid"]}, 1, 2),
     ],
     ids=["same", "round-off", "y", "cell", "text-cell", "events", "R", "shorter", "diverged", "only-new"],
 )
-def test_compare_exits_1_when_events_or_r_differ_or_one_side_ran(tmp_path, capsys, change, status):
+def test_compare_exits_1_when_events_or_r_differ_or_one_side_ran(tmp_path, capsys, change, status, identical):
     old = _snapshot(tmp_path / "old.npz", BASE)
     new = _snapshot(tmp_path / "new.npz", {**BASE, **change})
     assert suite_diff.main(["compare", str(old), str(new)]) == status
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith(f"{len({**BASE, **change})} experiments: ")
+    assert lines[-1].endswith(f"; {identical} bit-identical")
 
 
-def test_compare_exits_0_when_both_sides_diverge(tmp_path):
+def test_compare_exits_0_when_both_sides_diverge(tmp_path, capsys):
+    # a run that diverged on both sides agrees, but has no arrays to be bit-identical
     runs = {**BASE, "b_pid": None}
     old, new = _snapshot(tmp_path / "old.npz", runs), _snapshot(tmp_path / "new.npz", runs)
     assert suite_diff.main(["compare", str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2 experiments: 2 agree within ATOL 1e-09, 0 disagree; 1 bit-identical"

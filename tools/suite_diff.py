@@ -17,8 +17,11 @@ events, R series and non-numeric cells are equal, and every float (y, u and
 the numeric cells) is within ``ATOL`` of the other side's. ``compare`` prints
 one line per experiment: max |dy|, max |du|, whether the events and the R
 series are equal, each summary cell that differs with both values, and what
-disagrees; then one line of totals. It exits 1 when any experiment
-disagrees, and 0 otherwise. ``tests/test_golden.py`` holds the suites at 20 s
+disagrees; then one line of totals, which also counts the bit-identical
+experiments: both sides ran them, their events and summary cells are equal
+and every array (y, u, R) is byte-equal. It exits 1 when any experiment
+disagrees, and 0 otherwise, so round-off within ``ATOL`` passes without
+counting as bit-identical. ``tests/test_golden.py`` holds the suites at 20 s
 to a snapshot of this format.
 """
 
@@ -119,13 +122,24 @@ def compare(old: tuple[dict, dict], new: tuple[dict, dict]) -> dict[str, tuple[s
     return diffs
 
 
+def bit_identical(old: tuple[dict, dict], new: tuple[dict, dict], name: str) -> bool:
+    """True when both sides ran ``name`` with equal events and summary cells and byte-equal arrays."""
+    (old_meta, old_arrays), (new_meta, new_arrays) = old, new
+    a, b = old_meta.get(name), new_meta.get(name)
+    if not (a and not a["error"] and a == b):
+        return False
+    arrays = [(old_arrays[f"{name}:{k}"], new_arrays[f"{name}:{k}"]) for k in ("y", "u", "R")]
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in arrays)
+
+
 def report(old: tuple[dict, dict], new: tuple[dict, dict]) -> bool:
     """Print ``compare``'s line for each experiment, then the totals; True when every experiment agrees."""
     diffs = compare(old, new)
     for name, (line, problems) in diffs.items():
         print(f"{name}: {line}" + (f"; DISAGREE on {', '.join(problems)}" if problems else ""))
     bad = sum(bool(problems) for _, problems in diffs.values())
-    print(f"{len(diffs)} experiments: {len(diffs) - bad} agree within ATOL {ATOL:g}, {bad} disagree")
+    same = sum(bit_identical(old, new, name) for name in diffs)
+    print(f"{len(diffs)} experiments: {len(diffs) - bad} agree within ATOL {ATOL:g}, {bad} disagree; {same} bit-identical")
     return bad == 0
 
 
