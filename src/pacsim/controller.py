@@ -9,7 +9,7 @@ term, u = u_src - u_palm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 
 from . import evolution
 from .palm import PalmNetwork, network_output
@@ -142,7 +142,8 @@ class ControllerConfig:
     coefficients: they stay fixed while learn_rates are all zero (the
     default) and otherwise self-evolve upward, clamped to [start, alpha_max].
     learn_rates and alpha_max hold one value per alpha; the learn rates and
-    the three limits must be non-negative.
+    the three limits must be non-negative. Each alpha is finite and at most
+    its alpha_max, and gamma is finite; a negative gamma is allowed.
     """
 
     gamma: float = 50.0
@@ -157,8 +158,11 @@ class ControllerConfig:
     evolution_enabled: bool = True
 
     def __post_init__(self):
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
-            raise ValueError("alpha1 and alpha2 must be positive")
+        alphas = (self.alpha1, self.alpha2, self.alpha3)
+        if not (0 < self.alpha1 < inf and 0 < self.alpha2 < inf and 0 <= self.alpha3 < inf):
+            raise ValueError(f"alpha1 and alpha2 must be positive and alpha3 non-negative, all finite, not {alphas!r}")
+        if not isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, not {self.gamma!r}")
         # one value per sliding coefficient, alpha1..alpha3
         for name in ("learn_rates", "alpha_max"):
             values = tuple(map(float, getattr(self, name)))
@@ -167,6 +171,9 @@ class ControllerConfig:
             setattr(self, name, values)
         if not all(r >= 0.0 for r in self.learn_rates):
             raise ValueError("learn_rates must be non-negative: the sliding coefficients only grow")
+        # the adaptation clamps each alpha to [start, alpha_max], an empty range when start > alpha_max
+        if not all(a <= hi for a, hi in zip(alphas, self.alpha_max)):
+            raise ValueError(f"alpha_max {self.alpha_max!r} must be at least each starting alpha {alphas!r}")
         # float keeps the clamps on u, u_src and the weights float-valued; a negative
         # or NaN limit would make each clamp return the limit whatever its input
         for name in ("weight_limit", "sat_limit", "actuator_limit"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -23,21 +23,10 @@ from .plants.flapping import DEFAULT_INERTIA
 from .plants.rigid_body import InertiaSet
 
 STEP_COLUMNS = ["t", "y_r", "y", "e", "s_l", "u_src", "u_palm", "u", "R", "bias", "variance"]
-SUMMARY_COLUMNS = [
-    "name",
-    "plant",
-    "trajectory",
-    "controller",
-    "rmse",
-    "rise_time_ms",
-    "settling_time_ms",
-    "peak",
-    "final_rule_count",
-]
+SUMMARY_COLUMNS = ["name", "plant", "trajectory", "controller", *(f.name for f in fields(metrics.MetricsReport))]
 
 
 DISTURBANCE_KEYS = {"gust", "impulse"}
-OUTPUT_KEYS = {"steps_csv", "events_txt", "rules_txt"}
 PLANT_KEYS = {"inertia"}  # the vehicles' other constants are fixed in their plant modules
 
 
@@ -57,7 +46,6 @@ class ExperimentConfig:
     controller_params: dict = field(default_factory=dict)
     plant_params: dict = field(default_factory=dict)
     disturbances: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # every part is built once here, so a bad name stops the config, not a suite halfway through
@@ -74,7 +62,7 @@ class ExperimentConfig:
         steps = self.duration / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integer number of steps")
-        for key, valid in (("disturbances", DISTURBANCE_KEYS), ("outputs", OUTPUT_KEYS), ("plant_params", PLANT_KEYS)):
+        for key, valid in (("disturbances", DISTURBANCE_KEYS), ("plant_params", PLANT_KEYS)):
             unknown = set(getattr(self, key)) - valid
             if unknown:
                 raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
@@ -86,10 +74,7 @@ class ExperimentConfig:
             for key, value in (("plant_params", self.plant_params), ("gust", self.disturbances.get("gust"))):
                 if value:
                     raise ValueError(f"plant 'double_integrator' takes no {key}")
-        build_controller(self)
-        build_plant(self)
-        trajectories.from_config(self.trajectory)
-        _impulse(self)
+        build(self)
 
     @property
     def n_steps(self) -> int:
@@ -113,20 +98,11 @@ def build_controller(cfg: ExperimentConfig):
     raise ValueError(f"unknown controller {cfg.controller!r}")
 
 
-def _gust(cfg: ExperimentConfig) -> GustSpec | None:
-    raw = cfg.disturbances.get("gust")
-    return GustSpec(**raw) if raw else None
-
-
-def _impulse(cfg: ExperimentConfig) -> ImpulseSpec | None:
-    raw = cfg.disturbances.get("impulse")
-    return ImpulseSpec(**raw) if raw else None
-
-
 def build_plant(cfg: ExperimentConfig):
     # a partial inertia takes its missing fields from the plant's own default
     inertia = cfg.plant_params.get("inertia", {})
-    gust = _gust(cfg)
+    gust = cfg.disturbances.get("gust")
+    gust = GustSpec(**gust) if gust else None
     if cfg.plant == "hexacopter":
         return Hexacopter(InertiaSet(**inertia), channel=cfg.channel, gust=gust)
     if cfg.plant == "bifwmav":
@@ -134,6 +110,17 @@ def build_plant(cfg: ExperimentConfig):
     if cfg.plant == "double_integrator":
         return DoubleIntegrator()
     raise ValueError(f"unknown plant {cfg.plant!r}")
+
+
+def build(cfg: ExperimentConfig) -> tuple:
+    """The controller, plant, trajectory and measurement impulse (None without one) that ``cfg`` runs."""
+    impulse = cfg.disturbances.get("impulse")
+    return (
+        build_controller(cfg),
+        build_plant(cfg),
+        trajectories.from_config(cfg.trajectory),
+        ImpulseSpec(**impulse) if impulse else None,
+    )
 
 
 @dataclass
@@ -145,10 +132,7 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
-    controller = build_controller(cfg)
-    plant = build_plant(cfg)
-    traj = trajectories.from_config(cfg.trajectory)
-    impulse = _impulse(cfg)
+    controller, plant, traj, impulse = build(cfg)
 
     cols: dict[str, list] = {c: [] for c in STEP_COLUMNS}
     add_t, add_y_r, add_y, add_e, add_s_l, add_u_src, add_u_palm, add_u, add_R, add_bias, add_variance = (
@@ -261,17 +245,13 @@ def read_step_csv(path) -> dict:
 
 
 def write_outputs(result: ExperimentResult, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = result.config
-    step_path = Path(cfg.outputs.get("steps_csv", out_dir / f"{cfg.name}_steps.csv"))
-    write_step_csv(result, step_path)
+    """``<name>_steps.csv`` in ``out_dir``; a PAC run adds ``<name>_events.txt`` and ``<name>_rules.txt``."""
+    name = result.config.name
+    write_step_csv(result, out_dir / f"{name}_steps.csv")
     controller = result.controller
     if isinstance(controller, ParsimoniousController):
-        events_path = Path(cfg.outputs.get("events_txt", out_dir / f"{cfg.name}_events.txt"))
-        controller.save_evolution_log(events_path)
-        rules_path = cfg.outputs.get("rules_txt")
-        if rules_path:
-            save_rules(controller.net, Path(rules_path))
+        controller.save_evolution_log(out_dir / f"{name}_events.txt")
+        save_rules(controller.net, out_dir / f"{name}_rules.txt")
 
 
 def summary_row(result: ExperimentResult) -> dict:
@@ -296,18 +276,14 @@ def write_summary_csv(rows: list[dict], path: Path) -> None:
 
 def run_suite(experiments: list[ExperimentConfig], out_dir: str | Path) -> list[ExperimentResult]:
     out_dir = Path(out_dir)
-    rows = []
     results = []
     failures = []
     for cfg in experiments:
         try:
-            result = run_experiment(cfg, out_dir=out_dir)
+            results.append(run_experiment(cfg, out_dir=out_dir))
         except DivergenceError as exc:
             failures.append(str(exc))
-            continue
-        results.append(result)
-        rows.append(summary_row(result))
-    write_summary_csv(rows, out_dir / "summary.csv")
+    write_summary_csv([summary_row(result) for result in results], out_dir / "summary.csv")
     if failures:
         raise DivergenceError("; ".join(failures))
     return results

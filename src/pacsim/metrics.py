@@ -12,7 +12,7 @@ the maximum response value over the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,16 +30,8 @@ class MetricsReport:
     final_rule_count: int | None = None
 
     def as_row(self) -> dict:
-        def fmt(v):
-            return "" if v is None else v
-
-        return {
-            "rmse": fmt(self.rmse),
-            "rise_time_ms": fmt(self.rise_time_ms),
-            "settling_time_ms": fmt(self.settling_time_ms),
-            "peak": fmt(self.peak),
-            "final_rule_count": fmt(self.final_rule_count),
-        }
+        """Summary cells by field name, in field order; an undefined metric is an empty cell."""
+        return {f.name: "" if (v := getattr(self, f.name)) is None else v for f in fields(self)}
 
 
 def compute_rmse(y: np.ndarray, y_r: np.ndarray) -> float | None:

@@ -6,6 +6,7 @@ harness can swap controllers by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -17,6 +18,8 @@ class PidConfig:
     output_limits: tuple[float, float] = (float("-inf"), float("inf"))
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.kp, self.ki, self.kd))):
+            raise ValueError(f"PID gains kp, ki and kd must be finite, not {(self.kp, self.ki, self.kd)!r}")
         # a saturated step returns a limit itself, so an integer limit from YAML must not reach it
         lo, hi = self.output_limits
         self.output_limits = (float(lo), float(hi))

@@ -13,8 +13,8 @@ class GustSpec:
     onset_time: float = 0.0  # s
 
     def __post_init__(self):
-        if self.v_m < 0 or self.d_m <= 0:
-            raise ValueError("gust amplitude must be >= 0 and length > 0")
+        if not (0 <= self.v_m < math.inf and 0 < self.d_m < math.inf and math.isfinite(self.onset_time)):
+            raise ValueError(f"gust v_m must be >= 0, d_m > 0 and every field finite, not {self!r}")
 
 
 def gust_velocity(x: float, spec: GustSpec) -> float:
@@ -33,8 +33,8 @@ class ImpulseSpec:
     duration: float  # s
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("impulse duration must be positive")
+        if not (0 < self.duration < math.inf and math.isfinite(self.amplitude) and math.isfinite(self.start)):
+            raise ValueError(f"impulse duration must be positive and every field finite, not {self!r}")
 
 
 def impulse_noise(t: float, spec: ImpulseSpec) -> float:

@@ -1,10 +1,11 @@
 """Paired two-sided Wilcoxon signed-rank test.
 
-Zero differences are dropped, tied |differences| get midranks, and the test
-statistic is W = min(W+, W-). Small samples (n <= 25) use the exact null
-distribution of W+ built by dynamic programming over doubled ranks (doubling
-keeps midranks integral); larger samples use the normal approximation with
-tie correction and a 0.5 continuity correction.
+Every sample and every difference must be finite. Zero differences are
+dropped, tied |differences| get midranks, and the test statistic is
+W = min(W+, W-). Small samples (n <= 25) use the exact null distribution of
+W+ built by dynamic programming over doubled ranks (doubling keeps midranks
+integral); larger samples use the normal approximation with tie correction
+and a 0.5 continuity correction.
 """
 
 from __future__ import annotations
@@ -26,17 +27,10 @@ class WilcoxonResult:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of finite values: a tie group of size s that ends at rank c
+    takes the mean of its ranks c - s + 1 .. c, which is c - (s - 1) / 2."""
+    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(sizes) - 0.5 * (sizes - 1))[group]
 
 
 def _exact_p(w: float, ranks: np.ndarray) -> float:
@@ -81,7 +75,11 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
         raise ValueError("paired samples must have equal length")
     if a.size < 6:
         raise ValueError("need at least 6 pairs")
-    diff = a - b
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a - b
+    # a NaN would count in n but in neither rank sum, and an infinity would take the top rank
+    if not np.isfinite(diff).all():
+        raise ValueError("paired samples and their differences must be finite")
     diff = diff[diff != 0.0]
     n = diff.size
     if n == 0:

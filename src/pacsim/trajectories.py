@@ -1,9 +1,10 @@
 """Reference trajectory generators.
 
-Every trajectory is a pure function of time. The instances used in the
-benchmark suites (constant hover heights, stepped heights, sum of sines,
-square wave, staircase, attitude sinusoids) are named config mappings that
-``from_config`` builds like any other ``{kind: ..., params}`` mapping.
+Every trajectory is a pure function of time, and its settings are checked
+when it is built. The instances used in the benchmark suites (constant hover
+heights, stepped heights, sum of sines, square wave, staircase, attitude
+sinusoids) are named config mappings that ``from_config`` builds like any
+other ``{kind: ..., params}`` mapping.
 """
 
 from __future__ import annotations
@@ -12,8 +13,28 @@ import math
 from dataclasses import dataclass
 
 
+class _Checked:
+    """Base of every trajectory: checks its settings when it is built. Each
+    number must be finite, a dwell or ramp positive, levels not empty and
+    each sine or cosine term an (amplitude, angular frequency, bias) triple."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            numbers = value if isinstance(value, (tuple, list)) else (value,)
+            if name in ("sines", "cosines"):
+                if not all(isinstance(term, (tuple, list)) and len(term) == 3 for term in value):
+                    raise ValueError(f"{name} must hold (amplitude, angular frequency, bias) triples, not {value!r}")
+                numbers = [x for term in value for x in term]
+            if name == "levels" and not value:
+                raise ValueError("levels must hold at least one level")
+            if name in ("dwell", "ramp") and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"{name} must be finite, not {value!r}")
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Checked):
     level: float
 
     def __call__(self, t: float) -> float:
@@ -21,7 +42,7 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Step:
+class Step(_Checked):
     amplitude: float
     start: float
 
@@ -30,7 +51,7 @@ class Step:
 
 
 @dataclass(frozen=True)
-class SharpSteps:
+class SharpSteps(_Checked):
     """Piecewise-constant levels, each held for `dwell` seconds."""
 
     levels: tuple[float, ...]
@@ -47,7 +68,7 @@ def _smoothstep(s: float) -> float:
 
 
 @dataclass(frozen=True)
-class SmoothSteps:
+class SmoothSteps(_Checked):
     """Like SharpSteps but each level change is a cubic ramp of `ramp` seconds."""
 
     levels: tuple[float, ...]
@@ -65,7 +86,7 @@ class SmoothSteps:
 
 
 @dataclass(frozen=True)
-class SumOfSines:
+class SumOfSines(_Checked):
     """Sum of (amplitude, angular frequency, bias) sine terms plus cosine terms."""
 
     sines: tuple[tuple[float, float, float], ...] = ()
@@ -81,7 +102,7 @@ class SumOfSines:
 
 
 @dataclass(frozen=True)
-class SquareWave:
+class SquareWave(_Checked):
     low: float
     high: float
     freq_rad_s: float
@@ -91,7 +112,7 @@ class SquareWave:
 
 
 @dataclass(frozen=True)
-class Staircase:
+class Staircase(_Checked):
     """Steps of the given heights at multiples of `dwell`, on top of `base`.
 
     The first `dwell` seconds hold the base level; step k lifts the level by
@@ -108,7 +129,8 @@ class Staircase:
 
 
 def reference(spec, t: float) -> float:
-    """Evaluate a trajectory object at time t (kept for symmetry with configs)."""
+    """Reference of trajectory ``spec`` at time t >= 0: the harness reads every
+    step's reference through this module attribute, so a tracer can wrap it."""
     if t < 0:
         raise ValueError("time must be non-negative")
     return spec(t)

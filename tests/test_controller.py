@@ -63,6 +63,33 @@ def test_nonpositive_starting_alpha_rejected(key, value):
         ControllerConfig(**{key: value})
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"alpha1": math.nan}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
+        ({"alpha2": math.inf}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
+        ({"alpha3": -1.0}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
+        ({"alpha3": math.nan}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
+        ({"gamma": math.nan}, "gamma must be finite"),
+        ({"gamma": -math.inf}, "gamma must be finite"),
+        # the clamp to [start, alpha_max] would drop alpha1 to 1.0 on its first adapting step
+        ({"alpha1": 2.0}, "alpha_max"),
+        ({"alpha3": 0.02, "alpha_max": (1.0, 0.5, 0.01)}, "alpha_max"),
+        ({"alpha_max": (1.0, math.nan, 0.01)}, "alpha_max"),
+    ],
+)
+def test_bad_sliding_setting_rejected(params, message):
+    with pytest.raises(ValueError, match=message):
+        ControllerConfig(**params)
+
+
+def test_negative_gamma_and_start_at_the_ceiling_accepted():
+    # a negative gamma adapts the other way; it is how a bias overflow is provoked on purpose
+    ControllerConfig(gamma=-50.0)
+    ControllerConfig(alpha1=0.5, alpha2=0.5, alpha3=0.01, alpha_max=(0.5, 0.5, 0.01))
+    ControllerConfig(alpha3=0.0)
+
+
 def test_p_matrix_published_values():
     P = p_matrix(1e-2, 1e-3)
     assert P.p11 == pytest.approx(500.1, abs=1e-9)

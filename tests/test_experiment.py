@@ -213,11 +213,28 @@ def test_double_integrator_rejects_gust_but_keeps_impulse():
 
 
 @pytest.mark.parametrize(
-    "key, value", [("disturbances", {"impuls": {}}), ("outputs", {"step_csv": "s.csv"})], ids=["disturbances", "outputs"]
+    "key, value, message",
+    [
+        ("disturbances", {"impuls": {}}, r"^x: unknown disturbances keys: \['impuls'\]$"),
+        # a run's files all go to the output directory: outputs is a stale top-level key
+        ("outputs", {"steps_csv": "s.csv"}, r"^x: unknown config keys: \['outputs'\]$"),
+    ],
+    ids=["disturbances", "outputs"],
 )
-def test_unknown_disturbance_or_output_key_rejected(key, value):
-    with pytest.raises(ValueError, match=next(iter(value))):
+def test_unknown_disturbance_or_output_key_rejected(key, value, message):
+    with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict({"name": "x", key: value})
+
+
+def test_cli_outputs_key_is_one_config_error(tmp_path, capsys):
+    raw = dict(name="stale", plant="double_integrator", duration=1.0, outputs={"rules_txt": str(tmp_path / "rules.txt")})
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["CONFIG ERROR: stale: unknown config keys: ['outputs']"]
+    assert not out.exists()
 
 
 def test_stale_flap_param_rejected():
@@ -323,11 +340,63 @@ def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command):
         ("pac", {"learn_rates": [0.1, 0.5]}, "learn_rates"),
         ("pac", {"alpha_max": [0.5, 0.5, 0.01, 0.01]}, "alpha_max"),
         ("pid", {"kp": 1.0, "output_limits": [2.5, -2.5]}, "output_limits"),
+        ("pac", {"alpha1": math.nan}, "alpha1"),
+        ("pac", {"alpha3": -1.0}, "alpha1 and alpha2 must be positive and alpha3"),
+        ("pac", {"alpha1": 2.0}, "alpha_max"),
+        ("pac", {"gamma": math.nan}, "gamma"),
+        ("pid", {"kp": math.nan}, "PID gains"),
     ],
-    ids=["weight_limit", "sat_limit", "actuator_limit", "learn_rates", "alpha_max", "output_limits"],
+    ids=[
+        "weight_limit",
+        "sat_limit",
+        "actuator_limit",
+        "learn_rates",
+        "alpha_max",
+        "output_limits",
+        "nan_alpha1",
+        "negative_alpha3",
+        "alpha1_over_ceiling",
+        "nan_gamma",
+        "nan_kp",
+    ],
 )
 def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, controller, params, key):
     raw = dict(name="bad", plant="double_integrator", controller=controller, controller_params=params, duration=1.0)
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"CONFIG ERROR: bad: {key} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, value, key",
+    [
+        ("trajectory", {"kind": "sharp_steps", "levels": [], "dwell": 20.0}, "levels"),
+        ("trajectory", {"kind": "sum_of_sines", "sines": [[1.0, 2.0]]}, "sines"),
+        ("trajectory", {"kind": "sharp_steps", "levels": [1.0, 2.0], "dwell": 0.0}, "dwell"),
+        ("trajectory", {"kind": "staircase", "step_heights": [1.0], "dwell": 0.0}, "dwell"),
+        ("trajectory", {"kind": "smooth_steps", "levels": [1.0, 2.0], "dwell": 20.0, "ramp": 0.0}, "ramp"),
+        ("trajectory", {"kind": "sharp_steps", "levels": [1.0, 2.0], "dwell": -0.5}, "dwell"),
+        ("disturbances", {"impulse": {"amplitude": 2.0, "start": 0.5, "duration": math.nan}}, "impulse duration"),
+        ("disturbances", {"gust": {"v_m": math.nan}}, "gust v_m"),
+    ],
+    ids=[
+        "empty_levels",
+        "sine_pair",
+        "zero_dwell",
+        "zero_staircase_dwell",
+        "zero_ramp",
+        "negative_dwell",
+        "nan_impulse",
+        "nan_gust",
+    ],
+)
+def test_cli_bad_trajectory_or_disturbance_is_one_config_error(tmp_path, capsys, section, value, key):
+    raw = dict(name="bad", plant="hexacopter", duration=1.0, **{section: value})
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump(raw))
     out = tmp_path / "out"
@@ -415,13 +484,9 @@ def test_bias_overflow_diverges_with_partial_log(tmp_path):
 
 
 def test_rule_snapshot_output(tmp_path):
-    cfg = hexa_config(
-        name="snap",
-        duration=5.0,
-        outputs={"rules_txt": str(tmp_path / "rules.txt")},
-    )
+    cfg = hexa_config(name="snap", duration=5.0)
     run_experiment(cfg, out_dir=tmp_path)
-    lines = (tmp_path / "rules.txt").read_text().splitlines()
+    lines = (tmp_path / "snap_rules.txt").read_text().splitlines()
     assert len(lines) >= 1
     assert lines[0].startswith("0, ")
 
@@ -431,7 +496,7 @@ def test_event_times_equal_step_log_times(tmp_path):
     # in, so events join to steps on equal times (a running sum of dt drifts:
     # 0.79000000000000048 against a row's 0.79)
     (cfg,) = [c for c in _configs_from_file(CONFIGS / "hexacopter_suite.yaml") if c.name == "hexa_sos_pac"]
-    cfg = dataclasses.replace(cfg, duration=5.0, outputs={})
+    cfg = dataclasses.replace(cfg, duration=5.0)
     result = run_experiment(cfg, out_dir=tmp_path)
     events = result.controller.events
     assert len(events) > 10
@@ -452,8 +517,20 @@ def test_suite_writes_summary(tmp_path):
     results = run_suite(configs, out_dir=tmp_path)
     assert len(results) == 2
     summary = (tmp_path / "summary.csv").read_text().splitlines()
-    assert summary[0].startswith("name,plant,trajectory,controller,rmse")
+    assert summary[0] == "name,plant,trajectory,controller,rmse,rise_time_ms,settling_time_ms,peak,final_rule_count"
     assert len(summary) == 3
+    # a PID run has no rule count: its last cell is empty
+    assert summary[1].split(",")[-1] == str(results[0].report.final_rule_count)
+    assert summary[2].endswith(",")
+
+
+def test_run_writes_its_files_to_the_output_directory(tmp_path):
+    pac = hexa_config(name="pac", duration=2.0)
+    pid = hexa_config(name="pid", duration=2.0, controller="pid", controller_params=dict(PID_HEXA))
+    run_experiment(pac, out_dir=tmp_path / "pac")
+    run_experiment(pid, out_dir=tmp_path / "pid")
+    assert sorted(p.name for p in (tmp_path / "pac").iterdir()) == ["pac_events.txt", "pac_rules.txt", "pac_steps.csv"]
+    assert [p.name for p in (tmp_path / "pid").iterdir()] == ["pid_steps.csv"]
 
 
 def test_cli_run_and_compare(tmp_path, capsys):
@@ -497,6 +574,16 @@ def test_cli_compare_input_error_is_one_line(tmp_path, capsys, text):
     assert main(["compare", str(good), str(bad)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("INPUT ERROR: ")
+
+
+def test_cli_compare_non_finite_residual_is_one_input_error(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(_LOG_HEADER + _LOG_ROW * 8)
+    nan_row = ",".join(["nan" if c == "y" else "1" for c in STEP_COLUMNS]) + "\n"
+    bad.write_text(_LOG_HEADER + _LOG_ROW * 3 + nan_row + _LOG_ROW * 4)
+    assert main(["compare", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["INPUT ERROR: paired samples and their differences must be finite"]
 
 
 def test_cli_suite_and_divergence_exit_code(tmp_path):

@@ -41,6 +41,14 @@ def test_inverted_or_nan_limits_rejected(limits):
         PidConfig(output_limits=limits)
 
 
+@pytest.mark.parametrize("gain", ["kp", "ki", "kd"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_gain_rejected(gain, value):
+    # a NaN kp used to pin every output to the low limit
+    with pytest.raises(ValueError, match="^PID gains kp, ki and kd must be finite"):
+        PidConfig(**{gain: value}, output_limits=(-1.0, 1.0))
+
+
 def test_equal_limits_accepted():
     assert PidConfig(output_limits=(1, 1)).output_limits == (1.0, 1.0)
 

@@ -365,6 +365,22 @@ def test_gust_validation():
         GustSpec(v_m=1.0, d_m=0.0)
 
 
+@pytest.mark.parametrize("field", ["v_m", "d_m", "onset_time"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_gust_rejects_non_finite_field(field, value):
+    # a NaN amplitude used to pass the sign rule and diverge at the first step
+    with pytest.raises(ValueError, match=r"^gust v_m must be >= 0, d_m > 0 and every field finite, not GustSpec\("):
+        GustSpec(**{"v_m": 4.0, field: value})
+
+
+@pytest.mark.parametrize("field", ["amplitude", "start", "duration"])
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_impulse_rejects_non_finite_field(field, value):
+    # a NaN duration used to run with a spike that never fired
+    with pytest.raises(ValueError, match=r"^impulse duration must be positive and every field finite, not ImpulseSpec\("):
+        ImpulseSpec(**{"amplitude": 2.0, "start": 1.0, "duration": 0.1, field: value})
+
+
 def test_impulse_window():
     spec = ImpulseSpec(amplitude=7.0, start=2.0, duration=0.1)
     assert impulse_noise(1.999, spec) == 0.0

@@ -112,3 +112,36 @@ def test_from_config_by_name_and_mapping():
         tj.from_config("nope")
     with pytest.raises(ValueError):
         tj.from_config({"kind": "nope"})
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"kind": "sharp_steps", "levels": [], "dwell": 20.0}, "levels"),
+        ({"kind": "smooth_steps", "levels": [], "dwell": 20.0}, "levels"),
+        ({"kind": "sharp_steps", "levels": [1.0], "dwell": 0.0}, "dwell"),
+        ({"kind": "sharp_steps", "levels": [1.0], "dwell": -0.5}, "dwell"),
+        ({"kind": "sharp_steps", "levels": [1.0], "dwell": math.inf}, "dwell"),
+        ({"kind": "sharp_steps", "levels": [1.0, math.nan], "dwell": 20.0}, "levels"),
+        ({"kind": "smooth_steps", "levels": [1.0, 2.0], "dwell": 20.0, "ramp": 0.0}, "ramp"),
+        ({"kind": "smooth_steps", "levels": [1.0, 2.0], "dwell": math.nan}, "dwell"),
+        ({"kind": "staircase", "step_heights": [1.0], "dwell": 0.0}, "dwell"),
+        ({"kind": "staircase", "step_heights": [math.inf], "dwell": 5.0}, "step_heights"),
+        ({"kind": "sum_of_sines", "sines": [[1.0, 2.0]]}, "sines"),
+        ({"kind": "sum_of_sines", "cosines": [[1.0, 2.0, 3.0, 4.0]]}, "cosines"),
+        ({"kind": "sum_of_sines", "sines": [1.0]}, "sines"),
+        ({"kind": "sum_of_sines", "sines": [[1.0, math.nan, 0.0]]}, "sines"),
+        ({"kind": "constant", "level": math.nan}, "level"),
+        ({"kind": "step", "amplitude": 1.0, "start": math.inf}, "start"),
+        ({"kind": "square_wave", "low": 0.0, "high": 1.0, "freq_rad_s": math.nan}, "freq_rad_s"),
+    ],
+)
+def test_bad_trajectory_setting_rejected_when_built(spec, key):
+    # each used to fail mid-run (IndexError, ZeroDivisionError, an unpacking error) or fly a wrong reference
+    with pytest.raises(ValueError, match=key):
+        tj.from_config(spec)
+
+
+def test_named_trajectories_pass_their_checks():
+    for name in tj._NAMED:
+        tj.from_config(name)

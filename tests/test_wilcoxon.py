@@ -5,7 +5,29 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from pacsim import stats
 from pacsim.stats import _exact_p, _midranks, _normal_p, wilcoxon_signed_rank
+
+
+def _loop_midranks(values):
+    """Oracle: midranks by a stable sort and a walk over each run of equal values."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    sorted_vals = values[order]
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _tie_heavy(rng, n):
+    """|differences| drawn from a few distinct values, so most belong to a tie group."""
+    levels = rng.integers(1, max(2, n // 3) + 1)
+    return np.abs(rng.integers(-levels, levels + 1, size=n) * rng.choice([0.25, 1.0, 1e-3])) + rng.choice([0.0, 0.5])
 
 
 def _enumeration_p(diff):
@@ -105,3 +127,47 @@ def test_rejects_short_or_mismatched_input():
         wilcoxon_signed_rank(np.zeros(5), np.zeros(5))
     with pytest.raises(ValueError):
         wilcoxon_signed_rank(np.zeros(10), np.zeros(9))
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_rejects_non_finite_sample(bad, side):
+    # a NaN used to count in n but in neither rank sum; an infinity took the top rank
+    a = np.arange(1.0, 9.0)
+    b = np.zeros(8)
+    (a if side == "a" else b)[3] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        wilcoxon_signed_rank(a, b)
+
+
+def test_rejects_difference_that_overflows():
+    a = np.full(8, 1e308)
+    with pytest.raises(ValueError, match="must be finite"):
+        wilcoxon_signed_rank(a, -a)
+
+
+def test_midranks_equal_the_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        values = _tie_heavy(rng, int(rng.integers(1, 200)))
+        assert _midranks(values).tobytes() == _loop_midranks(values).tobytes()
+    # without ties every rank is its position in the sorted order
+    values = rng.normal(size=1000)
+    assert _midranks(values).tobytes() == _loop_midranks(values).tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 12, 25, 26, 300], ids=lambda n: f"n{n}")
+def test_p_values_equal_those_of_the_loop_ranks(n, monkeypatch):
+    rng = np.random.default_rng(29 + n)
+    pairs = []
+    for _ in range(40):
+        b = _tie_heavy(rng, n)
+        # no zero differences, so every pair keeps its n and takes the path n chooses
+        pairs.append((b + rng.choice([-1.0, -0.5, 0.5, 1.0], size=n), b))
+    new = [wilcoxon_signed_rank(a, b) for a, b in pairs]
+    monkeypatch.setattr(stats, "_midranks", _loop_midranks)
+    old = [wilcoxon_signed_rank(a, b) for a, b in pairs]
+    assert new == old
+    assert all(res.n == n for res in new)
