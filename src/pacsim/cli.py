@@ -32,6 +32,8 @@ def _load_yaml(path: str) -> dict:
 def _configs_from_file(path: str) -> list[ExperimentConfig]:
     data = _load_yaml(path)
     raw_list = data["experiments"] if "experiments" in data else [data]
+    if not (isinstance(raw_list, list) and all(isinstance(raw, dict) for raw in raw_list)):
+        raise ValueError(f"{path}: experiments must be a list of mappings")
     return [ExperimentConfig.from_dict(raw) for raw in raw_list]
 
 

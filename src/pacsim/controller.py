@@ -184,7 +184,7 @@ class ControllerConfig:
 
 
 class ParsimoniousController:
-    """Evolving fuzzy controller with the step interface (y, y_r, dt) -> u."""
+    """Evolving fuzzy controller; the harness reads it through step, rule_count and write_artifacts."""
 
     def __init__(self, config: ControllerConfig | None = None):
         self.config = config or ControllerConfig()
@@ -281,8 +281,12 @@ class ParsimoniousController:
             u = hi
         return u, diag
 
-    def save_evolution_log(self, path) -> None:
-        """Plain-text rows: time_s, event, rule_count, bias, variance."""
-        with open(path, "w") as fh:
+    def write_artifacts(self, out_dir, name: str) -> None:
+        """``<name>_events.txt`` (time_s, event, rule_count, bias, variance per event) and
+        ``<name>_rules.txt`` (rule_index, w0, ..., wN per rule, R equal rows) in ``out_dir``."""
+        with open(out_dir / f"{name}_events.txt", "w") as fh:
             for t, kind, count, bias, variance in self.events:
                 fh.write(f"{t:.17g}, {kind}, {count}, {bias:.17g}, {variance:.17g}\n")
+        row = ", ".join("%.17g" % v for v in self.net.w)
+        with open(out_dir / f"{name}_rules.txt", "w") as fh:
+            fh.writelines("%d, " % i + row + "\n" for i in range(self.net.rule_count))

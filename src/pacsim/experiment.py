@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import metrics, trajectories
 from .controller import ControllerConfig, ControllerFault, ParsimoniousController
-from .palm import save_rules
 from .pid import PidConfig, PidController
 from .plants import BiFwmav, DoubleIntegrator, GustSpec, Hexacopter, ImpulseSpec
 from .plants.disturbances import impulse_noise
@@ -63,7 +62,10 @@ class ExperimentConfig:
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integer number of steps")
         for key, valid in (("disturbances", DISTURBANCE_KEYS), ("plant_params", PLANT_KEYS)):
-            unknown = set(getattr(self, key)) - valid
+            value = getattr(self, key)
+            if not isinstance(value, dict):
+                raise ValueError(f"{key} must be a mapping, not {value!r}")
+            unknown = set(value) - valid
             if unknown:
                 raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
         # only the hexacopter has attitude channels; the other plants fly altitude
@@ -89,13 +91,15 @@ class ExperimentConfig:
         return ExperimentConfig(**raw)
 
 
+# name -> (config class, controller class); the harness reads step, rule_count and write_artifacts
+CONTROLLERS = {"pac": (ControllerConfig, ParsimoniousController), "pid": (PidConfig, PidController)}
+
+
 def build_controller(cfg: ExperimentConfig):
-    params = dict(cfg.controller_params)
-    if cfg.controller == "pac":
-        return ParsimoniousController(ControllerConfig(**params))
-    if cfg.controller == "pid":
-        return PidController(PidConfig(**params))
-    raise ValueError(f"unknown controller {cfg.controller!r}")
+    if cfg.controller not in CONTROLLERS:
+        raise ValueError(f"unknown controller {cfg.controller!r}")
+    config_cls, controller_cls = CONTROLLERS[cfg.controller]
+    return controller_cls(config_cls(**cfg.controller_params))
 
 
 def build_plant(cfg: ExperimentConfig):
@@ -138,7 +142,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     add_t, add_y_r, add_y, add_e, add_s_l, add_u_src, add_u_palm, add_u, add_R, add_bias, add_variance = (
         cols[c].append for c in STEP_COLUMNS
     )
-    pac = isinstance(controller, ParsimoniousController)
     dt = cfg.dt
     cause = None
     try:
@@ -151,30 +154,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             if impulse is not None:
                 y += impulse_noise(t, impulse)
             # a step is logged only once its controller step has returned
-            if pac:
-                u, diag = controller.step(y, y_r, dt)
-                add_bias(diag.bias)
-                add_e(diag.e)
-                add_s_l(diag.s_l)
-                add_u_src(diag.u_src)
-                add_u_palm(diag.u_palm)
-                add_R(controller.rule_count)
-                add_variance(diag.variance)
-            else:
-                u = controller.step(y, y_r, dt)
-                add_e(y_r - y)
+            u, diag = controller.step(y, y_r, dt)
             add_t(t)
             add_y_r(y_r)
             add_y(y)
+            add_e(y_r - y)
+            add_s_l(diag.s_l)
+            add_u_src(diag.u_src)
+            add_u_palm(diag.u_palm)
             add_u(u)
+            add_R(controller.rule_count)
+            add_bias(diag.bias)
+            add_variance(diag.variance)
             plant.step(u, dt)
     except (ControllerFault, FloatingPointError) as exc:
         cause = exc
-    if not pac:
-        for c in ("s_l", "u_src", "u_palm", "R", "bias", "variance"):
-            cols[c] = [None] * len(cols["t"])
 
-    rep = metrics.report(cols["y"], cols["y_r"], dt, final_rule_count=controller.rule_count if pac else None)
+    rep = metrics.report(cols["y"], cols["y_r"], dt, final_rule_count=controller.rule_count)
     result = ExperimentResult(cfg, cols, rep, controller)
 
     if out_dir is not None:
@@ -245,13 +241,10 @@ def read_step_csv(path) -> dict:
 
 
 def write_outputs(result: ExperimentResult, out_dir: Path) -> None:
-    """``<name>_steps.csv`` in ``out_dir``; a PAC run adds ``<name>_events.txt`` and ``<name>_rules.txt``."""
+    """``<name>_steps.csv`` in ``out_dir``, then the files the controller writes there itself."""
     name = result.config.name
     write_step_csv(result, out_dir / f"{name}_steps.csv")
-    controller = result.controller
-    if isinstance(controller, ParsimoniousController):
-        controller.save_evolution_log(out_dir / f"{name}_events.txt")
-        save_rules(controller.net, out_dir / f"{name}_rules.txt")
+    result.controller.write_artifacts(out_dir, name)
 
 
 def summary_row(result: ExperimentResult) -> dict:

@@ -40,9 +40,3 @@ def network_output(x_e, net: PalmNetwork) -> float:
     x0, x1, x2, x3 = x_e
     return w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3
 
-
-def save_rules(net: PalmNetwork, path) -> None:
-    """Write the rule set as plain-text rows: rule_index, w0, ..., wN (R equal rows)."""
-    row = ", ".join("%.17g" % v for v in net.w)
-    with open(path, "w") as fh:
-        fh.writelines("%d, " % i + row + "\n" for i in range(net.rule_count))

@@ -1,13 +1,16 @@
 """PID baseline with conditional anti-windup.
 
-Shares the (y, y_r, dt) -> u step interface with the fuzzy controller so the
-harness can swap controllers by name.
+Offers the harness PAC's controller surface; its ``rule_count`` and the fields of
+every step's diagnostics (``_NO_DIAG``) are None, so PAC's step-log cells stay empty.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+_NO_DIAG = SimpleNamespace(s_l=None, u_src=None, u_palm=None, bias=None, variance=None)
 
 
 @dataclass
@@ -28,12 +31,14 @@ class PidConfig:
 
 
 class PidController:
+    rule_count = None
+
     def __init__(self, config: PidConfig | None = None):
         self.config = config or PidConfig()
         self.err_integral = 0.0
         self._e_prev: float | None = None
 
-    def step(self, y: float, y_r: float, dt: float) -> float:
+    def step(self, y: float, y_r: float, dt: float) -> tuple[float, SimpleNamespace]:
         dt = float(dt)  # a caller's numpy scalar stays out of the float path, like y and y_r
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -46,5 +51,8 @@ class PidController:
         if lo <= u_unclamped <= hi:
             # integrate only while the output is unsaturated
             self.err_integral += e * dt
-            return u_unclamped
-        return hi if u_unclamped > hi else lo
+            return u_unclamped, _NO_DIAG
+        return (hi if u_unclamped > hi else lo), _NO_DIAG
+
+    def write_artifacts(self, out_dir, name: str) -> None:
+        """A PID run writes no file beyond its step log."""

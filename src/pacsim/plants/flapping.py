@@ -110,8 +110,8 @@ class BiFwmav:
         # attitude trim: drive roll/pitch moments toward level
         phi, theta = x[6:8]
         pid_roll, pid_pitch = self._att_pids
-        roll_cmd = pid_roll.step(phi, 0.0, dt)
-        pitch_cmd = pid_pitch.step(theta, 0.0, dt)
+        roll_cmd = pid_roll.step(phi, 0.0, dt)[0]
+        pitch_cmd = pid_pitch.step(theta, 0.0, dt)[0]
         # flapping_actuator, bifwmav_force_moment and stroke_plane_trim_moment
         # in one pass over the wings, with their operations in their order
         lift_sum = fz = m_x = m_y = 0.0

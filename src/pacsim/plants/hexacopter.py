@@ -112,9 +112,9 @@ class Hexacopter:
             p_ref, q_ref = ANGLE_KP * -phi, RATE_GAIN * u
 
         pid_p, pid_q, pid_r = self._rate_pids
-        roll_cmd = pid_p.step(p, p_ref, dt)
-        pitch_cmd = pid_q.step(q, q_ref, dt)
-        yaw_cmd = pid_r.step(r, -psi, dt)
+        roll_cmd = pid_p.step(p, p_ref, dt)[0]
+        pitch_cmd = pid_q.step(q, q_ref, dt)[0]
+        yaw_cmd = pid_r.step(r, -psi, dt)[0]
         # hexacopter_mixing and rotor_forces_moments in one pass, with their operations in their order;
         # each clamp is the comparison max/min make, so -0.0 and NaN come out as they do there
         k_t, w_max = K_THRUST, ROTOR_SPEED_MAX

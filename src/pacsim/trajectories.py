@@ -171,13 +171,11 @@ def from_config(spec: str | dict):
         except KeyError:
             raise ValueError(f"unknown trajectory {spec!r}") from None
     spec = dict(spec)
-    kind = spec.pop("kind")
-    try:
-        cls = _CLASSES[kind]
-    except KeyError:
-        raise ValueError(f"unknown trajectory kind {kind!r}") from None
+    kind = spec.pop("kind", None)
+    if kind not in _CLASSES:
+        raise ValueError(f"trajectory {spec!r} has no kind" if kind is None else f"unknown trajectory kind {kind!r}")
     for key in ("levels", "step_heights", "sines", "cosines"):
         if key in spec:
             value = spec[key]
             spec[key] = tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in value)
-    return cls(**spec)
+    return _CLASSES[kind](**spec)

@@ -405,7 +405,7 @@ def test_pid_analytic_oracle():
     n = 5000
     xs = np.empty(n)
     for i in range(n):
-        u = pid.step(plant.output(), 1.0, dt)
+        u, _ = pid.step(plant.output(), 1.0, dt)
         plant.step(u, dt)
         xs[i] = plant.output()
     t = (np.arange(n) + 1) * dt

@@ -248,7 +248,8 @@ def test_numpy_scalar_inputs_leave_python_floats_in_both_controllers():
         u, diag = pac.step(y, np.float64(1.0), 0.01)
         values = [u, *dataclasses.astuple(diag), *pac.evo.mu_e, *pac.net.w, pac.sliding.err_integral, pac._e_prev]
         assert [type(v) for v in values] == [float] * len(values)
-        values = [pid.step(y, np.float64(1.0), 0.01), pid.err_integral, pid._e_prev]
+        u, _ = pid.step(y, np.float64(1.0), 0.01)
+        values = [u, pid.err_integral, pid._e_prev]
         assert [type(v) for v in values] == [float] * len(values)
 
 

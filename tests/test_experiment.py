@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pacsim import trajectories
+from pacsim import experiment, trajectories
 from pacsim.cli import _configs_from_file, main
 from pacsim.experiment import (
     STEP_COLUMNS,
@@ -312,22 +312,39 @@ def test_nonpositive_step_or_negative_duration_rejected(key, value):
         ExperimentConfig(name="bad_time", **{key: value})
 
 
-@pytest.mark.parametrize("command", ["run", "suite"])
-def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command):
-    # the second of three experiments misspells a plant parameter
-    experiments = [
-        dict(name=name, plant="double_integrator", trajectory={"kind": "constant", "level": 1.0}, duration=1.0)
-        for name in ("first", "second", "third")
-    ]
-    experiments[1].update(plant="hexacopter", plant_params={"thrust_gian": 5.0})
-    raw = {"experiments": experiments} if command == "suite" else experiments[1]
+_SHORT_RUN = dict(plant="double_integrator", trajectory={"kind": "constant", "level": 1.0}, duration=1.0)
+
+
+_BAD_EXPERIMENTS = {
+    # the misspelled plant parameter keeps the bare command as its id
+    "": (
+        [{**_SHORT_RUN, "name": "second", "plant": "hexacopter", "plant_params": {"thrust_gian": 5.0}}],
+        "second: unknown plant_params keys: ['thrust_gian']",
+    ),
+    "entry_not_a_mapping-": ([[1, 2]], "suite.yaml: experiments must be a list of mappings"),
+    "experiments_not_a_list-": (5, "suite.yaml: experiments must be a list of mappings"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, experiments, want",
+    [
+        pytest.param(command, *case, id=prefix + command)
+        for prefix, case in _BAD_EXPERIMENTS.items()
+        for command in ("run", "suite")
+    ],
+)
+def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command, experiments, want):
+    # a suite file puts the bad entry between two good experiments; a run file holds it alone
+    if command == "suite" and isinstance(experiments, list):
+        experiments = [{**_SHORT_RUN, "name": "first"}, *experiments, {**_SHORT_RUN, "name": "third"}]
     path = tmp_path / "suite.yaml"
-    path.write_text(yaml.safe_dump(raw))
+    path.write_text(yaml.safe_dump({"experiments": experiments}))
     out = tmp_path / "out"
     assert main([command, str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("CONFIG ERROR: second: ") and "thrust_gian" in err[0]
+    assert err[0].startswith("CONFIG ERROR: ") and err[0].endswith(want)
     assert not out.exists()  # no step log, no summary
 
 
@@ -383,6 +400,9 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         ("trajectory", {"kind": "sharp_steps", "levels": [1.0, 2.0], "dwell": -0.5}, "dwell"),
         ("disturbances", {"impulse": {"amplitude": 2.0, "start": 0.5, "duration": math.nan}}, "impulse duration"),
         ("disturbances", {"gust": {"v_m": math.nan}}, "gust v_m"),
+        ("trajectory", {"level": 3.0}, "trajectory"),
+        ("plant_params", ["inertia"], "plant_params"),
+        ("disturbances", ["gust"], "disturbances"),
     ],
     ids=[
         "empty_levels",
@@ -393,6 +413,9 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         "negative_dwell",
         "nan_impulse",
         "nan_gust",
+        "trajectory_without_kind",
+        "plant_params_list",
+        "disturbances_list",
     ],
 )
 def test_cli_bad_trajectory_or_disturbance_is_one_config_error(tmp_path, capsys, section, value, key):
@@ -522,6 +545,50 @@ def test_suite_writes_summary(tmp_path):
     # a PID run has no rule count: its last cell is empty
     assert summary[1].split(",")[-1] == str(results[0].report.final_rule_count)
     assert summary[2].endswith(",")
+
+
+@dataclasses.dataclass
+class _ToyConfig:
+    gain: float = 1.0
+
+
+class _ToyController:
+    """Proportional control with made-up diagnostics, a fixed rule count and a file of its own."""
+
+    rule_count = 7
+
+    def __init__(self, config: _ToyConfig):
+        self.config = config
+
+    def step(self, y, y_r, dt):
+        u = self.config.gain * (y_r - y)
+        return u, SimpleNamespace(s_l=u, u_src=2.0 * u, u_palm=-u, bias=0.5, variance=0.25)
+
+    def write_artifacts(self, out_dir, name):
+        (out_dir / f"{name}_gain.txt").write_text(f"{self.config.gain!r}\n")
+
+
+def test_a_controller_plugs_in_through_the_table(tmp_path, monkeypatch):
+    monkeypatch.setitem(experiment.CONTROLLERS, "toy", (_ToyConfig, _ToyController))
+    cfg = ExperimentConfig(
+        name="toy",
+        plant="double_integrator",
+        controller="toy",
+        controller_params={"gain": 2.0},
+        trajectory={"kind": "constant", "level": 1.0},
+        duration=0.5,
+    )
+    result = run_experiment(cfg, out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy_gain.txt", "toy_steps.csv"]
+    assert (tmp_path / "toy_gain.txt").read_text() == "2.0\n"
+    log = read_step_csv(tmp_path / "toy_steps.csv")
+    assert log == result.series
+    u = log["u"]
+    assert len(u) == 50 and u == [2.0 * (y_r - y) for y_r, y in zip(log["y_r"], log["y"])]
+    assert log["s_l"] == u and log["u_src"] == [2.0 * v for v in u] and log["u_palm"] == [-v for v in u]
+    assert log["R"] == [7] * 50 and log["bias"] == [0.5] * 50 and log["variance"] == [0.25] * 50
+    assert result.report.final_rule_count == 7
+    assert summary_row(result)["controller"] == "toy"
 
 
 def test_run_writes_its_files_to_the_output_directory(tmp_path):

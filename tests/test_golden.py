@@ -6,12 +6,16 @@ hold each experiment to the golden with ``suite_diff.compare``: events, R
 series and text cells exactly, y, u and the numeric summary cells within
 ``suite_diff.ATOL``.
 
-Regenerate after a deliberate behaviour change with
+Check that the golden is fresh, without touching it, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    python tools/suite_diff.py save /tmp/g.npz --seconds 20
+    python tools/suite_diff.py compare tests/golden/suites_20s.npz /tmp/g.npz
 
-which prints ``suite_diff``'s comparison against the golden it replaces, so a
-declared regeneration can quote what moved, then writes the new golden.
+which should report every experiment bit-identical; the second command's lines
+are what a declared regeneration quotes as moved. Regenerate after a
+deliberate behaviour change with
+
+    python tools/suite_diff.py save tests/golden/suites_20s.npz --seconds 20
 """
 
 import sys
@@ -50,10 +54,3 @@ def test_matches_golden(name, diffs):
     line, problems = diffs[name]
     assert problems == [], line
 
-
-if __name__ == "__main__":
-    snap = suite_diff.snapshot(ROOT, SECONDS)
-    if GOLDEN.exists():
-        suite_diff.report(suite_diff.load(GOLDEN), snap)
-    suite_diff.write(GOLDEN, snap)
-    print(f"wrote {GOLDEN} ({len(snap[0])} experiments)", file=sys.stderr)

@@ -12,7 +12,8 @@ from palm_oracles import (
     point_to_plane_distance,
     rule_consequent,
 )
-from pacsim.palm import DIM, PalmNetwork, network_output, save_rules
+from pacsim.controller import ParsimoniousController
+from pacsim.palm import DIM, PalmNetwork, network_output
 
 
 def test_distance_zero_when_point_on_plane():
@@ -228,10 +229,10 @@ def test_parameter_count_identity():
 
 def test_rule_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    net = PalmNetwork(w=rng.uniform(-1, 1, size=4), rule_count=3)
-    path = tmp_path / "rules.txt"
-    save_rules(net, path)
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    ctl = ParsimoniousController()
+    net = ctl.net = PalmNetwork(w=rng.uniform(-1, 1, size=4), rule_count=3)
+    ctl.write_artifacts(tmp_path, "run")
+    rows = np.loadtxt(tmp_path / "run_rules.txt", delimiter=",", ndmin=2)
     assert rows[:, 0].tolist() == [0.0, 1.0, 2.0]
     np.testing.assert_array_equal(rows[:, 1:], np.tile(net.w, (3, 1)))
 
@@ -249,8 +250,9 @@ def test_rule_snapshot_bytes_equal_np_savetxt(tmp_path, r):
     rng = np.random.default_rng(6 + r)
     w = rng.uniform(-2, 2, size=DIM) * 10.0 ** rng.integers(-20, 20, size=DIM)
     w[1] = -0.0
-    net = PalmNetwork(w=w, rule_count=r)
-    save_rules(net, tmp_path / "rules.txt")
+    ctl = ParsimoniousController()
+    ctl.net = PalmNetwork(w=w, rule_count=r)
+    ctl.write_artifacts(tmp_path, "run")
     rows = np.column_stack([np.arange(r), np.tile(w, (r, 1))])
     np.savetxt(tmp_path / "oracle.txt", rows, fmt=["%d"] + ["%.17g"] * DIM, delimiter=", ")
-    assert (tmp_path / "rules.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+    assert (tmp_path / "run_rules.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()

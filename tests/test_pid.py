@@ -3,25 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from pacsim.pid import PidConfig, PidController
+from pacsim.pid import _NO_DIAG, PidConfig, PidController
 from pacsim.plants import DoubleIntegrator
 
 
 def test_zero_error_zero_output():
     pid = PidController(PidConfig(kp=2.0, ki=1.0, kd=0.5))
     for _ in range(10):
-        assert pid.step(1.0, 1.0, 0.01) == 0.0
+        u, _ = pid.step(1.0, 1.0, 0.01)
+        assert u == 0.0
 
 
 def test_pure_proportional():
     pid = PidController(PidConfig(kp=1.0, ki=0.0, kd=0.0))
-    assert pid.step(0.0, 2.0, 0.01) == pytest.approx(2.0)
+    u, _ = pid.step(0.0, 2.0, 0.01)
+    assert u == pytest.approx(2.0)
 
 
 def test_output_respects_limits():
     pid = PidController(PidConfig(kp=100.0, output_limits=(-1.0, 1.0)))
-    assert pid.step(0.0, 10.0, 0.01) == 1.0
-    assert pid.step(10.0, 0.0, 0.01) == -1.0
+    assert pid.step(0.0, 10.0, 0.01)[0] == 1.0
+    assert pid.step(10.0, 0.0, 0.01)[0] == -1.0
 
 
 def test_integer_limits_saturate_to_a_float():
@@ -30,7 +32,7 @@ def test_integer_limits_saturate_to_a_float():
         pid = PidController(PidConfig(kp=100, output_limits=limits))
         assert pid.config.output_limits == (-1.0, 1.0)
         for y_r, want in ((1.0, 1.0), (-1.0, -1.0)):
-            u = pid.step(0.0, y_r, 0.01)
+            u, _ = pid.step(0.0, y_r, 0.01)
             assert type(u) is float and u == want
 
 
@@ -57,7 +59,7 @@ def test_equal_limits_accepted():
 def test_numpy_dt_keeps_the_output_float(limits):
     pid = PidController(PidConfig(kp=2.0, ki=1.0, kd=0.5, output_limits=limits))
     for y in (0.1, 0.2, 0.25, 5.0):  # from the second step on, the derivative divides by dt
-        u = pid.step(y, 0.3, np.float64(0.01))
+        u, _ = pid.step(y, 0.3, np.float64(0.01))
         assert type(u) is float and type(pid.err_integral) is float
 
 
@@ -77,7 +79,8 @@ def test_linearity_of_proportional_and_derivative_terms():
         pid = PidController(PidConfig(kp=2.0, ki=0.0, kd=0.5))
         outs = []
         for e in [1.0, 2.0, -1.0, 0.5]:
-            outs.append(pid.step(0.0, scale * e, 0.1))
+            u, _ = pid.step(0.0, scale * e, 0.1)
+            outs.append(u)
         return outs
 
     ones = run(1.0)
@@ -94,10 +97,19 @@ def test_critically_damped_step_response_matches_closed_form():
     n = 5000
     xs = np.empty(n)
     for i in range(n):
-        u = pid.step(plant.output(), 1.0, dt)
+        u, _ = pid.step(plant.output(), 1.0, dt)
         plant.step(u, dt)
         xs[i] = plant.output()
     t = (np.arange(n) + 1) * dt
     analytic = 1.0 - (1.0 + 2.0 * t) * np.exp(-2.0 * t)
     idx = np.linspace(0, n - 1, 1000).astype(int)
     np.testing.assert_allclose(xs[idx], analytic[idx], atol=0.01)
+
+
+def test_every_step_returns_the_one_empty_diagnostics_object():
+    # the PID's diagnostics leave the step log's PAC-only cells empty, and no step allocates them anew
+    pid = PidController(PidConfig(kp=100.0, ki=1.0, kd=0.5, output_limits=(-1.0, 1.0)))
+    diags = [pid.step(y, 0.3, 0.01)[1] for y in (0.0, 0.1, 5.0, -5.0)]  # unsaturated and saturated steps
+    assert all(diag is _NO_DIAG for diag in diags)
+    assert vars(_NO_DIAG) == dict.fromkeys(("s_l", "u_src", "u_palm", "bias", "variance"))
+    assert PidController.rule_count is None

@@ -164,7 +164,7 @@ class _FixedOutput:
         self.value = value
 
     def step(self, y, y_r, dt):
-        return self.value
+        return self.value, None
 
 
 def _record_rigid_body_step(monkeypatch, module):

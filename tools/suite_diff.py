@@ -21,8 +21,13 @@ disagrees; then one line of totals, which also counts the bit-identical
 experiments: both sides ran them, their events and summary cells are equal
 and every array (y, u, R) is byte-equal. It exits 1 when any experiment
 disagrees, and 0 otherwise, so round-off within ``ATOL`` passes without
-counting as bit-identical. ``tests/test_golden.py`` holds the suites at 20 s
-to a snapshot of this format.
+counting as bit-identical.
+
+``tests/test_golden.py`` holds the suites at 20 s to the golden snapshot
+``tests/golden/suites_20s.npz``. Check it against a fresh snapshot with
+``save /tmp/g.npz --seconds 20`` and then
+``compare tests/golden/suites_20s.npz /tmp/g.npz``; regenerate it after a
+deliberate behaviour change with ``save tests/golden/suites_20s.npz --seconds 20``.
 """
 
 from __future__ import annotations
