@@ -2,7 +2,7 @@
 fixed-step loop, logs per-step series to CSV and reduces them to metrics.
 
 Loop order per step: read the reference, apply measurement disturbance, step
-the controller, advance the gust, step the plant, log.
+the controller, log the step, step the plant (which advances its gust).
 """
 
 from __future__ import annotations

@@ -166,10 +166,11 @@ _CLASSES = {
 def from_config(spec: str | dict):
     """Build a trajectory from a suite name or a {kind: ..., params...} mapping."""
     if isinstance(spec, str):
-        try:
-            spec = _NAMED[spec]
-        except KeyError:
-            raise ValueError(f"unknown trajectory {spec!r}") from None
+        if spec not in _NAMED:
+            raise ValueError(f"unknown trajectory {spec!r}")
+        spec = _NAMED[spec]
+    if not isinstance(spec, dict):
+        raise ValueError(f"trajectory must be a name or a mapping, not {spec!r}")
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind not in _CLASSES:

@@ -401,6 +401,7 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         ("disturbances", {"impulse": {"amplitude": 2.0, "start": 0.5, "duration": math.nan}}, "impulse duration"),
         ("disturbances", {"gust": {"v_m": math.nan}}, "gust v_m"),
         ("trajectory", {"level": 3.0}, "trajectory"),
+        ("trajectory", [["kind", "constant"], ["level", 3.0]], "trajectory"),
         ("plant_params", ["inertia"], "plant_params"),
         ("disturbances", ["gust"], "disturbances"),
     ],
@@ -414,6 +415,7 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         "nan_impulse",
         "nan_gust",
         "trajectory_without_kind",
+        "trajectory_list",
         "plant_params_list",
         "disturbances_list",
     ],
