@@ -5,7 +5,8 @@
   pacsim compare <stepsA.csv> <stepsB.csv>      Wilcoxon on residuals
 
 Exit status is 1 when a run diverges, and 2 when a config is invalid or a
-step log given to ``compare`` is missing, malformed or shorter than 6 rows.
+step log given to ``compare`` is missing, malformed or shorter than 6 rows, or
+when the two logs differ in ``t`` on the steps both hold.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ def _cmd_suite(args) -> int:
     return 0
 
 
-def _residuals(path: str) -> np.ndarray:
-    cols = read_step_csv(path)
+def _residuals(cols: dict) -> np.ndarray:
     y = np.asarray(cols["y"], dtype=float)
     y_r = np.asarray(cols["y_r"], dtype=float)
     return np.abs(y_r - y)
@@ -74,10 +74,14 @@ def _residuals(path: str) -> np.ndarray:
 
 def _cmd_compare(args) -> int:
     try:
-        a = _residuals(args.csv_a)
-        b = _residuals(args.csv_b)
-        n = min(len(a), len(b))
-        result = wilcoxon_signed_rank(a[:n], b[:n], alpha=args.alpha)
+        a, b = read_step_csv(args.csv_a), read_step_csv(args.csv_b)
+        # rows pair by step, so both logs must share the time grid over the steps they both ran
+        n = min(len(a["t"]), len(b["t"]))
+        off_grid = np.flatnonzero(np.asarray(a["t"][:n]) != np.asarray(b["t"][:n]))
+        if off_grid.size:
+            i = int(off_grid[0])
+            raise ValueError(f"the logs differ in t at step {i}: {a['t'][i]!r} in {args.csv_a}, {b['t'][i]!r} in {args.csv_b}")
+        result = wilcoxon_signed_rank(_residuals(a)[:n], _residuals(b)[:n], alpha=args.alpha)
     except (OSError, ValueError) as exc:
         print(f"INPUT ERROR: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2

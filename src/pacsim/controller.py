@@ -74,24 +74,10 @@ class SlidingState:
     err_integral: float = 0.0
 
 
-@dataclass
-class ControlStep:
-    """Per-step diagnostics. u preserves the exact identity u_src - u_palm;
-    the value applied to the plant is separately clamped to the actuator limit."""
-
-    e: float
-    e_dot: float
-    s_l: float
-    u_src: float
-    u_palm: float
-    u: float
-    bias: float = 0.0
-    variance: float = 0.0
-
-
 def adapt_weights(
     net: PalmNetwork,
-    step: ControlStep,
+    e: float,
+    e_dot: float,
     c: ControllerConfig,
     P: PMatrix,
     x_e,
@@ -104,7 +90,7 @@ def adapt_weights(
     clipped to the weight bound afterwards, by the two comparisons of
     ``min(max(v, -lim), lim)``, so a NaN passes through as it does there.
     """
-    g = step.e * P.p12 + step.e_dot * P.p22
+    g = e * P.p12 + e_dot * P.p22
     k = dt * c.gamma * g / net.rule_count
     hi = c.weight_limit
     lo = -hi
@@ -184,7 +170,13 @@ class ControllerConfig:
 
 
 class ParsimoniousController:
-    """Evolving fuzzy controller; the harness reads it through step, rule_count and write_artifacts."""
+    """Evolving fuzzy controller; the harness reads it through step, log_columns, rule_count and write_artifacts.
+
+    ``step`` returns u clamped to the actuator limit and the cells of ``log_columns``;
+    before the clamp u is exactly ``u_src - u_palm``, and ``R`` is the rule count after the step.
+    """
+
+    log_columns = ("s_l", "u_src", "u_palm", "R", "bias", "variance")
 
     def __init__(self, config: ControllerConfig | None = None):
         self.config = config or ControllerConfig()
@@ -208,7 +200,7 @@ class ParsimoniousController:
     def parameter_count(self) -> int:
         return self.net.parameter_count
 
-    def step(self, y: float, y_r: float, dt: float) -> tuple[float, ControlStep]:
+    def step(self, y: float, y_r: float, dt: float) -> tuple[float, tuple]:
         """One control step in one pass: sliding surface, network output,
         structure learning (grow first, prune otherwise, never both and
         never the last rule), then the adaptation.
@@ -266,8 +258,7 @@ class ParsimoniousController:
                 # process-control method does after a detection
                 evo.restart_detectors()
 
-        diag = ControlStep(e, e_dot, s_l, u_src, u_palm, u, bias, variance)
-        adapt_weights(net, diag, c, self.P, x_e, dt)
+        adapt_weights(net, e, e_dot, c, self.P, x_e, dt)
         if not self._alphas_at_max and adapt_sliding_params(s, c, e, e_dot, s_l, dt):
             self.P = p_matrix(s.alpha1, s.alpha2)
             self._alphas_at_max = (s.alpha1, s.alpha2, s.alpha3) == c.alpha_max
@@ -279,7 +270,7 @@ class ParsimoniousController:
             u = lo
         if hi < u:
             u = hi
-        return u, diag
+        return u, (s_l, u_src, u_palm, net.rule_count, bias, variance)
 
     def write_artifacts(self, out_dir, name: str) -> None:
         """``<name>_events.txt`` (time_s, event, rule_count, bias, variance per event) and

@@ -3,6 +3,9 @@ fixed-step loop, logs per-step series to CSV and reduces them to metrics.
 
 Loop order per step: read the reference, apply measurement disturbance, step
 the controller, log the step, step the plant (which advances its gust).
+
+A step's row holds the harness's ``STEP_COLUMNS``, which every run has, then
+the cells the controller returns for its own ``log_columns``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .plants.disturbances import impulse_noise
 from .plants.flapping import DEFAULT_INERTIA
 from .plants.rigid_body import InertiaSet
 
-STEP_COLUMNS = ["t", "y_r", "y", "e", "s_l", "u_src", "u_palm", "u", "R", "bias", "variance"]
+STEP_COLUMNS = ("t", "y_r", "y", "e", "u")
 SUMMARY_COLUMNS = ["name", "plant", "trajectory", "controller", *(f.name for f in fields(metrics.MetricsReport))]
 
 
@@ -91,7 +94,7 @@ class ExperimentConfig:
         return ExperimentConfig(**raw)
 
 
-# name -> (config class, controller class); the harness reads step, rule_count and write_artifacts
+# name -> (config class, controller class); the harness reads step, log_columns, rule_count and write_artifacts
 CONTROLLERS = {"pac": (ControllerConfig, ParsimoniousController), "pid": (PidConfig, PidController)}
 
 
@@ -138,10 +141,9 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     controller, plant, traj, impulse = build(cfg)
 
-    cols: dict[str, list] = {c: [] for c in STEP_COLUMNS}
-    add_t, add_y_r, add_y, add_e, add_s_l, add_u_src, add_u_palm, add_u, add_R, add_bias, add_variance = (
-        cols[c].append for c in STEP_COLUMNS
-    )
+    cols: dict[str, list] = {c: [] for c in (*STEP_COLUMNS, *controller.log_columns)}
+    add_t, add_y_r, add_y, add_e, add_u = (cols[c].append for c in STEP_COLUMNS)
+    add_cells = [cols[c].append for c in controller.log_columns]
     dt = cfg.dt
     cause = None
     try:
@@ -154,18 +156,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             if impulse is not None:
                 y += impulse_noise(t, impulse)
             # a step is logged only once its controller step has returned
-            u, diag = controller.step(y, y_r, dt)
+            u, cells = controller.step(y, y_r, dt)
             add_t(t)
             add_y_r(y_r)
             add_y(y)
             add_e(y_r - y)
-            add_s_l(diag.s_l)
-            add_u_src(diag.u_src)
-            add_u_palm(diag.u_palm)
             add_u(u)
-            add_R(controller.rule_count)
-            add_bias(diag.bias)
-            add_variance(diag.variance)
+            for add, cell in zip(add_cells, cells):
+                add(cell)
             plant.step(u, dt)
     except (ControllerFault, FloatingPointError) as exc:
         cause = exc
@@ -185,58 +183,50 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 _BLOCK_ROWS = 1000
 
 
-def _cells(values: list) -> list:
-    """One column of a block as CSV cells: ``repr`` of each value, empty for None."""
-    if None in values:
-        return ["" if v is None else repr(v) for v in values]
-    return list(map(repr, values))
-
-
 def write_step_csv(result: ExperimentResult, path: Path) -> None:
-    """Header row, then one CRLF-ended row per step: the bytes ``csv.writer`` writes for these cells.
+    """Header row of the series' names, then one CRLF-ended row per step: the bytes
+    ``csv.writer`` writes for these cells.
 
     A float or int ``repr`` holds no comma, quote or line end, so no cell needs quoting.
     """
-    series = [result.series[c] for c in STEP_COLUMNS]
+    series = list(result.series.values())
     n = len(series[0])
     if any(len(values) != n for values in series):
         raise ValueError(f"{path}: step-log columns differ in length")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(STEP_COLUMNS) + "\r\n")
+        fh.write(",".join(result.series) + "\r\n")
         for start in range(0, n, _BLOCK_ROWS):
-            cells = [_cells(values[start : start + _BLOCK_ROWS]) for values in series]
+            cells = [list(map(repr, values[start : start + _BLOCK_ROWS])) for values in series]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def _values(cells: tuple, convert) -> list:
-    """One column of a block read back: ``convert`` each cell, None for an empty one."""
-    if "" in cells:
-        return [None if v == "" else convert(v) for v in cells]
-    return list(map(convert, cells))
-
-
 def read_step_csv(path) -> dict:
-    """Series of a step log by column name; ``R`` as int, empty cells as None.
+    """Series of a step log by column name, in header order; ``R`` as int, every other column as float.
 
-    Reads CRLF and LF line ends alike and finds the columns by the header.
+    Reads CRLF and LF line ends alike. The header must name the harness's
+    ``STEP_COLUMNS``; an empty or unreadable cell is a malformed log.
     """
-    cols: dict[str, list] = {c: [] for c in STEP_COLUMNS}
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         missing = [c for c in STEP_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: no column {missing[0]!r} in the header")
-        index = [(cols[c].extend, header.index(c), int if c == "R" else float) for c in STEP_COLUMNS]
+        cols: dict[str, list] = {c: [] for c in header}
+        if len(cols) != len(header):
+            raise ValueError(f"{path}: the header names a column twice")
+        converters = [(cols[c].extend, int if c == "R" else float) for c in header]
         while True:
             rows = [line.rstrip("\n").split(",") for line in islice(fh, _BLOCK_ROWS)]
             if not rows:
                 break
             if set(map(len, rows)) != {len(header)}:
                 raise ValueError(f"{path}: a row does not have the {len(header)} cells of the header")
-            cells = list(zip(*rows))
-            for extend, i, convert in index:
-                extend(_values(cells[i], convert))
+            try:
+                for (extend, convert), cells in zip(converters, zip(*rows)):
+                    extend(map(convert, cells))
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed cell: {exc}") from exc
     return cols
 
 

@@ -1,16 +1,13 @@
 """PID baseline with conditional anti-windup.
 
-Offers the harness PAC's controller surface; its ``rule_count`` and the fields of
-every step's diagnostics (``_NO_DIAG``) are None, so PAC's step-log cells stay empty.
+Offers the harness the controller surface: it logs no column beyond the
+harness's own (``log_columns`` is empty), and its ``rule_count`` is None.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-
-_NO_DIAG = SimpleNamespace(s_l=None, u_src=None, u_palm=None, bias=None, variance=None)
 
 
 @dataclass
@@ -31,6 +28,7 @@ class PidConfig:
 
 
 class PidController:
+    log_columns = ()
     rule_count = None
 
     def __init__(self, config: PidConfig | None = None):
@@ -38,7 +36,7 @@ class PidController:
         self.err_integral = 0.0
         self._e_prev: float | None = None
 
-    def step(self, y: float, y_r: float, dt: float) -> tuple[float, SimpleNamespace]:
+    def step(self, y: float, y_r: float, dt: float) -> tuple[float, tuple]:
         dt = float(dt)  # a caller's numpy scalar stays out of the float path, like y and y_r
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -51,8 +49,8 @@ class PidController:
         if lo <= u_unclamped <= hi:
             # integrate only while the output is unsaturated
             self.err_integral += e * dt
-            return u_unclamped, _NO_DIAG
-        return (hi if u_unclamped > hi else lo), _NO_DIAG
+            return u_unclamped, ()
+        return (hi if u_unclamped > hi else lo), ()
 
     def write_artifacts(self, out_dir, name: str) -> None:
         """A PID run writes no file beyond its step log."""

@@ -26,11 +26,12 @@ class WilcoxonResult:
     n: int
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of finite values: a tie group of size s that ends at rank c
-    takes the mean of its ranks c - s + 1 .. c, which is c - (s - 1) / 2."""
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of finite values, and the sizes of their tie groups in
+    ascending order: a tie group of size s that ends at rank c takes the mean
+    of its ranks c - s + 1 .. c, which is c - (s - 1) / 2."""
     _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(sizes) - 0.5 * (sizes - 1))[group]
+    return (np.cumsum(sizes) - 0.5 * (sizes - 1))[group], sizes
 
 
 def _exact_p(w: float, ranks: np.ndarray) -> float:
@@ -54,13 +55,13 @@ def _exact_p(w: float, ranks: np.ndarray) -> float:
     return float(min(lower + upper, 1.0))
 
 
-def _normal_p(w: float, ranks: np.ndarray) -> float:
-    n = len(ranks)
+def _normal_p(w: float, sizes: np.ndarray) -> float:
+    """Two-sided p of the normal approximation for the tie-group ``sizes`` of ``_midranks``."""
+    n = int(sizes.sum())
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
     # tie correction: subtract sum(t^3 - t)/48 over tie groups
-    _, counts = np.unique(ranks, return_counts=True)
-    var -= float(np.sum(counts**3 - counts)) / 48.0
+    var -= float(np.sum(sizes**3 - sizes)) / 48.0
     if var <= 0:
         return 1.0
     z = (w - mean + 0.5) / math.sqrt(var)  # continuity correction toward the mean
@@ -84,12 +85,12 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
     n = diff.size
     if n == 0:
         return WilcoxonResult(p=1.0, h=0, w=0.0, n=0)
-    ranks = _midranks(np.abs(diff))
+    ranks, sizes = _midranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
     w_minus = float(ranks[diff < 0].sum())
     w = min(w_plus, w_minus)
     if n <= EXACT_LIMIT:
         p = _exact_p(w, ranks)
     else:
-        p = _normal_p(w, ranks)
+        p = _normal_p(w, sizes)
     return WilcoxonResult(p=p, h=int(p < alpha), w=w, n=n)

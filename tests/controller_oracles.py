@@ -3,9 +3,9 @@
 ``pacsim.controller.ParsimoniousController.step`` runs the step in one method
 on local floats. This is the same step written as the functions it was built
 from, called one after the other: the sliding value, the robustifying term,
-the extended input, the input-mean update, the structure learning and a
-keyword ``ControlStep``, then the weight adaptation as a ``min``/``max`` list
-comprehension. The drift detectors push through ``sigma_rule_fires``, the
+the extended input, the input-mean update and the structure learning, then
+the weight adaptation as a ``min``/``max`` list comprehension and the log
+cells as a tuple. The drift detectors push through ``sigma_rule_fires``, the
 sigma rule written with the builtin ``max``. The tests hold the fused step and
 ``SigmaRule.fires`` bit-equal to them.
 """
@@ -13,7 +13,7 @@ sigma rule written with the builtin ``max``. The tests hold the fused step and
 import math
 
 from pacsim import evolution
-from pacsim.controller import ControllerFault, ControlStep, adapt_sliding_params, p_matrix
+from pacsim.controller import ControllerFault, adapt_sliding_params, p_matrix
 from pacsim.palm import network_output
 
 
@@ -40,9 +40,9 @@ def update_input_mean(state, x_e) -> None:
     state.mu_e = (m0 + (x0 - m0) / k, m1 + (x1 - m1) / k, m2 + (x2 - m2) / k, m3 + (x3 - m3) / k)
 
 
-def adapt_weights(net, step, c, P, x_e, dt: float) -> None:
+def adapt_weights(net, e: float, e_dot: float, c, P, x_e, dt: float) -> None:
     """w <- w - dt * (gamma / R) * (e p12 + de p22) * x_e, clipped entry by entry with min/max."""
-    g = step.e * P.p12 + step.e_dot * P.p22
+    g = e * P.p12 + e_dot * P.p22
     k = dt * c.gamma * g / net.rule_count
     lim = c.weight_limit
     w = net.w = [min(max(v - k * x, -lim), lim) for v, x in zip(net.w, x_e)]
@@ -69,12 +69,12 @@ def sigma_rule_fires(rule, x: float, factor: float) -> bool:
     return fired
 
 
-def _evolve(ctl, diag, x_e, y_r: float, t: float) -> None:
-    """Structure learning: grow first, prune otherwise (never both); ``t`` stamps the event."""
+def _evolve(ctl, x_e, y_r: float, t: float) -> tuple[float, float]:
+    """Structure learning: grow first, prune otherwise (never both); ``t`` stamps the event.
+    Returns the network's bias and variance."""
     update_input_mean(ctl.evo, x_e)
     bias2, variance = evolution.network_bias_variance(ctl.net, ctl.evo, y_r)
-    bias = diag.bias = math.sqrt(bias2)
-    diag.variance = variance
+    bias = math.sqrt(bias2)
     grow = sigma_rule_fires(ctl.evo.grow, bias, evolution.growth_factor(bias))
     prune = sigma_rule_fires(ctl.evo.prune, variance, 2.0 * evolution.pruning_factor(variance))
     if grow:
@@ -82,13 +82,15 @@ def _evolve(ctl, diag, x_e, y_r: float, t: float) -> None:
     elif prune and ctl.net.rule_count >= 2:
         ctl.net.rule_count -= 1
     else:
-        return
+        return bias, variance
     ctl.events.append((t, "GROW" if grow else "PRUNE", ctl.net.rule_count, bias, variance))
     ctl.evo.restart_detectors()
+    return bias, variance
 
 
 def staged_step(ctl, y: float, y_r: float, dt: float):
-    """One step of the ``ParsimoniousController`` ``ctl``, function by function, on its own state; returns (u, diag)."""
+    """One step of the ``ParsimoniousController`` ``ctl``, function by function, on its own state;
+    returns (u, cells) with the cells of its ``log_columns``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     c = ctl.config
@@ -110,15 +112,15 @@ def staged_step(ctl, y: float, y_r: float, dt: float):
     if not math.isfinite(u):
         raise ControllerFault(f"non-finite control at step {ctl.steps}: u_palm={u_palm}")
 
-    diag = ControlStep(e=e, e_dot=e_dot, s_l=s_l, u_src=u_src, u_palm=u_palm, u=u)
-
+    bias = variance = 0.0
     if c.evolution_enabled:
-        _evolve(ctl, diag, x_e, y_r, ctl.steps * dt)
+        bias, variance = _evolve(ctl, x_e, y_r, ctl.steps * dt)
 
-    adapt_weights(ctl.net, diag, c, ctl.P, x_e, dt)
+    adapt_weights(ctl.net, e, e_dot, c, ctl.P, x_e, dt)
     if not ctl._alphas_at_max and adapt_sliding_params(s, c, e, e_dot, s_l, dt):
         ctl.P = p_matrix(s.alpha1, s.alpha2)
         ctl._alphas_at_max = (s.alpha1, s.alpha2, s.alpha3) == c.alpha_max
 
     ctl.steps += 1
-    return min(max(u, -c.actuator_limit), c.actuator_limit), diag
+    cells = (s_l, u_src, u_palm, ctl.net.rule_count, bias, variance)
+    return min(max(u, -c.actuator_limit), c.actuator_limit), cells

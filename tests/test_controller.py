@@ -8,7 +8,6 @@ import scipy.linalg
 
 from pacsim import controller, evolution
 from pacsim.controller import (
-    ControlStep,
     ControllerConfig,
     ControllerFault,
     ParsimoniousController,
@@ -24,6 +23,15 @@ from pacsim.pid import PidConfig, PidController
 from pacsim.plants import DoubleIntegrator
 from controller_oracles import extended_input, robustifying_term, sliding_value, staged_step
 from palm_oracles import PalmReference
+
+
+# the type of each cell a PAC step returns: R counts rules, every other cell is a float
+CELL_TYPES = [int if c == "R" else float for c in ParsimoniousController.log_columns]
+
+
+def _named(cells) -> dict:
+    """A PAC step's log cells by column name."""
+    return dict(zip(ParsimoniousController.log_columns, cells))
 
 
 def _initial_sliding(**config) -> SlidingState:
@@ -141,14 +149,10 @@ def test_published_p_agrees_with_lyapunov_solution_on_adaptation_entries():
         assert pub.p22 == pytest.approx(exact.p22, rel=1e-14)
 
 
-def _step(e, e_dot=0.0):
-    return ControlStep(e=e, e_dot=e_dot, s_l=0.0, u_src=0.0, u_palm=0.0, u=0.0)
-
-
 def test_adapt_weights_no_error_no_change():
     net = PalmNetwork(w=np.array([0.1, 0.2, 0.3, 0.4]))
     before = net.w.copy()
-    adapt_weights(net, _step(0.0), ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, 0, 0, 1.0]), 1.0)
+    adapt_weights(net, 0.0, 0.0, ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, 0, 0, 1.0]), 1.0)
     np.testing.assert_array_equal(net.w, before)
 
 
@@ -157,11 +161,11 @@ def test_adapt_weights_hand_arithmetic():
     net = PalmNetwork()
     P = PMatrix(p11=1.0, p12=1.0, p21=1.0, p22=1.0)
     x_e = np.array([1.0, 0.0, 0.0, 1.0])
-    adapt_weights(net, _step(2.0), ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 1.0)
+    adapt_weights(net, 2.0, 0.0, ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 1.0)
     np.testing.assert_allclose(net.w, [-2.0, 0.0, 0.0, -2.0])
     # four rules share the row, so it moves at a quarter of the gain
     net = PalmNetwork(rule_count=4)
-    adapt_weights(net, _step(2.0), ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 1.0)
+    adapt_weights(net, 2.0, 0.0, ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 1.0)
     np.testing.assert_allclose(net.w, [-0.5, 0.0, 0.0, -0.5])
 
 
@@ -173,14 +177,14 @@ def test_adapt_weights_direction_opposes_g():
         P = p_matrix(1e-2, 1e-3)
         g = e * P.p12 + ed * P.p22
         x_e = np.array([1.0, abs(e), abs(ed), 2.0])  # positive entries
-        adapt_weights(net, _step(e, ed), ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 0.01)
+        adapt_weights(net, e, ed, ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 0.01)
         if g != 0:
             assert np.all(np.sign(net.w) == -np.sign(g) * np.sign(x_e))
 
 
 def test_adapt_weights_clipped_to_limit():
     net = PalmNetwork()
-    adapt_weights(net, _step(100.0), ControllerConfig(gamma=100.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.ones(4), 1.0)
+    adapt_weights(net, 100.0, 0.0, ControllerConfig(gamma=100.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.ones(4), 1.0)
     assert np.all(np.abs(net.w) <= 10.0)
 
 
@@ -193,7 +197,7 @@ def test_adapt_weights_many_rules_match_per_row_update():
         e, ed = rng.uniform(-2, 2, size=2)
         P = p_matrix(1e-2, 1e-3)
         x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
-        adapt_weights(net, _step(e, ed), ControllerConfig(gamma=0.5, weight_limit=2.5), P, x_e, 0.01)
+        adapt_weights(net, e, ed, ControllerConfig(gamma=0.5, weight_limit=2.5), P, x_e, 0.01)
         g = e * P.p12 + ed * P.p22
         want = [max(-2.5, min(2.5, w0[q] - 0.01 * 0.5 * g * (1.0 / r) * x_e[q])) for q in range(4)]
         np.testing.assert_allclose(net.w, want, rtol=0.0, atol=1e-12)
@@ -209,7 +213,7 @@ def test_adapt_weights_bit_equal_to_outer_and_clip_reference():
             e, ed = rng.uniform(-2, 2, size=2)
             x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
             net = PalmNetwork(w=w0.copy(), rule_count=r)
-            adapt_weights(net, _step(e, ed), ControllerConfig(gamma=gamma, weight_limit=2.5), P, x_e, 0.01)
+            adapt_weights(net, e, ed, ControllerConfig(gamma=gamma, weight_limit=2.5), P, x_e, 0.01)
             g = e * P.p12 + ed * P.p22
             want = np.clip(w0 - (0.01 * gamma * g / r) * x_e, -2.5, 2.5)
             assert np.array_equal(net.w, want)
@@ -221,7 +225,7 @@ def test_adapt_weights_nan_input_raises():
     for r in (1, 3):
         net = PalmNetwork(rule_count=r)
         with pytest.raises(ControllerFault):
-            adapt_weights(net, _step(1.0), ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01)
+            adapt_weights(net, 1.0, 0.0, ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01)
 
 
 def test_weights_stay_python_floats_after_adaptation():
@@ -231,7 +235,7 @@ def test_weights_stay_python_floats_after_adaptation():
     net = PalmNetwork(w=rng.uniform(-1, 1, size=4), rule_count=3)
     for _ in range(50):
         e, ed, y_r = rng.uniform(-2, 2, size=3).tolist()
-        adapt_weights(net, _step(e, ed), ControllerConfig(gamma=5e3, weight_limit=2), P, extended_input(e, ed, y_r), 0.01)
+        adapt_weights(net, e, ed, ControllerConfig(gamma=5e3, weight_limit=2), P, extended_input(e, ed, y_r), 0.01)
         assert all(type(v) is float for v in net.w)
     assert 2.0 in net.w or -2.0 in net.w
     ctl = ParsimoniousController()
@@ -245,9 +249,10 @@ def test_numpy_scalar_inputs_leave_python_floats_in_both_controllers():
     # reaches neither their state, nor their output, nor a step log cell
     pac, pid = ParsimoniousController(), PidController(PidConfig(kp=2.0, ki=0.5, kd=0.1))
     for y in np.linspace(0.0, 1.0, 20):
-        u, diag = pac.step(y, np.float64(1.0), 0.01)
-        values = [u, *dataclasses.astuple(diag), *pac.evo.mu_e, *pac.net.w, pac.sliding.err_integral, pac._e_prev]
+        u, cells = pac.step(y, np.float64(1.0), 0.01)
+        values = [u, *pac.evo.mu_e, *pac.net.w, pac.sliding.err_integral, pac._e_prev]
         assert [type(v) for v in values] == [float] * len(values)
+        assert [type(v) for v in cells] == CELL_TYPES
         u, _ = pid.step(y, np.float64(1.0), 0.01)
         values = [u, pid.err_integral, pid._e_prev]
         assert [type(v) for v in values] == [float] * len(values)
@@ -258,14 +263,14 @@ def test_adapt_weights_finite_check_is_entrywise():
     net = PalmNetwork(w=np.full(4, 1e308), rule_count=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        adapt_weights(net, _step(0.0), ControllerConfig(gamma=1.0, weight_limit=1e308), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
+        adapt_weights(net, 0.0, 0.0, ControllerConfig(gamma=1.0, weight_limit=1e308), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
     assert net.w == [1e308] * 4
     # an infinite bound lets an infinite entry through, which is a fault
     for r in (1, 2):
         net = PalmNetwork(rule_count=r)
         net.w[2] = np.inf
         with pytest.raises(ControllerFault):
-            adapt_weights(net, _step(0.0), ControllerConfig(gamma=1.0, weight_limit=float("inf")), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
+            adapt_weights(net, 0.0, 0.0, ControllerConfig(gamma=1.0, weight_limit=float("inf")), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
 
 
 def test_clamps_match_np_clip():
@@ -282,9 +287,9 @@ def test_clamps_match_np_clip():
         for bias in (1e3, -1e3, 0.3, 0.0):
             ctl = ParsimoniousController(ControllerConfig(actuator_limit=limit, evolution_enabled=False))
             ctl.net.w[0] = bias
-            u, diag = ctl.step(1.0, 1.0, 0.01)
+            u, cells = ctl.step(1.0, 1.0, 0.01)
             assert type(u) is float
-            assert u == float(np.clip(diag.u, -limit, limit))
+            assert u == float(np.clip(_named(cells)["u_src"] - _named(cells)["u_palm"], -limit, limit))
 
 
 def test_adapt_sliding_params_fixed_mode():
@@ -344,9 +349,10 @@ def test_zero_and_infinite_limits_accepted():
 def test_numpy_dt_keeps_the_step_float():
     ctl = ParsimoniousController(ControllerConfig(learn_rates=(0.1, 0.5, 0.001)))
     for y in (0.2, 0.5, 0.7):  # from the second step on, e_dot divides by dt
-        u, diag = ctl.step(y, 1.0, np.float64(0.01))
-        values = [u, *dataclasses.astuple(diag), ctl.sliding.err_integral, *ctl.net.w]
+        u, cells = ctl.step(y, 1.0, np.float64(0.01))
+        values = [u, ctl.sliding.err_integral, *ctl.net.w]
         assert [type(v) for v in values] == [float] * len(values)
+        assert [type(v) for v in cells] == CELL_TYPES
 
 
 def _count_calls(monkeypatch, name, module=controller):
@@ -376,9 +382,9 @@ def test_saturated_alphas_skip_the_sliding_adaptation(monkeypatch):
         for i in range(2000):
             if not skip:
                 ctl._alphas_at_max = False
-            u, diag = ctl.step(plant.output(), 1.0 + math.sin(0.01 * i), 0.01)
+            u, cells = ctl.step(plant.output(), 1.0 + math.sin(0.01 * i), 0.01)
             plant.step(u, 0.01)
-            trace.append(tuple(v.hex() for v in (plant.output(), u, diag.u_palm)))
+            trace.append(tuple(v.hex() for v in (plant.output(), u, _named(cells)["u_palm"])))
             if saturated_at is None and (ctl.sliding.alpha1, ctl.sliding.alpha2, ctl.sliding.alpha3) == cfg.alpha_max:
                 saturated_at, calls_then = i, (len(adapt_calls), len(p_calls))
         loops[skip] = trace, saturated_at, calls_then, (len(adapt_calls), len(p_calls)), (ctl.P.p12, ctl.P.p22)
@@ -405,16 +411,17 @@ def test_alphas_starting_at_the_ceiling_never_adapt(monkeypatch):
 def test_control_step_zero_error_zero_output():
     ctl = ParsimoniousController(ControllerConfig(gamma=1.0))
     for _ in range(200):
-        u, diag = ctl.step(5.0, 5.0, 0.01)
+        u, cells = ctl.step(5.0, 5.0, 0.01)
         assert u == 0.0
-        assert diag.u == 0.0
+        assert _named(cells)["u_src"] - _named(cells)["u_palm"] == 0.0
     assert ctl.rule_count == 1
 
 
 def test_control_step_first_step_sign():
     ctl = ParsimoniousController(ControllerConfig(gamma=1.0))
-    u, diag = ctl.step(0.0, 10.0, 0.01)
-    assert diag.e == 10.0
+    u, cells = ctl.step(0.0, 10.0, 0.01)
+    # e = y_r - y = 10 on the first step, with no rate and one step of integral
+    assert _named(cells)["s_l"] == sliding_value(10.0, 0.0, 10.0 * 0.01, ctl.sliding)
     assert u > 0.0
 
 
@@ -422,8 +429,9 @@ def test_control_step_u_identity():
     ctl = ParsimoniousController(ControllerConfig(gamma=1.0, actuator_limit=0.05))
     rng = np.random.default_rng(41)
     for _ in range(100):
-        u, diag = ctl.step(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), 0.01)
-        assert diag.u == diag.u_src - diag.u_palm
+        u, cells = ctl.step(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), 0.01)
+        cells = _named(cells)
+        assert u == min(max(cells["u_src"] - cells["u_palm"], -0.05), 0.05)
         assert abs(u) <= 0.05
 
 
@@ -570,9 +578,10 @@ def test_fused_step_bit_equal_to_staged_oracle_on_numpy_scalars():
     fused, staged = ParsimoniousController(cfg), ParsimoniousController(cfg)
     rng = np.random.default_rng(62)
     for y, y_r in rng.uniform(-2.0, 2.0, size=(300, 2)):
-        u, diag = _lockstep(fused, staged, y, np.float32(y_r), 0.01)
-        values = [u, *dataclasses.astuple(diag), *fused.net.w, *fused.evo.mu_e, fused.sliding.err_integral]
+        u, cells = _lockstep(fused, staged, y, np.float32(y_r), 0.01)
+        values = [u, *fused.net.w, *fused.evo.mu_e, fused.sliding.err_integral]
         assert [type(v) for v in values] == [float] * len(values)
+        assert [type(v) for v in cells] == CELL_TYPES
 
 
 @pytest.mark.parametrize("evolution_enabled", [True, False])

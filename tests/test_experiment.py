@@ -10,6 +10,8 @@ import yaml
 
 from pacsim import experiment, trajectories
 from pacsim.cli import _configs_from_file, main
+from pacsim.controller import ParsimoniousController
+from pacsim.stats import wilcoxon_signed_rank
 from pacsim.experiment import (
     STEP_COLUMNS,
     DivergenceError,
@@ -87,17 +89,15 @@ def test_same_config_twice_is_byte_identical(tmp_path):
 def _csv_writer_step_log(series: dict, path: Path) -> None:
     # the cell-by-cell csv.writer step-log writer that the column-wise codec replaced: the byte oracle
     def fmt(v):
-        if v is None:
-            return ""
         if isinstance(v, float):
             return repr(v)
         return str(v)
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(STEP_COLUMNS)
+        writer.writerow(series)
         for i in range(len(series["t"])):
-            writer.writerow([fmt(series[c][i]) for c in STEP_COLUMNS])
+            writer.writerow([fmt(values[i]) for values in series.values()])
 
 
 def test_step_csv_round_trip(tmp_path):
@@ -111,25 +111,29 @@ def test_step_csv_round_trip(tmp_path):
             path = tmp_path / f"{case}_steps.csv"
             _csv_writer_step_log(result.series, tmp_path / f"{case}_oracle.csv")
             assert path.read_bytes() == (tmp_path / f"{case}_oracle.csv").read_bytes(), case
+            # each controller logs the harness's columns, then its own
+            columns = [*STEP_COLUMNS, *experiment.CONTROLLERS[controller][1].log_columns]
+            assert list(result.series) == columns, case
+            assert path.read_text().splitlines()[0] == ",".join(columns), case
             cols = read_step_csv(path)
-            assert list(cols) == STEP_COLUMNS, case
-            for key in STEP_COLUMNS:
+            assert list(cols) == columns, case
+            for key in columns:
                 assert cols[key] == result.series[key], (case, key)
             if controller == "pac":  # 3 == 3.0, so the column equality alone would pass floats
                 assert all(type(r) is int for r in cols["R"]), case
+    # a PID log holds the five harness columns alone
+    assert list(read_step_csv(tmp_path / "pid-999_steps.csv")) == ["t", "y_r", "y", "e", "u"]
 
 
 def _edge_series() -> dict:
-    # float reprs a writer could get wrong, a column with some empty cells and PID-style empty columns
+    # float reprs a writer could get wrong, in the columns of a PAC log
     edge = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, math.inf, -math.inf, math.nan, 1.7976931348623157e308]
     n = len(edge)
-    series = {c: [float(i) for i in range(n)] for c in STEP_COLUMNS}
+    series = {c: [float(i) for i in range(n)] for c in (*STEP_COLUMNS, *ParsimoniousController.log_columns)}
     series["y"] = edge
     series["u"] = edge[::-1]
     series["R"] = [1, 2, 95, 10**20, 0, 3, 4, 5, 6, 7, 8]
-    series["bias"] = [None if i % 3 else float(i) for i in range(n)]
-    for c in ("s_l", "u_src", "variance"):
-        series[c] = [None] * n
+    series["bias"] = edge[3:] + edge[:3]
     return series
 
 
@@ -140,8 +144,8 @@ def test_step_csv_bytes_match_csv_writer_on_edge_values(tmp_path):
     assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     cols = read_step_csv(tmp_path / "log.csv")
     # repr tells -0.0 from 0.0 and matches nan with nan
-    assert {c: [repr(v) for v in cols[c]] for c in STEP_COLUMNS} == {
-        c: [repr(v) for v in series[c]] for c in STEP_COLUMNS
+    assert {c: [repr(v) for v in values] for c, values in cols.items()} == {
+        c: [repr(v) for v in values] for c, values in series.items()
     }
 
 
@@ -171,16 +175,39 @@ def test_step_csv_missing_column_or_cell_raises(tmp_path):
     write_step_csv(SimpleNamespace(series=_edge_series()), tmp_path / "log.csv")
     lines = (tmp_path / "log.csv").read_text().splitlines()
     # drop the "u" column from the header and from every row
-    drop = STEP_COLUMNS.index("u")
+    drop = lines[0].split(",").index("u")
     no_u = tmp_path / "no_u.csv"
     no_u.write_text("\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != drop) for line in lines))
     with pytest.raises(ValueError, match="'u'"):
         read_step_csv(no_u)
+    # a column named twice would gather both columns' cells into one series
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\n".join([lines[0] + ",u"] + [line + ",1.0" for line in lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match="twice"):
+        read_step_csv(twice)
     # one row loses its last cell
     short = tmp_path / "short.csv"
     short.write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:]) + "\n")
     with pytest.raises(ValueError, match="cells"):
         read_step_csv(short)
+
+
+@pytest.mark.parametrize("column", ["y", "R", "bias"])
+def test_step_csv_empty_cell_is_malformed(tmp_path, capsys, column):
+    # no step log has an empty cell, so one is a damaged log, not a missing value
+    write_step_csv(SimpleNamespace(series=_edge_series()), tmp_path / "good.csv")
+    lines = (tmp_path / "good.csv").read_text().splitlines()
+    i = lines[0].split(",").index(column)
+    row = lines[4].split(",")
+    row[i] = ""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:4] + [",".join(row)] + lines[5:]) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_step_csv(bad)
+    assert str(info.value).startswith(f"{bad}: malformed cell")
+    assert main(["compare", str(tmp_path / "good.csv"), str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"INPUT ERROR: {bad}: malformed cell")
 
 
 def test_unknown_config_key_rejected():
@@ -555,16 +582,17 @@ class _ToyConfig:
 
 
 class _ToyController:
-    """Proportional control with made-up diagnostics, a fixed rule count and a file of its own."""
+    """Proportional control plus an offset, with step-log columns, a fixed rule count and a file of its own."""
 
+    log_columns = ("p_term", "offset")
     rule_count = 7
 
     def __init__(self, config: _ToyConfig):
         self.config = config
 
     def step(self, y, y_r, dt):
-        u = self.config.gain * (y_r - y)
-        return u, SimpleNamespace(s_l=u, u_src=2.0 * u, u_palm=-u, bias=0.5, variance=0.25)
+        p_term = self.config.gain * (y_r - y)
+        return p_term + 0.5, (p_term, 0.5)
 
     def write_artifacts(self, out_dir, name):
         (out_dir / f"{name}_gain.txt").write_text(f"{self.config.gain!r}\n")
@@ -583,12 +611,14 @@ def test_a_controller_plugs_in_through_the_table(tmp_path, monkeypatch):
     result = run_experiment(cfg, out_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["toy_gain.txt", "toy_steps.csv"]
     assert (tmp_path / "toy_gain.txt").read_text() == "2.0\n"
+    # the log holds the harness's columns, then the toy's own, and none of PAC's
+    assert (tmp_path / "toy_steps.csv").read_text().splitlines()[0] == "t,y_r,y,e,u,p_term,offset"
     log = read_step_csv(tmp_path / "toy_steps.csv")
     assert log == result.series
-    u = log["u"]
-    assert len(u) == 50 and u == [2.0 * (y_r - y) for y_r, y in zip(log["y_r"], log["y"])]
-    assert log["s_l"] == u and log["u_src"] == [2.0 * v for v in u] and log["u_palm"] == [-v for v in u]
-    assert log["R"] == [7] * 50 and log["bias"] == [0.5] * 50 and log["variance"] == [0.25] * 50
+    assert list(log) == ["t", "y_r", "y", "e", "u", "p_term", "offset"]
+    p_term = log["p_term"]
+    assert len(p_term) == 50 and p_term == [2.0 * (y_r - y) for y_r, y in zip(log["y_r"], log["y"])]
+    assert log["offset"] == [0.5] * 50 and log["u"] == [p + 0.5 for p in p_term]
     assert result.report.final_rule_count == 7
     assert summary_row(result)["controller"] == "toy"
 
@@ -653,6 +683,44 @@ def test_cli_compare_non_finite_residual_is_one_input_error(tmp_path, capsys):
     assert main(["compare", str(good), str(bad)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["INPUT ERROR: paired samples and their differences must be finite"]
+
+
+def _pid_log(out: Path, name: str, dt: float, duration: float, kp: float = 1.0) -> Path:
+    cfg = ExperimentConfig(
+        name=name,
+        plant="double_integrator",
+        controller="pid",
+        trajectory={"kind": "constant", "level": 1.0},
+        duration=duration,
+        dt=dt,
+        controller_params={"kp": kp, "kd": 2.0},
+    )
+    try:
+        run_experiment(cfg, out_dir=out)
+    except DivergenceError:
+        pass
+    return out / f"{name}_steps.csv"
+
+
+def test_cli_compare_rejects_logs_on_different_time_grids(tmp_path, capsys):
+    # one config at two step sizes: row 1 is t = 0.01 in one log and t = 0.005 in the other
+    coarse, fine = _pid_log(tmp_path, "coarse", 0.01, 2.0), _pid_log(tmp_path, "fine", 0.005, 2.0)
+    assert main(["compare", str(coarse), str(fine)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"INPUT ERROR: the logs differ in t at step 1: 0.01 in {coarse}, 0.005 in {fine}"]
+
+
+def test_cli_compare_pairs_a_partial_log_with_a_full_one(tmp_path, capsys):
+    # a diverged run's log is cut short on the same grid; the two compare on the steps both hold
+    full = _pid_log(tmp_path, "full", 0.01, 200.0)
+    partial = _pid_log(tmp_path, "boom", 0.01, 400.0, kp=-50.0)  # positive feedback
+    a, b = read_step_csv(partial), read_step_csv(full)
+    n = len(a["t"])
+    assert 6 <= n < len(b["t"])
+    ra, rb = (np.abs(np.subtract(log["y_r"][:n], log["y"][:n])) for log in (a, b))
+    want = wilcoxon_signed_rank(ra, rb)
+    assert main(["compare", str(partial), str(full)]) == 0
+    assert capsys.readouterr().out == f"p={want.p:.6g}, h={want.h}, W={want.w}, n={want.n}\n"
 
 
 def test_cli_suite_and_divergence_exit_code(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pacsim.pid import _NO_DIAG, PidConfig, PidController
+from pacsim.pid import PidConfig, PidController
 from pacsim.plants import DoubleIntegrator
 
 
@@ -107,9 +107,9 @@ def test_critically_damped_step_response_matches_closed_form():
 
 
 def test_every_step_returns_the_one_empty_diagnostics_object():
-    # the PID's diagnostics leave the step log's PAC-only cells empty, and no step allocates them anew
+    # the PID logs no column beyond the harness's own: every step returns the empty tuple, which no step allocates anew
     pid = PidController(PidConfig(kp=100.0, ki=1.0, kd=0.5, output_limits=(-1.0, 1.0)))
-    diags = [pid.step(y, 0.3, 0.01)[1] for y in (0.0, 0.1, 5.0, -5.0)]  # unsaturated and saturated steps
-    assert all(diag is _NO_DIAG for diag in diags)
-    assert vars(_NO_DIAG) == dict.fromkeys(("s_l", "u_src", "u_palm", "bias", "variance"))
+    cells = [pid.step(y, 0.3, 0.01)[1] for y in (0.0, 0.1, 5.0, -5.0)]  # unsaturated and saturated steps
+    assert cells == [()] * 4 and len(set(map(id, cells))) == 1
+    assert PidController.log_columns == ()
     assert PidController.rule_count is None

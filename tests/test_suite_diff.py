@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -67,3 +68,22 @@ def test_compare_exits_0_when_both_sides_diverge(tmp_path, capsys):
     old, new = _snapshot(tmp_path / "old.npz", runs), _snapshot(tmp_path / "new.npz", runs)
     assert suite_diff.main(["compare", str(old), str(new)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "2 experiments: 2 agree within ATOL 1e-09, 0 disagree; 1 bit-identical"
+
+
+def test_snapshot_keeps_an_empty_int_r_for_a_pid_run(tmp_path, capsys):
+    # a PID logs no R column; its snapshot R is the empty int array, so a PID run stays bit-identical to itself
+    run = {"plant": "double_integrator", "trajectory": {"kind": "constant", "level": 1.0}, "dt": 0.01}
+    pac = {**run, "name": "di_pac", "controller": "pac", "controller_params": {"gamma": 1e-3}}
+    pid = {**run, "name": "di_pid", "controller": "pid", "controller_params": {"kp": 1.0, "kd": 2.0}}
+    (tmp_path / "configs").mkdir()
+    for suite, raw in zip(suite_diff.SUITES, (pac, pid)):
+        (tmp_path / "configs" / suite).write_text(yaml.safe_dump({"experiments": [raw]}))
+    meta, arrays = suite_diff.snapshot(tmp_path, 0.5)
+    assert arrays["di_pid:R"].dtype == int and arrays["di_pid:R"].shape == (0,)
+    assert arrays["di_pac:R"].dtype == int and arrays["di_pac:R"].tolist() == [1] * 50
+    assert [len(arrays[f"{name}:{k}"]) for name in ("di_pac", "di_pid") for k in "yu"] == [50] * 4
+    assert meta["di_pid"]["events"] == [] and meta["di_pid"]["summary"]["final_rule_count"] == ""
+    path = tmp_path / "snap.npz"
+    suite_diff.write(path, (meta, arrays))
+    assert suite_diff.main(["compare", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("; 2 bit-identical")

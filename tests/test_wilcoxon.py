@@ -35,7 +35,7 @@ def _enumeration_p(diff):
     diff = np.asarray(diff, dtype=float)
     diff = diff[diff != 0]
     n = len(diff)
-    ranks = _midranks(np.abs(diff))
+    ranks, _ = _midranks(np.abs(diff))
     w_plus = ranks[diff > 0].sum()
     w_minus = ranks[diff < 0].sum()
     w = min(w_plus, w_minus)
@@ -105,11 +105,11 @@ def test_exact_vs_normal_agree_at_boundary():
     rng = np.random.default_rng(17)
     for _ in range(50):
         diff = rng.normal(scale=1.0, size=25) + rng.uniform(-0.3, 0.3)
-        ranks = _midranks(np.abs(diff))
+        ranks, sizes = _midranks(np.abs(diff))
         w_plus = ranks[diff > 0].sum()
         w_minus = ranks[diff < 0].sum()
         w = min(w_plus, w_minus)
-        assert abs(_exact_p(w, ranks) - _normal_p(w, ranks)) <= 0.01
+        assert abs(_exact_p(w, ranks) - _normal_p(w, sizes)) <= 0.01
 
 
 def test_normal_path_used_for_large_samples():
@@ -148,14 +148,22 @@ def test_rejects_difference_that_overflows():
         wilcoxon_signed_rank(a, -a)
 
 
+def _loop_midranks_and_sizes(values):
+    """Oracle for ``_midranks``: the loop's ranks, and the tie-group sizes of the values in ascending order."""
+    return _loop_midranks(values), np.unique(values, return_counts=True)[1]
+
+
 def test_midranks_equal_the_loop_bit_for_bit():
     rng = np.random.default_rng(23)
     for _ in range(500):
         values = _tie_heavy(rng, int(rng.integers(1, 200)))
-        assert _midranks(values).tobytes() == _loop_midranks(values).tobytes()
-    # without ties every rank is its position in the sorted order
+        got, want = _midranks(values), _loop_midranks_and_sizes(values)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # without ties every rank is its position in the sorted order, and every group holds one value
     values = rng.normal(size=1000)
-    assert _midranks(values).tobytes() == _loop_midranks(values).tobytes()
+    ranks, sizes = _midranks(values)
+    assert ranks.tobytes() == _loop_midranks(values).tobytes()
+    assert sizes.tolist() == [1] * 1000
 
 
 @pytest.mark.parametrize("n", [6, 12, 25, 26, 300], ids=lambda n: f"n{n}")
@@ -167,7 +175,7 @@ def test_p_values_equal_those_of_the_loop_ranks(n, monkeypatch):
         # no zero differences, so every pair keeps its n and takes the path n chooses
         pairs.append((b + rng.choice([-1.0, -0.5, 0.5, 1.0], size=n), b))
     new = [wilcoxon_signed_rank(a, b) for a, b in pairs]
-    monkeypatch.setattr(stats, "_midranks", _loop_midranks)
+    monkeypatch.setattr(stats, "_midranks", _loop_midranks_and_sizes)
     old = [wilcoxon_signed_rank(a, b) for a, b in pairs]
     assert new == old
     assert all(res.n == n for res in new)

@@ -9,7 +9,7 @@ Run from the repository root:
 ``configs/bifwmav_suite.yaml``, cut to ``--seconds``, with the pacsim and the
 configs of the checkout ``DIR`` (default: the one holding this script), so a
 parent commit can be snapshotted from its own clone. For each experiment it
-stores the y, u and R series, the GROW/PRUNE events as (time, kind, rule
+stores the y, u and R series (R empty for a controller that logs none, as the PID), the GROW/PRUNE events as (time, kind, rule
 count) and the summary.csv cells as their JSON values.
 
 Two runs of an experiment agree when both sides ran it or neither did, their
@@ -70,7 +70,7 @@ def snapshot(checkout: Path, seconds: float) -> tuple[dict, dict]:
         series = result.series
         arrays[f"{name}:y"] = np.array(series["y"], dtype=float)
         arrays[f"{name}:u"] = np.array(series["u"], dtype=float)
-        arrays[f"{name}:R"] = np.array([r for r in series["R"] if r is not None], dtype=int)
+        arrays[f"{name}:R"] = np.array(series.get("R", []), dtype=int)
         events = [[t, kind, count] for t, kind, count, _, _ in getattr(result.controller, "events", [])]
         meta[name] = {"error": None, "events": events, "summary": summary_row(result)}
     return meta, arrays
