@@ -11,7 +11,6 @@ import yaml
 from pacsim import experiment, trajectories
 from pacsim.cli import _configs_from_file, main
 from pacsim.controller import ParsimoniousController
-from pacsim.stats import wilcoxon_signed_rank
 from pacsim.experiment import (
     STEP_COLUMNS,
     DivergenceError,
@@ -24,6 +23,7 @@ from pacsim.experiment import (
     summary_row,
     write_step_csv,
 )
+from pacsim.stats import wilcoxon_signed_rank
 
 PAC_PARAMS = {
     "gamma": 3e-3,
