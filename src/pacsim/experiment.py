@@ -5,13 +5,17 @@ Loop order per step: read the reference, apply measurement disturbance, step
 the controller, log the step, step the plant (which advances its gust).
 
 A step's row holds the harness's ``STEP_COLUMNS``, which every run has, then
-the cells the controller returns for its own ``log_columns``.
+the cells the controller returns for its own ``log_columns``. In memory and
+when read back, each column is packed: ``array('d')`` (8 B a cell, against
+32 B for a float in a list) for every float column, and a list of int for
+the rule count ``R``. ``np.asarray`` reads a packed column without a copy.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -25,6 +29,7 @@ from .plants.flapping import DEFAULT_INERTIA
 from .plants.rigid_body import InertiaSet
 
 STEP_COLUMNS = ("t", "y_r", "y", "e", "u")
+INT_COLUMNS = ("R",)  # every other step-log column holds floats
 SUMMARY_COLUMNS = ["name", "plant", "trajectory", "controller", *(f.name for f in fields(metrics.MetricsReport))]
 
 
@@ -138,10 +143,19 @@ class ExperimentResult:
     controller: object
 
 
+def _empty_column(name: str) -> array | list:
+    return [] if name in INT_COLUMNS else array("d")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
+    """Run ``cfg`` step by step; ``series`` holds its step-log columns, each packed as the module says.
+
+    The metrics are taken once the loop has ended: a numpy view of a column
+    pins its buffer, and an append to a pinned ``array`` raises ``BufferError``.
+    """
     controller, plant, traj, impulse = build(cfg)
 
-    cols: dict[str, list] = {c: [] for c in (*STEP_COLUMNS, *controller.log_columns)}
+    cols = {c: _empty_column(c) for c in (*STEP_COLUMNS, *controller.log_columns)}
     add_t, add_y_r, add_y, add_e, add_u = (cols[c].append for c in STEP_COLUMNS)
     add_cells = [cols[c].append for c in controller.log_columns]
     dt = cfg.dt
@@ -202,7 +216,8 @@ def write_step_csv(result: ExperimentResult, path: Path) -> None:
 
 
 def read_step_csv(path) -> dict:
-    """Series of a step log by column name, in header order; ``R`` as int, every other column as float.
+    """Series of a step log by column name, in header order, packed as ``run_experiment``
+    packs them: ``R`` a list of int, every other column an ``array('d')``.
 
     Reads CRLF and LF line ends alike. The header must name the harness's
     ``STEP_COLUMNS``; an empty or unreadable cell is a malformed log.
@@ -212,10 +227,10 @@ def read_step_csv(path) -> dict:
         missing = [c for c in STEP_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: no column {missing[0]!r} in the header")
-        cols: dict[str, list] = {c: [] for c in header}
+        cols = {c: _empty_column(c) for c in header}
         if len(cols) != len(header):
             raise ValueError(f"{path}: the header names a column twice")
-        converters = [(cols[c].extend, int if c == "R" else float) for c in header]
+        converters = [(cols[c].extend, int if c in INT_COLUMNS else float) for c in header]
         while True:
             rows = [line.rstrip("\n").split(",") for line in islice(fh, _BLOCK_ROWS)]
             if not rows:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -57,7 +58,7 @@ def hexa_config(**overrides):
 def test_zero_duration_run_is_empty_and_undefined():
     cfg = hexa_config(name="zero", duration=0.0)
     result = run_experiment(cfg)
-    assert result.series["t"] == []
+    assert result.series["t"] == array("d")
     assert result.report.rmse is None
     assert result.report.rise_time_ms is None
 
@@ -100,6 +101,15 @@ def _csv_writer_step_log(series: dict, path: Path) -> None:
             writer.writerow([fmt(values[i]) for values in series.values()])
 
 
+def _assert_packed(cols: dict) -> None:
+    # every float column packed at 8 B a cell; R a list of int (3 == 3.0, so equality alone would pass floats)
+    for name, values in cols.items():
+        if name == "R":
+            assert type(values) is list and all(type(r) is int for r in values), name
+        else:
+            assert type(values) is array and values.typecode == "d" and values.itemsize == 8, name
+
+
 def test_step_csv_round_trip(tmp_path):
     # a PAC and a PID log one row short of a codec block, exactly one block, and one row into the second
     for controller, params in (("pac", PAC_PARAMS), ("pid", PID_HEXA)):
@@ -119,8 +129,8 @@ def test_step_csv_round_trip(tmp_path):
             assert list(cols) == columns, case
             for key in columns:
                 assert cols[key] == result.series[key], (case, key)
-            if controller == "pac":  # 3 == 3.0, so the column equality alone would pass floats
-                assert all(type(r) is int for r in cols["R"]), case
+            _assert_packed(result.series)
+            _assert_packed(cols)
     # a PID log holds the five harness columns alone
     assert list(read_step_csv(tmp_path / "pid-999_steps.csv")) == ["t", "y_r", "y", "e", "u"]
 
@@ -152,7 +162,7 @@ def test_step_csv_bytes_match_csv_writer_on_edge_values(tmp_path):
 def test_step_csv_empty_log_is_the_header(tmp_path):
     write_step_csv(SimpleNamespace(series={c: [] for c in STEP_COLUMNS}), tmp_path / "log.csv")
     assert (tmp_path / "log.csv").read_bytes() == (",".join(STEP_COLUMNS) + "\r\n").encode()
-    assert read_step_csv(tmp_path / "log.csv") == {c: [] for c in STEP_COLUMNS}
+    assert read_step_csv(tmp_path / "log.csv") == {c: array("d") for c in STEP_COLUMNS}
 
 
 def test_step_csv_reads_lf_line_ends(tmp_path):
@@ -615,10 +625,12 @@ def test_a_controller_plugs_in_through_the_table(tmp_path, monkeypatch):
     assert (tmp_path / "toy_steps.csv").read_text().splitlines()[0] == "t,y_r,y,e,u,p_term,offset"
     log = read_step_csv(tmp_path / "toy_steps.csv")
     assert log == result.series
+    _assert_packed(result.series)
+    _assert_packed(log)
     assert list(log) == ["t", "y_r", "y", "e", "u", "p_term", "offset"]
     p_term = log["p_term"]
-    assert len(p_term) == 50 and p_term == [2.0 * (y_r - y) for y_r, y in zip(log["y_r"], log["y"])]
-    assert log["offset"] == [0.5] * 50 and log["u"] == [p + 0.5 for p in p_term]
+    assert len(p_term) == 50 and list(p_term) == [2.0 * (y_r - y) for y_r, y in zip(log["y_r"], log["y"])]
+    assert list(log["offset"]) == [0.5] * 50 and list(log["u"]) == [p + 0.5 for p in p_term]
     assert result.report.final_rule_count == 7
     assert summary_row(result)["controller"] == "toy"
 
@@ -673,6 +685,13 @@ def test_cli_compare_input_error_is_one_line(tmp_path, capsys, text):
     assert main(["compare", str(good), str(bad)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("INPUT ERROR: ")
+
+
+@pytest.mark.parametrize("alpha", ["2", "0", "-0.05", "nan"])
+def test_cli_compare_alpha_outside_the_unit_interval_is_one_input_error(tmp_path, capsys, alpha):
+    a, b = _pid_log(tmp_path, "a", 0.01, 1.0), _pid_log(tmp_path, "b", 0.01, 1.0, kp=2.0)
+    assert main(["compare", str(a), str(b), "--alpha", alpha]) == 2
+    assert capsys.readouterr().err == f"INPUT ERROR: alpha must lie strictly between 0 and 1, not {float(alpha)!r}\n"
 
 
 def test_cli_compare_non_finite_residual_is_one_input_error(tmp_path, capsys):

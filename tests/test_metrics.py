@@ -1,5 +1,6 @@
 import math
 import warnings
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,18 @@ def test_report_of_a_run_that_never_settles():
     assert rep.rise_time_ms is not None
     assert rep.settling_time_ms is None
     assert rep.as_row()["settling_time_ms"] == ""
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+def test_report_is_equal_on_packed_and_list_series(n):
+    # step logs hold array('d') columns; the report must not depend on the container
+    t = np.arange(n) * 0.01
+    y_r = np.where(t < 1.0, 0.0, 2.0)
+    y = y_r * (1.0 - np.exp(-3.0 * np.maximum(t - 1.0, 0.0))) + 0.05 * np.sin(7.0 * t)
+    packed = report(array("d", y), array("d", y_r), 0.01, final_rule_count=3)
+    assert packed == report(y.tolist(), y_r.tolist(), 0.01, final_rule_count=3)
+    if n == 500:
+        assert packed.rise_time_ms is not None and packed.settling_time_ms is not None
 
 
 def test_first_commanded_step_midway():
