@@ -5,8 +5,9 @@
   pacsim compare <stepsA.csv> <stepsB.csv>      Wilcoxon on residuals
 
 Exit status is 1 when a run diverges, and 2 when a config is invalid or a
-step log given to ``compare`` is missing, malformed or shorter than 6 rows, or
-when the two logs differ in ``t`` on the steps both hold.
+step log given to ``compare`` is missing, malformed or shorter than 6 rows,
+when the two logs differ in ``t`` on the steps both hold, or when ``--alpha``
+does not lie strictly between 0 and 1.
 """
 
 from __future__ import annotations

@@ -70,6 +70,9 @@ def _normal_p(w: float, sizes: np.ndarray) -> float:
 
 
 def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
+    # h = p < alpha decides nothing outside (0, 1): alpha 2 rejects at any p, a NaN never rejects
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, not {alpha!r}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:

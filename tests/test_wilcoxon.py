@@ -142,6 +142,16 @@ def test_rejects_non_finite_sample(bad, side):
         wilcoxon_signed_rank(a, b)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -0.05, math.nan, math.inf])
+def test_rejects_alpha_outside_the_unit_interval(alpha):
+    # p = 0.74 here: alpha 2 used to reject (h = 1), and a NaN or negative alpha never could
+    a = np.array([1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0, 0.5])
+    b = np.zeros(8)
+    assert wilcoxon_signed_rank(a, b, alpha=0.999).p == 0.7421875
+    with pytest.raises(ValueError, match="alpha"):
+        wilcoxon_signed_rank(a, b, alpha=alpha)
+
+
 def test_rejects_difference_that_overflows():
     a = np.full(8, 1e308)
     with pytest.raises(ValueError, match="must be finite"):
