@@ -32,6 +32,27 @@ def test_raw_pass_wall_is_summarised_next_to_the_normalised_metrics():
     assert raw["change"]["median"] == 2.6  # 2.6, 2.9, 2.6
     assert raw["median_gap"] == 2.6 - 3.4
     assert raw["better_by_more_than_parent_iqr"]  # parent quartiles 3.1 and 3.5
+    assert raw["claim_rule_met"] and not summary["wall_s"]["claim_rule_met"]
+
+
+def _walls(parent: list[float], change: list[float]) -> list[dict]:
+    return [{"parent": _run(p, [p]), "change": _run(c, [c])} for p, c in zip(parent, change)]
+
+
+def test_claim_rule_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr():
+    spec = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+    parent = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # IQR 0.5
+    faster = [p - 1.0 for p in parent]
+    met = bench_pairs.compare(_walls(parent, faster), spec)["wall_s"]
+    assert met["change_wins"] == 10 and met["claim_rule_met"]
+    # 9 of 10 pairs won still meets the rule; a tie is no win, so 8 wins and a tie do not
+    nine = bench_pairs.compare(_walls(parent, faster[:9] + [parent[9] + 1.0]), spec)["wall_s"]
+    assert nine["change_wins"] == 9 and nine["claim_rule_met"]
+    tie = bench_pairs.compare(_walls(parent, faster[:8] + [parent[8], parent[9] + 1.0]), spec)["wall_s"]
+    assert tie["change_wins"] == 8 and tie["better_by_more_than_parent_iqr"] and not tie["claim_rule_met"]
+    # every pair won by less than the parent's IQR: the gap does not clear the spread
+    close = bench_pairs.compare(_walls(parent, [p - 0.1 for p in parent]), spec)["wall_s"]
+    assert close["change_wins"] == 10 and not close["claim_rule_met"]
 
 
 def _git(repo: Path, *args: str) -> str:

@@ -11,8 +11,9 @@ slow phase of the host falls on both sides alike. ``T`` is the
 ``run_seconds`` of CHANGE's ``BENCHMARK.json``. For every end-to-end metric
 of that file, and for the raw per-pass wall time (the median of a run's
 ``passes.wall_s``, not divided by the host slowness), it prints each side's
-median and quartiles, the change's wins (pairs where it is strictly better)
-and whether the median gap exceeds the parent's interquartile range. It
+median and quartiles, the change's wins (pairs where it is strictly better),
+whether the median gap exceeds the parent's interquartile range, and whether
+the gain rule is met: at least 9/10 of the pairs won and that gap. It
 writes every run and that summary to ``PAIRS_<parent>_<change>.json`` in the
 current directory, under the key "W seed S"; entries for other workloads or
 seeds already in that file are kept. Each side is named by its checkout label
@@ -60,6 +61,7 @@ def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
         q = {side: quartiles(values[side]) for side in SIDES}
         gap = q["change"][1] - q["parent"][1]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+        beyond_iqr = (gap < 0 if lower else gap > 0) and abs(gap) > q["parent"][2] - q["parent"][0]
         summary[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -68,8 +70,9 @@ def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
             "median_gap": gap,
-            "better_by_more_than_parent_iqr": (gap < 0 if lower else gap > 0)
-            and abs(gap) > q["parent"][2] - q["parent"][0],
+            "better_by_more_than_parent_iqr": beyond_iqr,
+            # a tie is no win, so it counts against the nine tenths
+            "claim_rule_met": 10 * wins >= 9 * len(pairs) and beyond_iqr,
         }
     return summary
 
@@ -120,6 +123,7 @@ def main(argv=None) -> int:
             f"  {name:15s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
             f"  wins {s['change_wins']}/{s['pairs']}  better by > parent IQR: {s['better_by_more_than_parent_iqr']}"
+            f"  claim rule met: {s['claim_rule_met']}"
         )
     print(path.resolve())
     return 0
