@@ -41,7 +41,7 @@ def _walls(parent: list[float], change: list[float]) -> list[dict]:
 
 def test_claim_rule_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr():
     spec = [{"name": "wall_s", "unit": "s", "better": "lower"}]
-    parent = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # IQR 0.5
+    parent = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # quartiles 10.175 and 10.725
     faster = [p - 1.0 for p in parent]
     met = bench_pairs.compare(_walls(parent, faster), spec)["wall_s"]
     assert met["change_wins"] == 10 and met["claim_rule_met"]
