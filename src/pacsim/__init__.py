@@ -4,8 +4,6 @@ from .controller import (
     ControllerConfig,
     ControllerFault,
     ParsimoniousController,
-    PMatrix,
-    SlidingState,
     lyapunov_p_matrix,
     p_matrix,
 )
@@ -16,8 +14,6 @@ __all__ = [
     "ControllerConfig",
     "ControllerFault",
     "ParsimoniousController",
-    "PMatrix",
-    "SlidingState",
     "lyapunov_p_matrix",
     "p_matrix",
     "DIM",

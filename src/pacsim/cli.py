@@ -36,7 +36,13 @@ def _configs_from_file(path: str) -> list[ExperimentConfig]:
     raw_list = data["experiments"] if "experiments" in data else [data]
     if not (isinstance(raw_list, list) and all(isinstance(raw, dict) for raw in raw_list)):
         raise ValueError(f"{path}: experiments must be a list of mappings")
-    return [ExperimentConfig.from_dict(raw) for raw in raw_list]
+    configs = [ExperimentConfig.from_dict(raw) for raw in raw_list]
+    # each experiment writes <name>_steps.csv, so a repeated name would overwrite an earlier run's files
+    names = [cfg.name for cfg in configs]
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{path}: experiment name {repeated!r} appears more than once")
+    return configs
 
 
 def _cmd_run(args) -> int:

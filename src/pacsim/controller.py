@@ -19,19 +19,9 @@ class ControllerFault(RuntimeError):
     """Raised when a non-finite value appears anywhere in the control step."""
 
 
-@dataclass
-class PMatrix:
-    """Symmetric 2x2 Lyapunov weighting for the adaptation law."""
-
-    p11: float
-    p12: float
-    p21: float
-    p22: float
-
-
-def p_matrix(alpha1: float, alpha2: float) -> PMatrix:
-    """P for Q = I2 as published: p11 = a2/a1 + 1/(2 a2), p12 = 1/(2 a1),
-    p22 = (1 + a1)/(2 a1 a2).
+def p_matrix(alpha1: float, alpha2: float) -> tuple[float, float, float]:
+    """(p11, p12, p22) of the symmetric P for Q = I2 as published:
+    p11 = a2/a1 + 1/(2 a2), p12 = 1/(2 a1), p22 = (1 + a1)/(2 a1 a2).
 
     Note: this published p11 solves the Lyapunov equation only when
     alpha1 == alpha2; see lyapunov_p_matrix for the exact solution. The
@@ -39,39 +29,15 @@ def p_matrix(alpha1: float, alpha2: float) -> PMatrix:
     """
     if alpha1 <= 0 or alpha2 <= 0:
         raise ValueError("sliding coefficients must be positive")
-    p12 = 1.0 / (2.0 * alpha1)
-    return PMatrix(
-        p11=alpha2 / alpha1 + 1.0 / (2.0 * alpha2),
-        p12=p12,
-        p21=p12,
-        p22=(1.0 + alpha1) / (2.0 * alpha1 * alpha2),
-    )
+    return alpha2 / alpha1 + 1.0 / (2.0 * alpha2), 1.0 / (2.0 * alpha1), (1.0 + alpha1) / (2.0 * alpha1 * alpha2)
 
 
-def lyapunov_p_matrix(alpha1: float, alpha2: float) -> PMatrix:
-    """Exact solution of A'P + PA = -I2 for A = [[0, 1], [-a1, -a2]]."""
+def lyapunov_p_matrix(alpha1: float, alpha2: float) -> tuple[float, float, float]:
+    """(p11, p12, p22), the exact solution of A'P + PA = -I2 for A = [[0, 1], [-a1, -a2]]."""
     if alpha1 <= 0 or alpha2 <= 0:
         raise ValueError("sliding coefficients must be positive")
-    p12 = 1.0 / (2.0 * alpha1)
-    return PMatrix(
-        p11=alpha2 / (2.0 * alpha1) + (1.0 + alpha1) / (2.0 * alpha2),
-        p12=p12,
-        p21=p12,
-        p22=(1.0 + alpha1) / (2.0 * alpha1 * alpha2),
-    )
-
-
-@dataclass
-class SlidingState:
-    """The sliding-mode values that change during a run: the coefficients
-    alpha1..alpha3 and the error integral. Their settings (starting values,
-    learning rates, ceilings, gain and saturation) live in ControllerConfig.
-    """
-
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    err_integral: float = 0.0
+    p11 = alpha2 / (2.0 * alpha1) + (1.0 + alpha1) / (2.0 * alpha2)
+    return p11, 1.0 / (2.0 * alpha1), (1.0 + alpha1) / (2.0 * alpha1 * alpha2)
 
 
 def adapt_weights(
@@ -79,18 +45,20 @@ def adapt_weights(
     e: float,
     e_dot: float,
     c: ControllerConfig,
-    P: PMatrix,
+    P: tuple[float, float, float],
     x_e,
     dt: float,
 ) -> None:
-    """Sliding-mode update: w <- w - dt * (gamma / R) * (e p12 + de p22) * x_e.
+    """Sliding-mode update: w <- w - dt * (gamma / R) * (e p12 + de p22) * x_e,
+    with P = (p11, p12, p22).
 
     PALM moves rule j by lam_j * x_e; each of the R equal rules fires
     lam_j = 1/R, so the shared row moves at gain gamma / R. Entries are
     clipped to the weight bound afterwards, by the two comparisons of
     ``min(max(v, -lim), lim)``, so a NaN passes through as it does there.
     """
-    g = e * P.p12 + e_dot * P.p22
+    _, p12, p22 = P
+    g = e * p12 + e_dot * p22
     k = dt * c.gamma * g / net.rule_count
     hi = c.weight_limit
     lo = -hi
@@ -104,57 +72,58 @@ def adapt_weights(
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
-def adapt_sliding_params(s: SlidingState, c: ControllerConfig, e: float, e_dot: float, s_l: float, dt: float) -> bool:
-    """Self-evolve the sliding coefficients with dissimilar learning rates.
+def adapt_sliding_params(alphas: tuple, err_integral: float, c: ControllerConfig, e: float, e_dot: float, s_l: float,
+                         dt: float) -> tuple[float, float, float]:
+    """Self-evolve the sliding coefficients with dissimilar learning rates; returns the new alphas.
 
     a1 grows with |s_l||e|, a2 with |s_l||de|, a3 with |s_l||int(e)|, each
-    clamped to [starting value, alpha_max]. Returns True when any value changed.
+    clamped to [starting value, alpha_max].
     """
+    a1, a2, a3 = alphas
     r1, r2, r3 = c.learn_rates
-    if r1 == 0.0 and r2 == 0.0 and r3 == 0.0:
-        return False
+    lo1, lo2, lo3 = c.alphas
     hi1, hi2, hi3 = c.alpha_max
-    a1 = min(hi1, max(c.alpha1, s.alpha1 + dt * r1 * abs(s_l) * abs(e)))
-    a2 = min(hi2, max(c.alpha2, s.alpha2 + dt * r2 * abs(s_l) * abs(e_dot)))
-    a3 = min(hi3, max(c.alpha3, s.alpha3 + dt * r3 * abs(s_l) * abs(s.err_integral)))
-    changed = (a1, a2, a3) != (s.alpha1, s.alpha2, s.alpha3)
-    s.alpha1, s.alpha2, s.alpha3 = a1, a2, a3
-    return changed
+    return (
+        min(hi1, max(lo1, a1 + dt * r1 * abs(s_l) * abs(e))),
+        min(hi2, max(lo2, a2 + dt * r2 * abs(s_l) * abs(e_dot))),
+        min(hi3, max(lo3, a3 + dt * r3 * abs(s_l) * abs(err_integral))),
+    )
 
 
 @dataclass
 class ControllerConfig:
-    """Controller settings. alpha1..alpha3 are the starting sliding
-    coefficients: they stay fixed while learn_rates are all zero (the
+    """Controller settings. alphas = (alpha1, alpha2, alpha3) are the starting
+    sliding coefficients: they stay fixed while learn_rates are all zero (the
     default) and otherwise self-evolve upward, clamped to [start, alpha_max].
-    learn_rates and alpha_max hold one value per alpha; the learn rates and
-    the three limits must be non-negative. Each alpha is finite and at most
-    its alpha_max, and gamma is finite; a negative gamma is allowed.
+    alphas, learn_rates and alpha_max hold one value per alpha; the learn rates
+    and the three limits must be non-negative. Each alpha is finite and at most
+    its alpha_max, gamma is finite (a negative gamma is allowed) and
+    evolution_enabled is a bool.
     """
 
     gamma: float = 50.0
     weight_limit: float = 10.0
     actuator_limit: float = float("inf")
     sat_limit: float = 10.0
-    alpha1: float = 1e-2
-    alpha2: float = 1e-3
-    alpha3: float = 1e-9
+    alphas: tuple[float, float, float] = (1e-2, 1e-3, 1e-9)
     learn_rates: tuple[float, float, float] = (0.0, 0.0, 0.0)
     alpha_max: tuple[float, float, float] = (1.0, 0.5, 0.01)
     evolution_enabled: bool = True
 
     def __post_init__(self):
-        alphas = (self.alpha1, self.alpha2, self.alpha3)
-        if not (0 < self.alpha1 < inf and 0 < self.alpha2 < inf and 0 <= self.alpha3 < inf):
-            raise ValueError(f"alpha1 and alpha2 must be positive and alpha3 non-negative, all finite, not {alphas!r}")
-        if not isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, not {self.gamma!r}")
         # one value per sliding coefficient, alpha1..alpha3
-        for name in ("learn_rates", "alpha_max"):
+        for name in ("alphas", "learn_rates", "alpha_max"):
             values = tuple(map(float, getattr(self, name)))
             if len(values) != 3:
                 raise ValueError(f"{name} takes three values, one per alpha, not {len(values)}")
             setattr(self, name, values)
+        alphas = a1, a2, a3 = self.alphas
+        if not (0 < a1 < inf and 0 < a2 < inf and 0 <= a3 < inf):
+            raise ValueError(f"alpha1 and alpha2 must be positive and alpha3 non-negative, all finite, not {alphas!r}")
+        if not isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, not {self.gamma!r}")
+        if not isinstance(self.evolution_enabled, bool):
+            raise ValueError(f"evolution_enabled must be true or false, not {self.evolution_enabled!r}")
         if not all(r >= 0.0 for r in self.learn_rates):
             raise ValueError("learn_rates must be non-negative: the sliding coefficients only grow")
         # the adaptation clamps each alpha to [start, alpha_max], an empty range when start > alpha_max
@@ -182,12 +151,15 @@ class ParsimoniousController:
         self.config = config or ControllerConfig()
         c = self.config
         self.net = PalmNetwork()
-        self.sliding = SlidingState(c.alpha1, c.alpha2, c.alpha3)
+        # the sliding-mode values that change during a run: the coefficients
+        # alpha1..alpha3 with their P = (p11, p12, p22), and the error integral
+        self.alphas = c.alphas
+        self.P = p_matrix(c.alphas[0], c.alphas[1])
+        self.err_integral = 0.0
         self.evo = evolution.EvolutionState()
-        self.P = p_matrix(c.alpha1, c.alpha2)
         # the alphas only grow and the clamp holds each at its ceiling, so once
         # all three sit there no step moves them and their adaptation is skipped
-        self._alphas_at_max = (c.alpha1, c.alpha2, c.alpha3) == c.alpha_max
+        self._alphas_at_max = c.alphas == c.alpha_max
         self._e_prev: float | None = None
         self.steps = 0
         self.events: list[tuple[float, str, int, float, float]] = []
@@ -215,17 +187,16 @@ class ParsimoniousController:
         if dt <= 0:
             raise ValueError("dt must be positive")
         c = self.config
-        s = self.sliding
         net = self.net
 
         e = y_r - y
         e_dot = 0.0 if self._e_prev is None else (e - self._e_prev) / dt
         self._e_prev = e
-        err_integral = s.err_integral = s.err_integral + e * dt
+        err_integral = self.err_integral = self.err_integral + e * dt
 
         # s_l = e + (a2/a1) de/dt + (a3/a1) int(e); u_src = alpha1 s_l, saturated to suppress chattering
-        a1 = s.alpha1
-        s_l = e + (s.alpha2 / a1) * e_dot + (s.alpha3 / a1) * err_integral
+        alphas = a1, a2, a3 = self.alphas
+        s_l = e + (a2 / a1) * e_dot + (a3 / a1) * err_integral
         hi = c.sat_limit
         lo = -hi
         u_src = a1 * s_l
@@ -259,9 +230,11 @@ class ParsimoniousController:
                 evo.restart_detectors()
 
         adapt_weights(net, e, e_dot, c, self.P, x_e, dt)
-        if not self._alphas_at_max and adapt_sliding_params(s, c, e, e_dot, s_l, dt):
-            self.P = p_matrix(s.alpha1, s.alpha2)
-            self._alphas_at_max = (s.alpha1, s.alpha2, s.alpha3) == c.alpha_max
+        if not self._alphas_at_max:
+            alphas = adapt_sliding_params(alphas, err_integral, c, e, e_dot, s_l, dt)
+            if alphas != self.alphas:
+                self.alphas, self.P = alphas, p_matrix(alphas[0], alphas[1])
+                self._alphas_at_max = alphas == c.alpha_max
 
         self.steps += 1
         hi = c.actuator_limit

@@ -33,8 +33,8 @@ class InertiaSet:
         if not (m > 0 and i_x > 0 and i_y > 0 and i_z > 0):
             raise ValueError("mass and principal inertias must be positive")
         det = i_x * i_z - i_xz * i_xz
-        if abs(det) < 1e-15:
-            raise ValueError("singular roll/yaw inertia coupling")
+        if not det > 1e-15:
+            raise ValueError(f"inertia must be positive definite: i_x i_z - i_xz^2 = {det!r} is not above 1e-15")
         object.__setattr__(self, "terms", (m, i_x, i_y, i_z, i_xz, i_x - i_z, i_z - i_y, i_y - i_x, det))
 
 

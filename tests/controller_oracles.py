@@ -17,14 +17,15 @@ from pacsim.controller import ControllerFault, adapt_sliding_params, p_matrix
 from pacsim.palm import network_output
 
 
-def sliding_value(e: float, e_dot: float, err_integral: float, s) -> float:
+def sliding_value(e: float, e_dot: float, err_integral: float, alphas) -> float:
     """s_l = e + (a2/a1) de/dt + (a3/a1) int(e)."""
-    return e + (s.alpha2 / s.alpha1) * e_dot + (s.alpha3 / s.alpha1) * err_integral
+    a1, a2, a3 = alphas
+    return e + (a2 / a1) * e_dot + (a3 / a1) * err_integral
 
 
-def robustifying_term(s_l: float, s, c) -> float:
+def robustifying_term(s_l: float, alphas, c) -> float:
     """alpha1 * s_l, saturated to suppress chattering."""
-    return min(max(s.alpha1 * s_l, -c.sat_limit), c.sat_limit)
+    return min(max(alphas[0] * s_l, -c.sat_limit), c.sat_limit)
 
 
 def extended_input(e: float, e_dot: float, y_r: float) -> tuple[float, float, float, float]:
@@ -42,7 +43,8 @@ def update_input_mean(state, x_e) -> None:
 
 def adapt_weights(net, e: float, e_dot: float, c, P, x_e, dt: float) -> None:
     """w <- w - dt * (gamma / R) * (e p12 + de p22) * x_e, clipped entry by entry with min/max."""
-    g = e * P.p12 + e_dot * P.p22
+    _, p12, p22 = P
+    g = e * p12 + e_dot * p22
     k = dt * c.gamma * g / net.rule_count
     lim = c.weight_limit
     w = net.w = [min(max(v - k * x, -lim), lim) for v, x in zip(net.w, x_e)]
@@ -94,16 +96,15 @@ def staged_step(ctl, y: float, y_r: float, dt: float):
     if dt <= 0:
         raise ValueError("dt must be positive")
     c = ctl.config
-    s = ctl.sliding
 
     y, y_r = float(y), float(y_r)
     e = y_r - y
     e_dot = 0.0 if ctl._e_prev is None else (e - ctl._e_prev) / dt
     ctl._e_prev = e
-    s.err_integral += e * dt
+    ctl.err_integral += e * dt
 
-    s_l = sliding_value(e, e_dot, s.err_integral, s)
-    u_src = robustifying_term(s_l, s, c)
+    s_l = sliding_value(e, e_dot, ctl.err_integral, ctl.alphas)
+    u_src = robustifying_term(s_l, ctl.alphas, c)
 
     x_e = extended_input(e, e_dot, y_r)
     u_palm = network_output(x_e, ctl.net)
@@ -117,9 +118,12 @@ def staged_step(ctl, y: float, y_r: float, dt: float):
         bias, variance = _evolve(ctl, x_e, y_r, ctl.steps * dt)
 
     adapt_weights(ctl.net, e, e_dot, c, ctl.P, x_e, dt)
-    if not ctl._alphas_at_max and adapt_sliding_params(s, c, e, e_dot, s_l, dt):
-        ctl.P = p_matrix(s.alpha1, s.alpha2)
-        ctl._alphas_at_max = (s.alpha1, s.alpha2, s.alpha3) == c.alpha_max
+    if not ctl._alphas_at_max:
+        alphas = adapt_sliding_params(ctl.alphas, ctl.err_integral, c, e, e_dot, s_l, dt)
+        if alphas != ctl.alphas:
+            ctl.alphas = alphas
+            ctl.P = p_matrix(*alphas[:2])
+            ctl._alphas_at_max = alphas == c.alpha_max
 
     ctl.steps += 1
     cells = (s_l, u_src, u_palm, ctl.net.rule_count, bias, variance)

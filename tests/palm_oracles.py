@@ -107,7 +107,7 @@ class PalmReference:
     def __init__(self, c, eta: float = 5.0):
         self.c, self.eta = c, eta
         self.rows = [[0.0] * 4]
-        self.a1, self.a2, self.a3 = c.alpha1, c.alpha2, c.alpha3
+        self.a1, self.a2, self.a3 = c.alphas
         self.e_prev = None
         self.ei = 0.0
         self.mu = [0.0] * 4
@@ -139,10 +139,10 @@ class PalmReference:
         for w, l in zip(self.rows, lam):
             for q in range(4):
                 w[q] = min(max(w[q] - dt * c.gamma * g * l * x[q], -m), m)
-        (r1, r2, r3), (hi1, hi2, hi3) = c.learn_rates, c.alpha_max
-        self.a1 = min(hi1, max(c.alpha1, a1 + dt * r1 * abs(sl) * abs(e)))
-        self.a2 = min(hi2, max(c.alpha2, a2 + dt * r2 * abs(sl) * abs(ed)))
-        self.a3 = min(hi3, max(c.alpha3, a3 + dt * r3 * abs(sl) * abs(self.ei)))
+        (r1, r2, r3), (lo1, lo2, lo3), (hi1, hi2, hi3) = c.learn_rates, c.alphas, c.alpha_max
+        self.a1 = min(hi1, max(lo1, a1 + dt * r1 * abs(sl) * abs(e)))
+        self.a2 = min(hi2, max(lo2, a2 + dt * r2 * abs(sl) * abs(ed)))
+        self.a3 = min(hi3, max(lo3, a3 + dt * r3 * abs(sl) * abs(self.ei)))
         return min(max(u, -c.actuator_limit), c.actuator_limit)
 
     def _evolve(self, x, y_r: float) -> bool:

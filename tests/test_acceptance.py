@@ -145,8 +145,8 @@ def test_evolution_suite():
 # --- sliding-mode suite -------------------------------------------------------
 
 def test_smc_p_matrix_published_values():
-    P = p_matrix(1e-2, 1e-3)
-    got = (P.p11, P.p12, P.p21, P.p22)
+    p11, p12, p22 = p_matrix(1e-2, 1e-3)
+    got = (p11, p12, p12, p22)
     want = (500.1, 50.0, 50.0, 50500.0)
     ok = all(abs(g - w) < 1e-9 for g, w in zip(got, want))
     _report("SMC: P(1e-2, 1e-3) = (500.1, 50, 50, 50500) within 1e-9", ok, f"got {got}")
@@ -164,16 +164,16 @@ def test_smc_p_matrix_lyapunov_identity():
     worst = 0.0
     for _ in range(100):
         a1, a2 = rng.uniform(1e-3, 2.0, size=2)
-        P = p_matrix(a1, a2)
+        p11, p12, p22 = p_matrix(a1, a2)
         A = np.array([[0.0, 1.0], [-a1, -a2]])
-        M = np.array([[P.p11, P.p12], [P.p21, P.p22]])
+        M = np.array([[p11, p12], [p12, p22]])
         worst = max(worst, float(np.abs(A.T @ M + M @ A + np.eye(2)).max()))
     exact_worst = 0.0
     for _ in range(100):
         a1, a2 = rng.uniform(1e-3, 2.0, size=2)
-        P = lyapunov_p_matrix(a1, a2)
+        p11, p12, p22 = lyapunov_p_matrix(a1, a2)
         A = np.array([[0.0, 1.0], [-a1, -a2]])
-        M = np.array([[P.p11, P.p12], [P.p21, P.p22]])
+        M = np.array([[p11, p12], [p12, p22]])
         exact_worst = max(exact_worst, float(np.abs(A.T @ M + M @ A + np.eye(2)).max()))
     print(
         f"[INFO] published-P residual max={worst:.3e}; corrected closed form residual "
@@ -227,14 +227,14 @@ def test_smc_boundedness_double_integrator():
 def test_smc_energy_descent_frozen_structure():
     params = dict(DINT_PARAMS, evolution_enabled=False)
     ctl, log = _run_double_integrator(params)
-    P = ctl.P  # alpha growth saturates early; P is constant over the tail
+    p11, p12, p22 = ctl.P  # alpha growth saturates early; P is constant over the tail
     w_final = log["w"][-1]
     gamma = params["gamma"]
     n = len(log["t"])
     v = np.empty(n)
     for i in range(n):
         e_vec = np.array([log["e"][i], log["e_dot"][i]])
-        m = np.array([[P.p11, P.p12], [P.p21, P.p22]])
+        m = np.array([[p11, p12], [p12, p22]])
         w_err = log["w"][i] - w_final
         v[i] = 0.5 * e_vec @ m @ e_vec + 0.5 / gamma * float(np.sum(w_err * w_err))
     tail = v[n // 2 :]

@@ -55,6 +55,29 @@ def test_claim_rule_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_i
     assert close["change_wins"] == 10 and not close["claim_rule_met"]
 
 
+def test_no_regression_verdict_takes_the_bound_relative_to_the_parent_median():
+    parent = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # median 10.45, IQR 0.55 (5.3 %)
+
+    def verdict(change, bound, better="lower"):
+        spec = [{"name": "wall_s", "unit": "s", "better": better, "bound": bound}]
+        return bench_pairs.compare(_walls(parent, change), spec)["wall_s"]["regression"]
+
+    assert verdict([p * 1.05 for p in parent], 0.1) == "within"  # 5 % slower against a 10 % bound
+    assert verdict([p * 1.2 for p in parent], 0.1) == "worse"
+    assert verdict(parent, 0.1) == "within"
+    # higher is better: 20 % fewer is worse, 20 % more is within
+    assert verdict([p * 0.8 for p in parent], 0.1, "higher") == "worse"
+    assert verdict([p * 1.2 for p in parent], 0.1, "higher") == "within"
+    # the parent's own spread exceeds a 1 % bound, so no median decides it ...
+    assert verdict(parent, 0.01) == "unresolved"
+    assert verdict([p * 1.2 for p in parent], 0.01) == "unresolved"
+    # ... unless every change run reads better than every parent run
+    assert verdict([p - 1.0 for p in parent], 0.01) == "within"
+    # a metric without a bound gets no verdict
+    summary = bench_pairs.compare(_walls(parent, parent), [bench_pairs.RAW_PASS_WALL])
+    assert summary["raw_pass_wall_s"]["regression"] is None
+
+
 def _git(repo: Path, *args: str) -> str:
     cmd = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false"]
     return subprocess.run([*cmd, *args], capture_output=True, text=True, check=True).stdout

@@ -11,8 +11,6 @@ from pacsim.controller import (
     ControllerConfig,
     ControllerFault,
     ParsimoniousController,
-    PMatrix,
-    SlidingState,
     adapt_sliding_params,
     adapt_weights,
     lyapunov_p_matrix,
@@ -34,31 +32,32 @@ def _named(cells) -> dict:
     return dict(zip(ParsimoniousController.log_columns, cells))
 
 
-def _initial_sliding(**config) -> SlidingState:
-    c = ControllerConfig(**config)
-    return SlidingState(c.alpha1, c.alpha2, c.alpha3)
+def _alphas(**changes) -> tuple[float, float, float]:
+    """The default starting alphas with the named ones (alpha1..alpha3) replaced."""
+    named = dict(zip(("alpha1", "alpha2", "alpha3"), ControllerConfig().alphas), **changes)
+    return tuple(named.values())
 
 
 def test_sliding_value_zero():
-    s = _initial_sliding()
+    s = ControllerConfig().alphas
     assert sliding_value(0.0, 0.0, 0.0, s) == 0.0
 
 
 def test_sliding_value_initial_coefficients():
-    s = _initial_sliding()  # alpha1=1e-2, alpha2=1e-3, alpha3~0
+    s = ControllerConfig().alphas  # alpha1=1e-2, alpha2=1e-3, alpha3~0
     assert sliding_value(1.0, 1.0, 0.0, s) == pytest.approx(1.1, abs=1e-6)
 
 
 def test_sliding_value_ratio_invariance():
-    s1 = SlidingState(alpha1=0.02, alpha2=0.004, alpha3=0.0002)
-    s2 = SlidingState(alpha1=0.04, alpha2=0.008, alpha3=0.0004)
+    s1 = (0.02, 0.004, 0.0002)
+    s2 = (0.04, 0.008, 0.0004)
     for e, ed, ei in [(1.0, -2.0, 3.0), (0.5, 0.1, -0.7)]:
         assert sliding_value(e, ed, ei, s1) == pytest.approx(sliding_value(e, ed, ei, s2), rel=1e-12)
 
 
 def test_robustifying_term():
     c = ControllerConfig(sat_limit=10.0)
-    s = _initial_sliding()
+    s = c.alphas
     assert robustifying_term(0.0, s, c) == 0.0
     assert robustifying_term(1.1, s, c) == pytest.approx(0.011)
     assert robustifying_term(1e8, s, c) == 10.0
@@ -68,21 +67,21 @@ def test_robustifying_term():
 @pytest.mark.parametrize("key, value", [("alpha1", 0.0), ("alpha2", -1e-3)])
 def test_nonpositive_starting_alpha_rejected(key, value):
     with pytest.raises(ValueError, match="alpha1 and alpha2 must be positive"):
-        ControllerConfig(**{key: value})
+        ControllerConfig(alphas=_alphas(**{key: value}))
 
 
 @pytest.mark.parametrize(
     "params, message",
     [
-        ({"alpha1": math.nan}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
-        ({"alpha2": math.inf}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
-        ({"alpha3": -1.0}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
-        ({"alpha3": math.nan}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
+        ({"alphas": (math.nan, 1e-3, 1e-9)}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
+        ({"alphas": (1e-2, math.inf, 1e-9)}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
+        ({"alphas": (1e-2, 1e-3, -1.0)}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
+        ({"alphas": (1e-2, 1e-3, math.nan)}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
         ({"gamma": math.nan}, "gamma must be finite"),
         ({"gamma": -math.inf}, "gamma must be finite"),
         # the clamp to [start, alpha_max] would drop alpha1 to 1.0 on its first adapting step
-        ({"alpha1": 2.0}, "alpha_max"),
-        ({"alpha3": 0.02, "alpha_max": (1.0, 0.5, 0.01)}, "alpha_max"),
+        ({"alphas": (2.0, 1e-3, 1e-9)}, "alpha_max"),
+        ({"alphas": (1e-2, 1e-3, 0.02), "alpha_max": (1.0, 0.5, 0.01)}, "alpha_max"),
         ({"alpha_max": (1.0, math.nan, 0.01)}, "alpha_max"),
     ],
 )
@@ -94,22 +93,21 @@ def test_bad_sliding_setting_rejected(params, message):
 def test_negative_gamma_and_start_at_the_ceiling_accepted():
     # a negative gamma adapts the other way; it is how a bias overflow is provoked on purpose
     ControllerConfig(gamma=-50.0)
-    ControllerConfig(alpha1=0.5, alpha2=0.5, alpha3=0.01, alpha_max=(0.5, 0.5, 0.01))
-    ControllerConfig(alpha3=0.0)
+    ControllerConfig(alphas=(0.5, 0.5, 0.01), alpha_max=(0.5, 0.5, 0.01))
+    ControllerConfig(alphas=(1e-2, 1e-3, 0.0))
 
 
 def test_p_matrix_published_values():
-    P = p_matrix(1e-2, 1e-3)
-    assert P.p11 == pytest.approx(500.1, abs=1e-9)
-    assert P.p12 == pytest.approx(50.0, abs=1e-9)
-    assert P.p21 == pytest.approx(50.0, abs=1e-9)
-    assert P.p22 == pytest.approx(50500.0, abs=1e-9)
+    p11, p12, p22 = p_matrix(1e-2, 1e-3)
+    assert p11 == pytest.approx(500.1, abs=1e-9)
+    assert p12 == pytest.approx(50.0, abs=1e-9)
+    assert p22 == pytest.approx(50500.0, abs=1e-9)
 
 
 def test_p_matrix_symmetric_case():
-    P = p_matrix(0.5, 0.5)
-    assert (P.p11, P.p12, P.p22) == pytest.approx((2.0, 1.0, 3.0))
-    assert P.p11 > 0 and P.p11 * P.p22 - P.p12 * P.p21 > 0
+    p11, p12, p22 = p_matrix(0.5, 0.5)
+    assert (p11, p12, p22) == pytest.approx((2.0, 1.0, 3.0))
+    assert p11 > 0 and p11 * p22 - p12 * p12 > 0
 
 
 def test_p_matrix_rejects_nonpositive():
@@ -121,12 +119,12 @@ def test_lyapunov_p_matrix_solves_lyapunov_equation():
     rng = np.random.default_rng(21)
     for _ in range(100):
         a1, a2 = rng.uniform(1e-3, 2.0, size=2)
-        P = lyapunov_p_matrix(a1, a2)
+        p11, p12, p22 = lyapunov_p_matrix(a1, a2)
         A = np.array([[0.0, 1.0], [-a1, -a2]])
-        M = np.array([[P.p11, P.p12], [P.p21, P.p22]])
+        M = np.array([[p11, p12], [p12, p22]])
         residual = A.T @ M + M @ A + np.eye(2)
         assert np.abs(residual).max() < 1e-9
-        assert P.p11 > 0 and P.p11 * P.p22 - P.p12 * P.p21 > 0
+        assert p11 > 0 and p11 * p22 - p12 * p12 > 0
 
 
 def test_lyapunov_p_matrix_matches_scipy_solver():
@@ -135,8 +133,8 @@ def test_lyapunov_p_matrix_matches_scipy_solver():
         a1, a2 = rng.uniform(1e-3, 2.0, size=2)
         A = np.array([[0.0, 1.0], [-a1, -a2]])
         ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(2))
-        P = lyapunov_p_matrix(a1, a2)
-        np.testing.assert_allclose([[P.p11, P.p12], [P.p21, P.p22]], ref, rtol=1e-9)
+        p11, p12, p22 = lyapunov_p_matrix(a1, a2)
+        np.testing.assert_allclose([[p11, p12], [p12, p22]], ref, rtol=1e-9)
 
 
 def test_published_p_agrees_with_lyapunov_solution_on_adaptation_entries():
@@ -144,9 +142,9 @@ def test_published_p_agrees_with_lyapunov_solution_on_adaptation_entries():
     rng = np.random.default_rng(23)
     for _ in range(50):
         a1, a2 = rng.uniform(1e-3, 2.0, size=2)
-        pub, exact = p_matrix(a1, a2), lyapunov_p_matrix(a1, a2)
-        assert pub.p12 == pytest.approx(exact.p12, rel=1e-14)
-        assert pub.p22 == pytest.approx(exact.p22, rel=1e-14)
+        (_, pub_p12, pub_p22), (_, p12, p22) = p_matrix(a1, a2), lyapunov_p_matrix(a1, a2)
+        assert pub_p12 == pytest.approx(p12, rel=1e-14)
+        assert pub_p22 == pytest.approx(p22, rel=1e-14)
 
 
 def test_adapt_weights_no_error_no_change():
@@ -159,7 +157,7 @@ def test_adapt_weights_no_error_no_change():
 def test_adapt_weights_hand_arithmetic():
     # g = e*p12 + de*p22 = 2 with the crafted P below
     net = PalmNetwork()
-    P = PMatrix(p11=1.0, p12=1.0, p21=1.0, p22=1.0)
+    P = (1.0, 1.0, 1.0)
     x_e = np.array([1.0, 0.0, 0.0, 1.0])
     adapt_weights(net, 2.0, 0.0, ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 1.0)
     np.testing.assert_allclose(net.w, [-2.0, 0.0, 0.0, -2.0])
@@ -174,8 +172,8 @@ def test_adapt_weights_direction_opposes_g():
     for _ in range(50):
         net = PalmNetwork()
         e, ed = rng.uniform(-1, 1, size=2)
-        P = p_matrix(1e-2, 1e-3)
-        g = e * P.p12 + ed * P.p22
+        P = _, p12, p22 = p_matrix(1e-2, 1e-3)
+        g = e * p12 + ed * p22
         x_e = np.array([1.0, abs(e), abs(ed), 2.0])  # positive entries
         adapt_weights(net, e, ed, ControllerConfig(gamma=1.0, weight_limit=10.0), P, x_e, 0.01)
         if g != 0:
@@ -195,10 +193,10 @@ def test_adapt_weights_many_rules_match_per_row_update():
         w0 = rng.uniform(-3, 3, size=4)
         net = PalmNetwork(w=w0.copy(), rule_count=r)
         e, ed = rng.uniform(-2, 2, size=2)
-        P = p_matrix(1e-2, 1e-3)
+        P = _, p12, p22 = p_matrix(1e-2, 1e-3)
         x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
         adapt_weights(net, e, ed, ControllerConfig(gamma=0.5, weight_limit=2.5), P, x_e, 0.01)
-        g = e * P.p12 + ed * P.p22
+        g = e * p12 + ed * p22
         want = [max(-2.5, min(2.5, w0[q] - 0.01 * 0.5 * g * (1.0 / r) * x_e[q])) for q in range(4)]
         np.testing.assert_allclose(net.w, want, rtol=0.0, atol=1e-12)
 
@@ -206,7 +204,7 @@ def test_adapt_weights_many_rules_match_per_row_update():
 def test_adapt_weights_bit_equal_to_outer_and_clip_reference():
     # the update is one scaled input, then np.clip, bit for bit
     rng = np.random.default_rng(34)
-    P = p_matrix(1e-2, 1e-3)
+    P = _, p12, p22 = p_matrix(1e-2, 1e-3)
     for r in (1, 3, 95):
         for gamma in (0.5, 5e3):  # the large gain drives entries past both bounds
             w0 = rng.uniform(-3, 3, size=4)
@@ -214,7 +212,7 @@ def test_adapt_weights_bit_equal_to_outer_and_clip_reference():
             x_e = np.concatenate([[1.0], rng.uniform(-2, 2, size=3)])
             net = PalmNetwork(w=w0.copy(), rule_count=r)
             adapt_weights(net, e, ed, ControllerConfig(gamma=gamma, weight_limit=2.5), P, x_e, 0.01)
-            g = e * P.p12 + ed * P.p22
+            g = e * p12 + ed * p22
             want = np.clip(w0 - (0.01 * gamma * g / r) * x_e, -2.5, 2.5)
             assert np.array_equal(net.w, want)
             if gamma > 1.0:
@@ -250,7 +248,7 @@ def test_numpy_scalar_inputs_leave_python_floats_in_both_controllers():
     pac, pid = ParsimoniousController(), PidController(PidConfig(kp=2.0, ki=0.5, kd=0.1))
     for y in np.linspace(0.0, 1.0, 20):
         u, cells = pac.step(y, np.float64(1.0), 0.01)
-        values = [u, *pac.evo.mu_e, *pac.net.w, pac.sliding.err_integral, pac._e_prev]
+        values = [u, *pac.evo.mu_e, *pac.net.w, pac.err_integral, pac._e_prev]
         assert [type(v) for v in values] == [float] * len(values)
         assert [type(v) for v in cells] == CELL_TYPES
         u, _ = pid.step(y, np.float64(1.0), 0.01)
@@ -276,8 +274,8 @@ def test_adapt_weights_finite_check_is_entrywise():
 def test_clamps_match_np_clip():
     values = [0.0, -0.0, 0.3, -0.3, 7.0, -7.0, 1e8, -1e8, float("inf"), float("-inf")]
     for limit in (5, 5.0, float("inf")):
-        c = ControllerConfig(alpha1=1.0, sat_limit=limit)
-        s = SlidingState(c.alpha1, c.alpha2, c.alpha3)
+        c = ControllerConfig(alphas=(1.0, 1e-3, 1e-9), sat_limit=limit)
+        s = c.alphas
         for v in values:
             got = robustifying_term(v, s, c)
             want = float(np.clip(v, -limit, limit))
@@ -294,29 +292,24 @@ def test_clamps_match_np_clip():
 
 def test_adapt_sliding_params_fixed_mode():
     c = ControllerConfig(learn_rates=(0.0, 0.0, 0.0))
-    s = SlidingState(c.alpha1, c.alpha2, c.alpha3)
-    before = (s.alpha1, s.alpha2, s.alpha3)
-    assert not adapt_sliding_params(s, c, 1.0, 1.0, 2.0, 0.01)
-    assert (s.alpha1, s.alpha2, s.alpha3) == before
+    before = c.alphas
+    assert adapt_sliding_params(before, 0.0, c, 1.0, 1.0, 2.0, 0.01) == before
 
 
 def test_adapt_sliding_params_grows_and_clamps():
     c = ControllerConfig(learn_rates=(10.0, 10.0, 10.0), alpha_max=(0.05, 0.02, 0.001))
-    s = SlidingState(c.alpha1, c.alpha2, c.alpha3)
-    s.err_integral = 3.0
+    alphas = c.alphas
     for _ in range(1000):
-        adapt_sliding_params(s, c, 1.0, 1.0, 2.0, 0.01)
-    assert s.alpha1 == pytest.approx(0.05)
-    assert s.alpha2 == pytest.approx(0.02)
-    assert s.alpha3 == pytest.approx(0.001)
+        alphas = adapt_sliding_params(alphas, 3.0, c, 1.0, 1.0, 2.0, 0.01)
+    assert alphas[0] == pytest.approx(0.05)
+    assert alphas[1] == pytest.approx(0.02)
+    assert alphas[2] == pytest.approx(0.001)
 
 
 def test_adapt_sliding_params_frozen_at_zero_error():
     c = ControllerConfig(learn_rates=(1.0, 1.0, 1.0))
-    s = SlidingState(c.alpha1, c.alpha2, c.alpha3)
-    before = (s.alpha1, s.alpha2, s.alpha3)
-    adapt_sliding_params(s, c, 0.0, 0.0, 0.0, 0.01)
-    assert (s.alpha1, s.alpha2, s.alpha3) == before
+    before = c.alphas
+    assert adapt_sliding_params(before, 0.0, c, 0.0, 0.0, 0.0, 0.01) == before
 
 
 def test_negative_learn_rate_rejected():
@@ -324,7 +317,7 @@ def test_negative_learn_rate_rejected():
         ControllerConfig(learn_rates=(0.1, -0.5, 0.001))
 
 
-@pytest.mark.parametrize("name", ["learn_rates", "alpha_max"])
+@pytest.mark.parametrize("name", ["learn_rates", "alpha_max", "alphas"])
 @pytest.mark.parametrize("values", [(0.1, 0.5), (0.1, 0.5, 0.001, 0.2)], ids=["two", "four"])
 def test_learn_rates_and_alpha_max_need_three_values(name, values):
     # each holds one value per alpha; a wrong count would only fail to unpack on the first step
@@ -350,7 +343,7 @@ def test_numpy_dt_keeps_the_step_float():
     ctl = ParsimoniousController(ControllerConfig(learn_rates=(0.1, 0.5, 0.001)))
     for y in (0.2, 0.5, 0.7):  # from the second step on, e_dot divides by dt
         u, cells = ctl.step(y, 1.0, np.float64(0.01))
-        values = [u, ctl.sliding.err_integral, *ctl.net.w]
+        values = [u, ctl.err_integral, *ctl.net.w]
         assert [type(v) for v in values] == [float] * len(values)
         assert [type(v) for v in cells] == CELL_TYPES
 
@@ -385,9 +378,9 @@ def test_saturated_alphas_skip_the_sliding_adaptation(monkeypatch):
             u, cells = ctl.step(plant.output(), 1.0 + math.sin(0.01 * i), 0.01)
             plant.step(u, 0.01)
             trace.append(tuple(v.hex() for v in (plant.output(), u, _named(cells)["u_palm"])))
-            if saturated_at is None and (ctl.sliding.alpha1, ctl.sliding.alpha2, ctl.sliding.alpha3) == cfg.alpha_max:
+            if saturated_at is None and ctl.alphas == cfg.alpha_max:
                 saturated_at, calls_then = i, (len(adapt_calls), len(p_calls))
-        loops[skip] = trace, saturated_at, calls_then, (len(adapt_calls), len(p_calls)), (ctl.P.p12, ctl.P.p22)
+        loops[skip] = trace, saturated_at, calls_then, (len(adapt_calls), len(p_calls)), ctl.P[1:]
         del adapt_calls[:], p_calls[:]
     trace, saturated_at, calls_then, calls_end, p = loops[True]
     assert saturated_at is not None and saturated_at < 1000
@@ -405,7 +398,7 @@ def test_alphas_starting_at_the_ceiling_never_adapt(monkeypatch):
     for i in range(50):
         ctl.step(0.1 * i, 1.0, 0.01)
     assert adapt_calls == []
-    assert (ctl.sliding.alpha1, ctl.sliding.alpha2, ctl.sliding.alpha3) == (1e-2, 1e-3, 1e-9)
+    assert ctl.alphas == (1e-2, 1e-3, 1e-9)
 
 
 def test_control_step_zero_error_zero_output():
@@ -421,7 +414,7 @@ def test_control_step_first_step_sign():
     ctl = ParsimoniousController(ControllerConfig(gamma=1.0))
     u, cells = ctl.step(0.0, 10.0, 0.01)
     # e = y_r - y = 10 on the first step, with no rate and one step of integral
-    assert _named(cells)["s_l"] == sliding_value(10.0, 0.0, 10.0 * 0.01, ctl.sliding)
+    assert _named(cells)["s_l"] == sliding_value(10.0, 0.0, 10.0 * 0.01, ctl.alphas)
     assert u > 0.0
 
 
@@ -522,7 +515,7 @@ def _controller_bits(ctl):
     """Every value a PAC step reads or writes; of the events, the count and the newest."""
     evo = ctl.evo
     return _bits(
-        (ctl.net.w, ctl.net.rule_count, ctl.sliding, ctl.P, ctl._alphas_at_max, ctl._e_prev, ctl.steps,
+        (ctl.net.w, ctl.net.rule_count, ctl.alphas, ctl.err_integral, ctl.P, ctl._alphas_at_max, ctl._e_prev, ctl.steps,
          len(ctl.events), ctl.events[-1:], evo.mu_e, evo.k, evo.grow, evo.prune)
     )
 
@@ -566,7 +559,7 @@ def test_fused_step_bit_equal_to_staged_oracle_through_grow_prune_clip_and_ceili
         u, _ = _lockstep(fused, staged, plant.output(), y_r, 0.01)
         plant.step(u, 0.01)
         clipped.update(v for v in fused.net.w if abs(v) == lim)
-        at_ceiling = at_ceiling or (fused.sliding.alpha1, fused.sliding.alpha2, fused.sliding.alpha3) == cfg.alpha_max
+        at_ceiling = at_ceiling or fused.alphas == cfg.alpha_max
     kinds = {kind for _, kind, *_ in fused.events}
     assert kinds == {"GROW", "PRUNE"}
     assert clipped == {lim, -lim}
@@ -579,7 +572,7 @@ def test_fused_step_bit_equal_to_staged_oracle_on_numpy_scalars():
     rng = np.random.default_rng(62)
     for y, y_r in rng.uniform(-2.0, 2.0, size=(300, 2)):
         u, cells = _lockstep(fused, staged, y, np.float32(y_r), 0.01)
-        values = [u, *fused.net.w, *fused.evo.mu_e, fused.sliding.err_integral]
+        values = [u, *fused.net.w, *fused.evo.mu_e, fused.err_integral]
         assert [type(v) for v in values] == [float] * len(values)
         assert [type(v) for v in cells] == CELL_TYPES
 

@@ -385,6 +385,18 @@ def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command, 
     assert not out.exists()  # no step log, no summary
 
 
+def test_cli_repeated_experiment_name_is_one_config_error(tmp_path, capsys):
+    # the second run of a name would overwrite the first one's step log while summary.csv kept both rows
+    experiments = [{**_SHORT_RUN, "name": name} for name in ("a", "b", "a")]
+    path = tmp_path / "suite.yaml"
+    path.write_text(yaml.safe_dump({"experiments": experiments}))
+    out = tmp_path / "out"
+    assert main(["suite", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"CONFIG ERROR: {path}: experiment name 'a' appears more than once"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "controller, params, key",
     [
@@ -394,11 +406,12 @@ def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command, 
         ("pac", {"learn_rates": [0.1, 0.5]}, "learn_rates"),
         ("pac", {"alpha_max": [0.5, 0.5, 0.01, 0.01]}, "alpha_max"),
         ("pid", {"kp": 1.0, "output_limits": [2.5, -2.5]}, "output_limits"),
-        ("pac", {"alpha1": math.nan}, "alpha1"),
-        ("pac", {"alpha3": -1.0}, "alpha1 and alpha2 must be positive and alpha3"),
-        ("pac", {"alpha1": 2.0}, "alpha_max"),
+        ("pac", {"alphas": [math.nan, 1e-3, 1e-9]}, "alpha1"),
+        ("pac", {"alphas": [1e-2, 1e-3, -1.0]}, "alpha1 and alpha2 must be positive and alpha3"),
+        ("pac", {"alphas": [2.0, 1e-3, 1e-9]}, "alpha_max"),
         ("pac", {"gamma": math.nan}, "gamma"),
         ("pid", {"kp": math.nan}, "PID gains"),
+        ("pac", {"evolution_enabled": "false"}, "evolution_enabled"),
     ],
     ids=[
         "weight_limit",
@@ -412,6 +425,7 @@ def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command, 
         "alpha1_over_ceiling",
         "nan_gamma",
         "nan_kp",
+        "evolution_enabled_string",
     ],
 )
 def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, controller, params, key):
@@ -441,6 +455,8 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         ("trajectory", [["kind", "constant"], ["level", 3.0]], "trajectory"),
         ("plant_params", ["inertia"], "plant_params"),
         ("disturbances", ["gust"], "disturbances"),
+        # i_x i_z - i_xz^2 = -0.0076 with the default i_x and i_z
+        ("plant_params", {"inertia": {"i_xz": 0.1}}, "inertia must be positive"),
     ],
     ids=[
         "empty_levels",
@@ -455,6 +471,7 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         "trajectory_list",
         "plant_params_list",
         "disturbances_list",
+        "inertia_not_positive_definite",
     ],
 )
 def test_cli_bad_trajectory_or_disturbance_is_one_config_error(tmp_path, capsys, section, value, key):

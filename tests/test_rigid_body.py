@@ -128,6 +128,9 @@ def test_wrap_leaves_in_range_angles_unchanged():
 def test_singular_inertia_rejected():
     with pytest.raises(ValueError):
         InertiaSet(i_x=0.04, i_z=0.04, i_xz=0.04)
+    # i_x i_z - i_xz^2 = -0.0076: not singular, but not positive definite either
+    with pytest.raises(ValueError, match="positive definite"):
+        InertiaSet(i_xz=0.1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

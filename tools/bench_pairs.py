@@ -12,9 +12,14 @@ slow phase of the host falls on both sides alike. ``T`` is the
 of that file, and for the raw per-pass wall time (the median of a run's
 ``passes.wall_s``, not divided by the host slowness), it prints each side's
 median and quartiles, the change's wins (pairs where it is strictly better),
-whether the median gap exceeds the parent's interquartile range, and whether
-the gain rule is met: at least 9/10 of the pairs won and that gap. It
-writes every run and that summary to ``PAIRS_<parent>_<change>.json`` in the
+whether the median gap exceeds the parent's interquartile range, whether
+the gain rule is met (at least 9/10 of the pairs won and that gap), and,
+for a metric with a ``bound``, the no-regression verdict: ``within`` when
+the change's median is worse than the parent's by at most the bound (taken
+as relative to the parent's median), ``worse`` when by more, and
+``unresolved`` when the parent's IQR exceeds the bound times its median,
+unless every change run reads better than every parent run. It writes
+every run and that summary to ``PAIRS_<parent>_<change>.json`` in the
 current directory, under the key "W seed S"; entries for other workloads or
 seeds already in that file are kept. Each side is named by its checkout label
 (``bench_json.checkout_label``): the short SHA of HEAD, with ``+<8 hex>`` when
@@ -52,8 +57,19 @@ def value(run: dict, name: str) -> float:
     return run["result"]["metrics"][name]["value"]
 
 
+def regression_verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """``within``, ``worse`` or ``unresolved`` for a metric whose median may get worse by ``bound`` (relative)."""
+    (q1, median, q3), change_median = quartiles(parent), quartiles(change)[1]
+    all_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > bound * abs(median) and not all_better:
+        return "unresolved"
+    worse_by = change_median - median if lower else median - change_median
+    return "worse" if worse_by > bound * abs(median) else "within"
+
+
 def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per metric: both sides' quartiles, the change's wins and the gap against the parent's IQR."""
+    """Per metric: both sides' quartiles, the change's wins, the gap against the parent's IQR and,
+    for a metric with a bound, the no-regression verdict."""
     summary = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -62,6 +78,7 @@ def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
         gap = q["change"][1] - q["parent"][1]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
         beyond_iqr = (gap < 0 if lower else gap > 0) and abs(gap) > q["parent"][2] - q["parent"][0]
+        bound = spec.get("bound")
         summary[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -73,6 +90,8 @@ def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "better_by_more_than_parent_iqr": beyond_iqr,
             # a tie is no win, so it counts against the nine tenths
             "claim_rule_met": 10 * wins >= 9 * len(pairs) and beyond_iqr,
+            "bound": bound,
+            "regression": None if bound is None else regression_verdict(values["parent"], values["change"], lower, bound),
         }
     return summary
 
@@ -124,6 +143,7 @@ def main(argv=None) -> int:
             f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
             f"  wins {s['change_wins']}/{s['pairs']}  better by > parent IQR: {s['better_by_more_than_parent_iqr']}"
             f"  claim rule met: {s['claim_rule_met']}"
+            + ("" if s["regression"] is None else f"  no-regression: {s['regression']} (bound {s['bound']:g})")
         )
     print(path.resolve())
     return 0
