@@ -385,15 +385,16 @@ def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command, 
     assert not out.exists()  # no step log, no summary
 
 
-def test_cli_repeated_experiment_name_is_one_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("names, repeated", [(("a", "b", "a"), "a"), ((1, "b", "1"), "1")], ids=["same", "int_and_str"])
+def test_cli_repeated_experiment_name_is_one_config_error(tmp_path, capsys, names, repeated):
     # the second run of a name would overwrite the first one's step log while summary.csv kept both rows
-    experiments = [{**_SHORT_RUN, "name": name} for name in ("a", "b", "a")]
+    experiments = [{**_SHORT_RUN, "name": name} for name in names]
     path = tmp_path / "suite.yaml"
     path.write_text(yaml.safe_dump({"experiments": experiments}))
     out = tmp_path / "out"
     assert main(["suite", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"CONFIG ERROR: {path}: experiment name 'a' appears more than once"]
+    assert err == [f"CONFIG ERROR: {path}: experiment name {repeated!r} appears more than once"]
     assert not out.exists()
 
 
