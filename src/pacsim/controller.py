@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 
 from . import evolution
-from .palm import PalmNetwork, network_output
+from .palm import DIM, PalmNetwork, network_output
 
 
 class ControllerFault(RuntimeError):
@@ -156,7 +156,10 @@ class ParsimoniousController:
         self.alphas = c.alphas
         self.P = p_matrix(c.alphas[0], c.alphas[1])
         self.err_integral = 0.0
-        self.evo = evolution.EvolutionState()
+        # the running mean of x_e over the steps, and the two drift detectors
+        self.mu_e = (0.0,) * DIM
+        self.grow = evolution.SigmaRule()
+        self.prune = evolution.SigmaRule()
         # the alphas only grow and the clamp holds each at its ceiling, so once
         # all three sit there no step moves them and their adaptation is skipped
         self._alphas_at_max = c.alphas == c.alpha_max
@@ -213,21 +216,21 @@ class ParsimoniousController:
 
         bias = variance = 0.0
         if c.evolution_enabled:
-            evo = self.evo
-            # the running mean of the extended input x_e
-            k = evo.k = evo.k + 1
-            m0, m1, m2, m3 = evo.mu_e
-            evo.mu_e = (m0 + (1.0 - m0) / k, m1 + (e - m1) / k, m2 + (e_dot - m2) / k, m3 + (y_r - m3) / k)
-            bias2, variance = evolution.network_bias_variance(net, evo, y_r)
+            k = self.steps + 1  # this step's x_e is the k-th sample of the mean
+            m0, m1, m2, m3 = self.mu_e
+            mu_e = self.mu_e = (m0 + (1.0 - m0) / k, m1 + (e - m1) / k, m2 + (e_dot - m2) / k, m3 + (y_r - m3) / k)
+            bias2, variance = evolution.network_bias_variance(net, mu_e, y_r)
             bias = sqrt(bias2)
-            grow = evolution.check_grow(evo, bias)
-            prune = evolution.check_prune(evo, variance)
+            grow = evolution.check_grow(self.grow, bias)
+            prune = evolution.check_prune(self.prune, variance)
             if grow or (prune and net.rule_count >= 2):
                 net.rule_count += 1 if grow else -1
                 self.events.append((self.steps * dt, "GROW" if grow else "PRUNE", net.rule_count, bias, variance))
-                # re-baseline the drift detectors, as the underlying
-                # process-control method does after a detection
-                evo.restart_detectors()
+                # re-baseline the drift detectors, as the underlying process-control
+                # method does after a detection: stale history of the old regime
+                # would keep their spread above any threshold
+                self.grow = evolution.SigmaRule()
+                self.prune = evolution.SigmaRule()
 
         adapt_weights(net, e, e_dot, c, self.P, x_e, dt)
         if not self._alphas_at_max:

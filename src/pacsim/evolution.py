@@ -4,14 +4,15 @@ All statistics are strictly one-pass: a Welford recurrence tracks the running
 mean/std of the bias and variance signals, and only the recorded minima are
 reset when a grow/prune condition fires. A grow adds a copy of the shared
 rule and a prune drops one, never the last (see ``pacsim.controller``).
+The controller holds the state: the input mean ``mu_e`` and the detectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .palm import DIM, PalmNetwork
+from .palm import PalmNetwork
 
 # Floors of the sigma-rule spread. The stored minimum of a standard deviation
 # starts at zero (the first Welford sample always has zero spread), and
@@ -61,27 +62,7 @@ class SigmaRule:
         return False
 
 
-@dataclass
-class EvolutionState:
-    """Running input mean, as a tuple of DIM Python floats, plus the grow and prune detectors."""
-
-    mu_e: tuple[float, ...] = (0.0,) * DIM
-    k: int = 0
-    grow: SigmaRule = field(default_factory=SigmaRule)
-    prune: SigmaRule = field(default_factory=SigmaRule)
-
-    def restart_detectors(self) -> None:
-        """Re-baseline both drift detectors after a structural edit.
-
-        The edited network changes the bias/variance signal regimes; stale
-        multi-regime history otherwise keeps their spread permanently above
-        any threshold. The input mean is not touched.
-        """
-        self.grow = SigmaRule()
-        self.prune = SigmaRule()
-
-
-def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -> tuple[float, float]:
+def network_bias_variance(net: PalmNetwork, mu_e: tuple[float, ...], y_r: float) -> tuple[float, float]:
     """Squared bias and variance of the network output under unity firing.
 
     E[Y] sums each rule's consequent at the input mean, and E[Y^2] each
@@ -92,11 +73,9 @@ def network_bias_variance(net: PalmNetwork, state: EvolutionState, y_r: float) -
     negative under this approximation and is clamped at zero. A bias too
     large to square raises FloatingPointError.
     """
-    if state.k < 1:
-        raise ValueError("input mean not yet populated")
     r = net.rule_count
     w0, w1, w2, w3 = net.w
-    m0, m1, m2, m3 = state.mu_e
+    m0, m1, m2, m3 = mu_e
     t0, t1, t2, t3 = (r * w0) * m0, (r * w1) * m1, (r * w2) * m2, (r * w3) * m3
     e_y = ((t0 + t1) + t2) + t3
     e_y2 = ((t0 * m0 + t1 * m1) + t2 * m2) + t3 * m3
@@ -118,14 +97,14 @@ def pruning_factor(variance: float) -> float:
     return 1.3 * math.exp(-variance) + 0.7
 
 
-def check_grow(state: EvolutionState, bias: float) -> bool:
+def check_grow(rule: SigmaRule, bias: float) -> bool:
     """Sigma rule on the bias signal, scaled by the growth factor."""
-    return state.grow.fires(bias, growth_factor(bias))
+    return rule.fires(bias, growth_factor(bias))
 
 
-def check_prune(state: EvolutionState, variance: float) -> bool:
+def check_prune(rule: SigmaRule, variance: float) -> bool:
     """Sigma rule on the variance signal with factor 2 * pruning factor.
 
     The extra 2 keeps a prune from chasing directly after a grow.
     """
-    return state.prune.fires(variance, 2.0 * pruning_factor(variance))
+    return rule.fires(variance, 2.0 * pruning_factor(variance))

@@ -33,12 +33,11 @@ def extended_input(e: float, e_dot: float, y_r: float) -> tuple[float, float, fl
     return (1.0, e, e_dot, y_r)
 
 
-def update_input_mean(state, x_e) -> None:
-    """Incremental mean of the extended input; increments the sample counter."""
-    k = state.k = state.k + 1
-    m0, m1, m2, m3 = state.mu_e
+def update_input_mean(mu_e, k: int, x_e) -> tuple[float, float, float, float]:
+    """Incremental mean of the extended input: the mean mu_e of k - 1 samples moved to take x_e as the k-th."""
+    m0, m1, m2, m3 = mu_e
     x0, x1, x2, x3 = x_e
-    state.mu_e = (m0 + (x0 - m0) / k, m1 + (x1 - m1) / k, m2 + (x2 - m2) / k, m3 + (x3 - m3) / k)
+    return (m0 + (x0 - m0) / k, m1 + (x1 - m1) / k, m2 + (x2 - m2) / k, m3 + (x3 - m3) / k)
 
 
 def adapt_weights(net, e: float, e_dot: float, c, P, x_e, dt: float) -> None:
@@ -74,11 +73,11 @@ def sigma_rule_fires(rule, x: float, factor: float) -> bool:
 def _evolve(ctl, x_e, y_r: float, t: float) -> tuple[float, float]:
     """Structure learning: grow first, prune otherwise (never both); ``t`` stamps the event.
     Returns the network's bias and variance."""
-    update_input_mean(ctl.evo, x_e)
-    bias2, variance = evolution.network_bias_variance(ctl.net, ctl.evo, y_r)
+    ctl.mu_e = update_input_mean(ctl.mu_e, ctl.steps + 1, x_e)
+    bias2, variance = evolution.network_bias_variance(ctl.net, ctl.mu_e, y_r)
     bias = math.sqrt(bias2)
-    grow = sigma_rule_fires(ctl.evo.grow, bias, evolution.growth_factor(bias))
-    prune = sigma_rule_fires(ctl.evo.prune, variance, 2.0 * evolution.pruning_factor(variance))
+    grow = sigma_rule_fires(ctl.grow, bias, evolution.growth_factor(bias))
+    prune = sigma_rule_fires(ctl.prune, variance, 2.0 * evolution.pruning_factor(variance))
     if grow:
         ctl.net.rule_count += 1
     elif prune and ctl.net.rule_count >= 2:
@@ -86,7 +85,7 @@ def _evolve(ctl, x_e, y_r: float, t: float) -> tuple[float, float]:
     else:
         return bias, variance
     ctl.events.append((t, "GROW" if grow else "PRUNE", ctl.net.rule_count, bias, variance))
-    ctl.evo.restart_detectors()
+    ctl.grow, ctl.prune = evolution.SigmaRule(), evolution.SigmaRule()
     return bias, variance
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pacsim.controller import ControllerConfig, ParsimoniousController, lyapunov_p_matrix, p_matrix
-from pacsim.evolution import EvolutionState, check_grow, check_prune, growth_factor, pruning_factor
+from pacsim.evolution import SigmaRule, check_grow, check_prune, growth_factor, pruning_factor
 from pacsim.experiment import ExperimentConfig, run_experiment, run_suite
 from pacsim.palm import PalmNetwork, network_output
 from palm_oracles import matrix_network_output, point_to_plane_distance
@@ -116,8 +116,8 @@ def test_evolution_suite():
     factors_ok &= all(0.7 <= growth_factor(s) <= 2.0 for s in rng.uniform(6, 100, size=1000))
     exact_ok = growth_factor(0.0) == 2.0 and pruning_factor(0.0) == 2.0
 
-    state = EvolutionState()
-    constant_ok = not any(check_grow(state, 2.5) or check_prune(state, 0.8) for _ in range(100))
+    grow, prune = SigmaRule(), SigmaRule()
+    constant_ok = not any(check_grow(grow, 2.5) or check_prune(prune, 0.8) for _ in range(100))
 
     ctl = ParsimoniousController(ControllerConfig(**PAC_PARAMS))
     plant = DoubleIntegrator()

@@ -239,7 +239,7 @@ def test_weights_stay_python_floats_after_adaptation():
     ctl = ParsimoniousController()
     for y in np.linspace(0.0, 1.0, 20).tolist():
         ctl.step(y, 1.0, 0.01)
-    assert all(type(v) is float for v in ctl.net.w) and all(type(v) is float for v in ctl.evo.mu_e)
+    assert all(type(v) is float for v in ctl.net.w) and all(type(v) is float for v in ctl.mu_e)
 
 
 def test_numpy_scalar_inputs_leave_python_floats_in_both_controllers():
@@ -248,7 +248,7 @@ def test_numpy_scalar_inputs_leave_python_floats_in_both_controllers():
     pac, pid = ParsimoniousController(), PidController(PidConfig(kp=2.0, ki=0.5, kd=0.1))
     for y in np.linspace(0.0, 1.0, 20):
         u, cells = pac.step(y, np.float64(1.0), 0.01)
-        values = [u, *pac.evo.mu_e, *pac.net.w, pac.err_integral, pac._e_prev]
+        values = [u, *pac.mu_e, *pac.net.w, pac.err_integral, pac._e_prev]
         assert [type(v) for v in values] == [float] * len(values)
         assert [type(v) for v in cells] == CELL_TYPES
         u, _ = pid.step(y, np.float64(1.0), 0.01)
@@ -513,10 +513,9 @@ def _bits(value):
 
 def _controller_bits(ctl):
     """Every value a PAC step reads or writes; of the events, the count and the newest."""
-    evo = ctl.evo
     return _bits(
         (ctl.net.w, ctl.net.rule_count, ctl.alphas, ctl.err_integral, ctl.P, ctl._alphas_at_max, ctl._e_prev, ctl.steps,
-         len(ctl.events), ctl.events[-1:], evo.mu_e, evo.k, evo.grow, evo.prune)
+         len(ctl.events), ctl.events[-1:], ctl.mu_e, ctl.grow, ctl.prune)
     )
 
 
@@ -572,7 +571,7 @@ def test_fused_step_bit_equal_to_staged_oracle_on_numpy_scalars():
     rng = np.random.default_rng(62)
     for y, y_r in rng.uniform(-2.0, 2.0, size=(300, 2)):
         u, cells = _lockstep(fused, staged, y, np.float32(y_r), 0.01)
-        values = [u, *fused.net.w, *fused.evo.mu_e, fused.err_integral]
+        values = [u, *fused.net.w, *fused.mu_e, fused.err_integral]
         assert [type(v) for v in values] == [float] * len(values)
         assert [type(v) for v in cells] == CELL_TYPES
 

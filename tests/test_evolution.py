@@ -7,7 +7,7 @@ from controller_oracles import extended_input, sigma_rule_fires, update_input_me
 from pacsim import evolution
 from pacsim.controller import ControllerConfig, ParsimoniousController
 from pacsim.evolution import (
-    EvolutionState,
+    SigmaRule,
     check_grow,
     check_prune,
     growth_factor,
@@ -17,35 +17,33 @@ from pacsim.evolution import (
 from pacsim.palm import DIM, PalmNetwork
 
 
+def _input_mean(samples) -> tuple[float, ...]:
+    """The running mean of the samples, pushed one by one from the zero mean as the controller does."""
+    mu_e = (0.0,) * DIM
+    for k, x in enumerate(samples, 1):
+        mu_e = update_input_mean(mu_e, k, x)
+    return mu_e
+
+
 def test_input_mean_first_sample():
-    state = EvolutionState()
     x = extended_input(2.0, 3.0, 4.0)
-    update_input_mean(state, x)
-    np.testing.assert_allclose(state.mu_e, x)
-    assert state.k == 1
+    np.testing.assert_allclose(_input_mean([x]), x)
 
 
 def test_input_mean_two_point():
-    state = EvolutionState()
-    update_input_mean(state, np.array([1.0, 0.0, 0.0, 0.0]))
-    update_input_mean(state, np.array([1.0, 2.0, 2.0, 2.0]))
-    np.testing.assert_allclose(state.mu_e, [1.0, 1.0, 1.0, 1.0])
+    mu_e = _input_mean([np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 2.0, 2.0, 2.0])])
+    np.testing.assert_allclose(mu_e, [1.0, 1.0, 1.0, 1.0])
 
 
 def test_input_mean_matches_batch_mean():
     rng = np.random.default_rng(2)
     samples = rng.uniform(-5, 5, size=(1000, 4))
-    state = EvolutionState()
-    for row in samples:
-        update_input_mean(state, row)
-    np.testing.assert_allclose(state.mu_e, samples.mean(axis=0), atol=1e-10)
+    np.testing.assert_allclose(_input_mean(samples), samples.mean(axis=0), atol=1e-10)
 
 
 def test_bias_variance_zero_network():
     net = PalmNetwork()
-    state = EvolutionState()
-    update_input_mean(state, extended_input(0.0, 0.0, 0.0))
-    bias2, variance = network_bias_variance(net, state, 0.0)
+    bias2, variance = network_bias_variance(net, _input_mean([extended_input(0.0, 0.0, 0.0)]), 0.0)
     assert bias2 == 0.0 and variance == 0.0
 
 
@@ -53,9 +51,7 @@ def test_bias_variance_zero_network():
 def test_bias_variance_single_intercept_rule(c, y_r):
     # symbolic: E[Y] = c, E[Y^2] = c, so var = c - c^2, bias2 = (c - y_r)^2
     net = PalmNetwork(w=np.array([c, 0.0, 0.0, 0.0]))
-    state = EvolutionState()
-    update_input_mean(state, extended_input(0.7, -0.4, 1.3))
-    bias2, variance = network_bias_variance(net, state, y_r)
+    bias2, variance = network_bias_variance(net, _input_mean([extended_input(0.7, -0.4, 1.3)]), y_r)
     assert bias2 == pytest.approx((c - y_r) ** 2, abs=1e-14)
     assert variance == pytest.approx(max(c - c * c, 0.0), abs=1e-14)
 
@@ -66,12 +62,11 @@ def test_bias_two_ways_algebraic_identity():
     for _ in range(100):
         w = rng.uniform(-1, 1, size=4)
         net = PalmNetwork(w=w, rule_count=3)
-        state = EvolutionState()
-        update_input_mean(state, np.concatenate([[1.0], rng.uniform(-2, 2, 3)]))
+        mu_e = _input_mean([np.concatenate([[1.0], rng.uniform(-2, 2, 3)])])
         y_r = rng.uniform(-3, 3)
-        bias2, _ = network_bias_variance(net, state, y_r)
-        e_y = 3.0 * float(w @ state.mu_e)
-        e_y2 = 3.0 * float(w @ (np.asarray(state.mu_e)**2))
+        bias2, _ = network_bias_variance(net, mu_e, y_r)
+        e_y = 3.0 * float(w @ mu_e)
+        e_y2 = 3.0 * float(w @ (np.asarray(mu_e)**2))
         ns = e_y2 - 2.0 * y_r * e_y + y_r**2
         var_uncl = e_y2 - e_y**2
         assert bias2 == pytest.approx(ns - var_uncl, abs=1e-12)
@@ -93,12 +88,10 @@ def test_bias_variance_bit_equal_to_matrix_sums(r):
     rng = np.random.default_rng(40 + r)
     for _ in range(200):
         w = rng.uniform(-3, 3, size=4) * 10.0 ** rng.integers(-3, 3, size=4)
-        state = EvolutionState()
-        for _ in range(rng.integers(1, 5)):
-            update_input_mean(state, np.concatenate([[1.0], rng.uniform(-4, 4, 3)]))
+        mu_e = _input_mean([np.concatenate([[1.0], rng.uniform(-4, 4, 3)]) for _ in range(rng.integers(1, 5))])
         y_r = float(rng.uniform(-3, 3))
-        bias2, variance = network_bias_variance(PalmNetwork(w=w, rule_count=r), state, y_r)
-        mu = np.asarray(state.mu_e)
+        bias2, variance = network_bias_variance(PalmNetwork(w=w, rule_count=r), mu_e, y_r)
+        mu = np.asarray(mu_e)
         assert (bias2, variance) == _column_sum_bias_variance((r * w).tolist(), mu.tolist(), y_r)
         rows = np.tile(w, (r, 1))
         if r == 1:
@@ -133,24 +126,24 @@ def test_factors_bounded_over_sampled_signals():
 
 def test_constant_stream_never_grows_or_prunes():
     # hand-simulated: mean stays at the minimum and std stays zero
-    state = EvolutionState()
+    grow, prune = SigmaRule(), SigmaRule()
     for _ in range(100):
-        assert not check_grow(state, 3.7)
-        assert not check_prune(state, 1.1)
+        assert not check_grow(grow, 3.7)
+        assert not check_prune(prune, 1.1)
 
 
 def test_grow_fires_on_upward_drift():
-    state = EvolutionState()
-    fired = [check_grow(state, 1.0 + 0.2 * k) for k in range(50)]
+    grow = SigmaRule()
+    fired = [check_grow(grow, 1.0 + 0.2 * k) for k in range(50)]
     assert any(fired)
 
 
 def test_minima_reset_on_grow():
-    state = EvolutionState()
+    grow = SigmaRule()
     for k in range(50):
-        if check_grow(state, 1.0 + 0.2 * k):
-            assert state.grow.mu_min == state.grow.mean
-            assert state.grow.sigma_min == state.grow.std
+        if check_grow(grow, 1.0 + 0.2 * k):
+            assert grow.mu_min == grow.mean
+            assert grow.sigma_min == grow.std
             break
     else:
         pytest.fail("grow never fired")
@@ -158,14 +151,14 @@ def test_minima_reset_on_grow():
 
 def test_minima_never_exceed_running_stats():
     rng = np.random.default_rng(9)
-    state = EvolutionState()
+    grow, prune = SigmaRule(), SigmaRule()
     for _ in range(500):
-        check_grow(state, float(rng.uniform(0, 3)))
-        check_prune(state, float(rng.uniform(0, 2)))
-        assert state.grow.mu_min <= state.grow.mean + 1e-12
-        assert state.grow.sigma_min <= state.grow.std + 1e-12
-        assert state.prune.mu_min <= state.prune.mean + 1e-12
-        assert state.prune.sigma_min <= state.prune.std + 1e-12
+        check_grow(grow, float(rng.uniform(0, 3)))
+        check_prune(prune, float(rng.uniform(0, 2)))
+        assert grow.mu_min <= grow.mean + 1e-12
+        assert grow.sigma_min <= grow.std + 1e-12
+        assert prune.mu_min <= prune.mean + 1e-12
+        assert prune.sigma_min <= prune.std + 1e-12
 
 
 def _rule_bits(rule) -> list:
@@ -180,7 +173,7 @@ def test_sigma_rule_bit_equal_to_max_oracle_on_random_streams(seed):
     # a NaN or an infinity now and then (the detector stays NaN until a restart),
     # restarts at random steps, and a NaN as the first push after every fifth restart
     rng = np.random.default_rng(seed)
-    fused, oracle = EvolutionState(), EvolutionState()
+    fused, oracle = (SigmaRule(), SigmaRule()), (SigmaRule(), SigmaRule())
     fires = nan_pushes = restarts = negatives = zeros = 0
     level = 0.0
     nan_next = True
@@ -197,23 +190,22 @@ def test_sigma_rule_bit_equal_to_max_oracle_on_random_streams(seed):
             x = level + float(rng.normal(0.0, rng.choice([1e-3, 0.1, 2.0])))
             negatives += x < 0.0
         factor = float(rng.uniform(0.7, 4.0))
-        for got, want in ((fused.grow, oracle.grow), (fused.prune, oracle.prune)):
+        for got, want in zip(fused, oracle):
             fired = got.fires(x, factor)
             assert fired == sigma_rule_fires(want, x, factor), k
             assert _rule_bits(got) == _rule_bits(want), k
             fires += fired
         nan_next = False
         if rng.random() < 0.01:
-            fused.restart_detectors()
-            oracle.restart_detectors()
+            fused, oracle = (SigmaRule(), SigmaRule()), (SigmaRule(), SigmaRule())
             restarts += 1
             nan_next = restarts % 5 == 0
     assert fires > 100 and nan_pushes > 5 and restarts > 20 and negatives and zeros
 
 
 def _controller_with_detectors(monkeypatch, grow, prune):
-    monkeypatch.setattr(evolution, "check_grow", lambda state, bias: grow)
-    monkeypatch.setattr(evolution, "check_prune", lambda state, variance: prune)
+    monkeypatch.setattr(evolution, "check_grow", lambda rule, bias: grow)
+    monkeypatch.setattr(evolution, "check_prune", lambda rule, variance: prune)
     return ParsimoniousController(ControllerConfig(gamma=1e-3))
 
 
@@ -241,7 +233,7 @@ def test_one_pass_determinism():
     flags_a = []
     flags_b = []
     for flags in (flags_a, flags_b):
-        state = EvolutionState()
+        grow, prune = SigmaRule(), SigmaRule()
         for v in stream:
-            flags.append((check_grow(state, float(v)), check_prune(state, float(v * 0.5))))
+            flags.append((check_grow(grow, float(v)), check_prune(prune, float(v * 0.5))))
     assert flags_a == flags_b
