@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
+from numbers import Real
 
 from . import evolution
 from .palm import DIM, PalmNetwork, network_output
@@ -95,8 +96,9 @@ class ControllerConfig:
     """Controller settings. alphas = (alpha1, alpha2, alpha3) are the starting
     sliding coefficients: they stay fixed while learn_rates are all zero (the
     default) and otherwise self-evolve upward, clamped to [start, alpha_max].
-    alphas, learn_rates and alpha_max hold one value per alpha; the learn rates
-    and the three limits must be non-negative. Each alpha is finite and at most
+    alphas, learn_rates and alpha_max are each a list or tuple of three real
+    numbers, one per alpha (a string or bool entry is rejected); the learn
+    rates and the three limits must be non-negative. Each alpha is finite and at most
     its alpha_max, gamma is finite (a negative gamma is allowed) and
     evolution_enabled is a bool.
     """
@@ -111,12 +113,13 @@ class ControllerConfig:
     evolution_enabled: bool = True
 
     def __post_init__(self):
-        # one value per sliding coefficient, alpha1..alpha3
+        # one real number per sliding coefficient, alpha1..alpha3; a string or a bool is no number here
         for name in ("alphas", "learn_rates", "alpha_max"):
-            values = tuple(map(float, getattr(self, name)))
-            if len(values) != 3:
-                raise ValueError(f"{name} takes three values, one per alpha, not {len(values)}")
-            setattr(self, name, values)
+            values = getattr(self, name)
+            if not (isinstance(values, (list, tuple)) and len(values) == 3
+                    and all(isinstance(v, Real) and not isinstance(v, bool) for v in values)):
+                raise ValueError(f"{name} takes three values, one real number per alpha, not {values!r}")
+            setattr(self, name, tuple(map(float, values)))
         alphas = a1, a2, a3 = self.alphas
         if not (0 < a1 < inf and 0 < a2 < inf and 0 <= a3 < inf):
             raise ValueError(f"alpha1 and alpha2 must be positive and alpha3 non-negative, all finite, not {alphas!r}")

@@ -62,6 +62,10 @@ class ExperimentConfig:
             raise ValueError(f"{self.name}: {exc}") from exc
 
     def _check(self) -> None:
+        # the name spells the output file names in --out, so it must not leave that directory
+        name = str(self.name)
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ValueError(f"experiment name {name!r} must be a plain file name")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, not {self.dt!r}")
         if not 0 <= self.duration < math.inf:
@@ -194,7 +198,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
 # rows per block of the step-log codec: columns are converted a block at a
 # time, so the memory a log takes beyond its series stays bounded
-_BLOCK_ROWS = 1000
+_BLOCK_ROWS = 100
 
 
 def write_step_csv(result: ExperimentResult, path: Path) -> None:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 class _Checked:
     """Base of every trajectory: checks its settings when it is built. Each
-    number must be finite, a dwell or ramp positive, levels not empty and
-    each sine or cosine term an (amplitude, angular frequency, bias) triple."""
+    number must be finite, a dwell or ramp positive (a ramp at most its
+    dwell), levels not empty and each sine or cosine term an (amplitude,
+    angular frequency, bias) triple."""
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -74,6 +75,12 @@ class SmoothSteps(_Checked):
     levels: tuple[float, ...]
     dwell: float
     ramp: float = 3.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        # a ramp cut short at the next boundary would leap to the full level there
+        if self.ramp > self.dwell:
+            raise ValueError(f"ramp must be at most the dwell {self.dwell!r}, not {self.ramp!r}")
 
     def __call__(self, t: float) -> float:
         idx = min(int(t / self.dwell), len(self.levels) - 1)

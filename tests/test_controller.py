@@ -83,6 +83,11 @@ def test_nonpositive_starting_alpha_rejected(key, value):
         ({"alphas": (2.0, 1e-3, 1e-9)}, "alpha_max"),
         ({"alphas": (1e-2, 1e-3, 0.02), "alpha_max": (1.0, 0.5, 0.01)}, "alpha_max"),
         ({"alpha_max": (1.0, math.nan, 0.01)}, "alpha_max"),
+        # a string or a bool is no number, though float() would take it
+        ({"alphas": ["0.01", "1e-3", "0"]}, "^alphas takes three values"),
+        ({"alphas": [True, 1e-3, 0.0]}, "^alphas takes three values"),
+        ({"learn_rates": (0.0, "0.5", 0.0)}, "^learn_rates takes three values"),
+        ({"alpha_max": (1.0, 0.5, False)}, "^alpha_max takes three values"),
     ],
 )
 def test_bad_sliding_setting_rejected(params, message):
@@ -318,7 +323,7 @@ def test_negative_learn_rate_rejected():
 
 
 @pytest.mark.parametrize("name", ["learn_rates", "alpha_max", "alphas"])
-@pytest.mark.parametrize("values", [(0.1, 0.5), (0.1, 0.5, 0.001, 0.2)], ids=["two", "four"])
+@pytest.mark.parametrize("values", [(0.1, 0.5), (0.1, 0.5, 0.001, 0.2), 0.01], ids=["two", "four", "scalar"])
 def test_learn_rates_and_alpha_max_need_three_values(name, values):
     # each holds one value per alpha; a wrong count would only fail to unpack on the first step
     with pytest.raises(ValueError, match=f"^{name} takes three values"):

@@ -398,6 +398,25 @@ def test_cli_repeated_experiment_name_is_one_config_error(tmp_path, capsys, name
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize("name", ["../escaped", "sub/name", "sub\\name", "", ".", ".."])
+def test_cli_name_that_is_no_plain_file_name_is_one_config_error(tmp_path, capsys, command, name):
+    # the name spells <name>_steps.csv, _events.txt and _rules.txt in --out; "../escaped" wrote them beside the config
+    path = tmp_path / "suite.yaml"
+    path.write_text(yaml.safe_dump({"experiments": [{**_SHORT_RUN, "name": name}]}))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"CONFIG ERROR: {name}: experiment name {name!r} must be a plain file name"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.yaml"]
+
+
+def test_integer_experiment_name_stays_valid(tmp_path):
+    result = run_experiment(ExperimentConfig(name=1, **_SHORT_RUN), out_dir=tmp_path)
+    assert result.config.name == 1
+    assert (tmp_path / "1_steps.csv").exists()
+
+
 @pytest.mark.parametrize(
     "controller, params, key",
     [

@@ -134,6 +134,8 @@ def test_from_config_by_name_and_mapping():
         ({"kind": "constant", "level": math.nan}, "level"),
         ({"kind": "step", "amplitude": 1.0, "start": math.inf}, "start"),
         ({"kind": "square_wave", "low": 0.0, "high": 1.0, "freq_rad_s": math.nan}, "freq_rad_s"),
+        # a ramp longer than the dwell is cut at the next boundary, where the reference leaps
+        ({"kind": "smooth_steps", "levels": [0.0, 10.0, 20.0], "dwell": 1.0, "ramp": 2.0}, "ramp must be at most"),
     ],
 )
 def test_bad_trajectory_setting_rejected_when_built(spec, key):
