@@ -411,12 +411,6 @@ def test_cli_name_that_is_no_plain_file_name_is_one_config_error(tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.yaml"]
 
 
-def test_integer_experiment_name_stays_valid(tmp_path):
-    result = run_experiment(ExperimentConfig(name=1, **_SHORT_RUN), out_dir=tmp_path)
-    assert result.config.name == 1
-    assert (tmp_path / "1_steps.csv").exists()
-
-
 @pytest.mark.parametrize(
     "controller, params, key",
     [
