@@ -20,6 +20,11 @@ class ControllerFault(RuntimeError):
     """Raised when a non-finite value appears anywhere in the control step."""
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool: YAML's ``true`` and ``"10"`` are no setting here."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def p_matrix(alpha1: float, alpha2: float) -> tuple[float, float, float]:
     """(p11, p12, p22) of the symmetric P for Q = I2 as published:
     p11 = a2/a1 + 1/(2 a2), p12 = 1/(2 a1), p22 = (1 + a1)/(2 a1 a2).
@@ -73,72 +78,43 @@ def adapt_weights(
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
-def adapt_sliding_params(alphas: tuple, err_integral: float, c: ControllerConfig, e: float, e_dot: float, s_l: float,
-                         dt: float) -> tuple[float, float, float]:
-    """Self-evolve the sliding coefficients with dissimilar learning rates; returns the new alphas.
-
-    a1 grows with |s_l||e|, a2 with |s_l||de|, a3 with |s_l||int(e)|, each
-    clamped to [starting value, alpha_max].
-    """
-    a1, a2, a3 = alphas
-    r1, r2, r3 = c.learn_rates
-    lo1, lo2, lo3 = c.alphas
-    hi1, hi2, hi3 = c.alpha_max
-    return (
-        min(hi1, max(lo1, a1 + dt * r1 * abs(s_l) * abs(e))),
-        min(hi2, max(lo2, a2 + dt * r2 * abs(s_l) * abs(e_dot))),
-        min(hi3, max(lo3, a3 + dt * r3 * abs(s_l) * abs(err_integral))),
-    )
-
-
 @dataclass
 class ControllerConfig:
-    """Controller settings. alphas = (alpha1, alpha2, alpha3) are the starting
-    sliding coefficients: they stay fixed while learn_rates are all zero (the
-    default) and otherwise self-evolve upward, clamped to [start, alpha_max].
-    alphas, learn_rates and alpha_max are each a list or tuple of three real
-    numbers, one per alpha (a string or bool entry is rejected); the learn
-    rates and the three limits must be non-negative. Each alpha is finite and at most
-    its alpha_max, gamma is finite (a negative gamma is allowed) and
-    evolution_enabled is a bool.
+    """Controller settings. alphas = (alpha1, alpha2, alpha3) are the sliding
+    coefficients, fixed for the run: a list or tuple of three real numbers
+    with alpha1 and alpha2 positive and alpha3 non-negative, all finite.
+    gamma is a finite real number (a negative gamma is allowed), the three
+    limits are non-negative real numbers and evolution_enabled is a bool. A
+    string or a bool is no number here, though float() would take it.
     """
 
     gamma: float = 50.0
     weight_limit: float = 10.0
     actuator_limit: float = float("inf")
     sat_limit: float = 10.0
-    alphas: tuple[float, float, float] = (1e-2, 1e-3, 1e-9)
-    learn_rates: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    alpha_max: tuple[float, float, float] = (1.0, 0.5, 0.01)
+    alphas: tuple[float, float, float] = (0.5, 0.5, 0.01)
     evolution_enabled: bool = True
 
     def __post_init__(self):
-        # one real number per sliding coefficient, alpha1..alpha3; a string or a bool is no number here
-        for name in ("alphas", "learn_rates", "alpha_max"):
-            values = getattr(self, name)
-            if not (isinstance(values, (list, tuple)) and len(values) == 3
-                    and all(isinstance(v, Real) and not isinstance(v, bool) for v in values)):
-                raise ValueError(f"{name} takes three values, one real number per alpha, not {values!r}")
-            setattr(self, name, tuple(map(float, values)))
-        alphas = a1, a2, a3 = self.alphas
+        alphas = self.alphas
+        if not (isinstance(alphas, (list, tuple)) and len(alphas) == 3 and all(map(_is_number, alphas))):
+            raise ValueError(f"alphas takes three values, one real number per alpha, not {alphas!r}")
+        alphas = self.alphas = tuple(map(float, alphas))
+        a1, a2, a3 = alphas
         if not (0 < a1 < inf and 0 < a2 < inf and 0 <= a3 < inf):
             raise ValueError(f"alpha1 and alpha2 must be positive and alpha3 non-negative, all finite, not {alphas!r}")
-        if not isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, not {self.gamma!r}")
+        if not (_is_number(self.gamma) and isfinite(self.gamma)):
+            raise ValueError(f"gamma must be finite and a real number, not {self.gamma!r}")
+        self.gamma = float(self.gamma)
         if not isinstance(self.evolution_enabled, bool):
             raise ValueError(f"evolution_enabled must be true or false, not {self.evolution_enabled!r}")
-        if not all(r >= 0.0 for r in self.learn_rates):
-            raise ValueError("learn_rates must be non-negative: the sliding coefficients only grow")
-        # the adaptation clamps each alpha to [start, alpha_max], an empty range when start > alpha_max
-        if not all(a <= hi for a, hi in zip(alphas, self.alpha_max)):
-            raise ValueError(f"alpha_max {self.alpha_max!r} must be at least each starting alpha {alphas!r}")
         # float keeps the clamps on u, u_src and the weights float-valued; a negative
         # or NaN limit would make each clamp return the limit whatever its input
         for name in ("weight_limit", "sat_limit", "actuator_limit"):
-            limit = float(getattr(self, name))
-            if not limit >= 0.0:
-                raise ValueError(f"{name} must be non-negative, not {limit!r}")
-            setattr(self, name, limit)
+            limit = getattr(self, name)
+            if not (_is_number(limit) and limit >= 0.0):
+                raise ValueError(f"{name} must be non-negative and a real number, not {limit!r}")
+            setattr(self, name, float(limit))
 
 
 class ParsimoniousController:
@@ -154,18 +130,13 @@ class ParsimoniousController:
         self.config = config or ControllerConfig()
         c = self.config
         self.net = PalmNetwork()
-        # the sliding-mode values that change during a run: the coefficients
-        # alpha1..alpha3 with their P = (p11, p12, p22), and the error integral
-        self.alphas = c.alphas
+        # P = (p11, p12, p22) of the fixed alphas, and the error integral
         self.P = p_matrix(c.alphas[0], c.alphas[1])
         self.err_integral = 0.0
         # the running mean of x_e over the steps, and the two drift detectors
         self.mu_e = (0.0,) * DIM
         self.grow = evolution.SigmaRule()
         self.prune = evolution.SigmaRule()
-        # the alphas only grow and the clamp holds each at its ceiling, so once
-        # all three sit there no step moves them and their adaptation is skipped
-        self._alphas_at_max = c.alphas == c.alpha_max
         self._e_prev: float | None = None
         self.steps = 0
         self.events: list[tuple[float, str, int, float, float]] = []
@@ -201,7 +172,7 @@ class ParsimoniousController:
         err_integral = self.err_integral = self.err_integral + e * dt
 
         # s_l = e + (a2/a1) de/dt + (a3/a1) int(e); u_src = alpha1 s_l, saturated to suppress chattering
-        alphas = a1, a2, a3 = self.alphas
+        a1, a2, a3 = c.alphas
         s_l = e + (a2 / a1) * e_dot + (a3 / a1) * err_integral
         hi = c.sat_limit
         lo = -hi
@@ -236,11 +207,6 @@ class ParsimoniousController:
                 self.prune = evolution.SigmaRule()
 
         adapt_weights(net, e, e_dot, c, self.P, x_e, dt)
-        if not self._alphas_at_max:
-            alphas = adapt_sliding_params(alphas, err_integral, c, e, e_dot, s_l, dt)
-            if alphas != self.alphas:
-                self.alphas, self.P = alphas, p_matrix(alphas[0], alphas[1])
-                self._alphas_at_max = alphas == c.alpha_max
 
         self.steps += 1
         hi = c.actuator_limit

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 
 @dataclass
@@ -18,11 +19,16 @@ class PidConfig:
     output_limits: tuple[float, float] = (float("-inf"), float("inf"))
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.kp, self.ki, self.kd))):
-            raise ValueError(f"PID gains kp, ki and kd must be finite, not {(self.kp, self.ki, self.kd)!r}")
-        # a saturated step returns a limit itself, so an integer limit from YAML must not reach it
-        lo, hi = self.output_limits
-        self.output_limits = (float(lo), float(hi))
+        # a string or a bool is no number here, though float() would take it; the
+        # limits are floats before they are ordered, since a saturated step returns one
+        gains, limits = (self.kp, self.ki, self.kd), self.output_limits
+        if not all(isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) for v in gains):
+            raise ValueError(f"PID gains kp, ki and kd must be finite real numbers, not {gains!r}")
+        if not (isinstance(limits, (list, tuple)) and len(limits) == 2
+                and all(isinstance(v, Real) and not isinstance(v, bool) for v in limits)):
+            raise ValueError(f"output_limits must be (lo, hi), two real numbers, not {limits!r}")
+        self.kp, self.ki, self.kd = map(float, gains)
+        lo, hi = self.output_limits = tuple(map(float, limits))
         if not lo <= hi:
             raise ValueError(f"output_limits must be (lo, hi) with lo <= hi, not {self.output_limits!r}")
 

@@ -13,7 +13,7 @@ sigma rule written with the builtin ``max``. The tests hold the fused step and
 import math
 
 from pacsim import evolution
-from pacsim.controller import ControllerFault, adapt_sliding_params, p_matrix
+from pacsim.controller import ControllerFault
 from pacsim.palm import network_output
 
 
@@ -102,8 +102,8 @@ def staged_step(ctl, y: float, y_r: float, dt: float):
     ctl._e_prev = e
     ctl.err_integral += e * dt
 
-    s_l = sliding_value(e, e_dot, ctl.err_integral, ctl.alphas)
-    u_src = robustifying_term(s_l, ctl.alphas, c)
+    s_l = sliding_value(e, e_dot, ctl.err_integral, c.alphas)
+    u_src = robustifying_term(s_l, c.alphas, c)
 
     x_e = extended_input(e, e_dot, y_r)
     u_palm = network_output(x_e, ctl.net)
@@ -117,12 +117,6 @@ def staged_step(ctl, y: float, y_r: float, dt: float):
         bias, variance = _evolve(ctl, x_e, y_r, ctl.steps * dt)
 
     adapt_weights(ctl.net, e, e_dot, c, ctl.P, x_e, dt)
-    if not ctl._alphas_at_max:
-        alphas = adapt_sliding_params(ctl.alphas, ctl.err_integral, c, e, e_dot, s_l, dt)
-        if alphas != ctl.alphas:
-            ctl.alphas = alphas
-            ctl.P = p_matrix(*alphas[:2])
-            ctl._alphas_at_max = alphas == c.alpha_max
 
     ctl.steps += 1
     cells = (s_l, u_src, u_palm, ctl.net.rule_count, bias, variance)

@@ -107,7 +107,8 @@ class PalmReference:
     def __init__(self, c, eta: float = 5.0):
         self.c, self.eta = c, eta
         self.rows = [[0.0] * 4]
-        self.a1, self.a2, self.a3 = c.alphas
+        a1, a2 = c.alphas[:2]
+        self.p12, self.p22 = 1.0 / (2.0 * a1), (1.0 + a1) / (2.0 * a1 * a2)
         self.e_prev = None
         self.ei = 0.0
         self.mu = [0.0] * 4
@@ -125,8 +126,7 @@ class PalmReference:
         ed = 0.0 if self.e_prev is None else (e - self.e_prev) / dt
         self.e_prev = e
         self.ei += e * dt
-        a1, a2, a3 = self.a1, self.a2, self.a3
-        p12, p22 = 1.0 / (2.0 * a1), (1.0 + a1) / (2.0 * a1 * a2)
+        a1, a2, a3 = c.alphas
         sl = e + (a2 / a1) * ed + (a3 / a1) * self.ei
         u_src = min(max(a1 * sl, -c.sat_limit), c.sat_limit)
         x = [1.0, e, ed, y_r]
@@ -134,15 +134,11 @@ class PalmReference:
         u = u_src - u_palm
         if c.evolution_enabled and self._evolve(x, y_r):
             _, self.raw, lam = palm_network_output(x, self.rows, self.eta, y_r)
-        g = e * p12 + ed * p22
+        g = e * self.p12 + ed * self.p22
         m = c.weight_limit
         for w, l in zip(self.rows, lam):
             for q in range(4):
                 w[q] = min(max(w[q] - dt * c.gamma * g * l * x[q], -m), m)
-        (r1, r2, r3), (lo1, lo2, lo3), (hi1, hi2, hi3) = c.learn_rates, c.alphas, c.alpha_max
-        self.a1 = min(hi1, max(lo1, a1 + dt * r1 * abs(sl) * abs(e)))
-        self.a2 = min(hi2, max(lo2, a2 + dt * r2 * abs(sl) * abs(ed)))
-        self.a3 = min(hi3, max(lo3, a3 + dt * r3 * abs(sl) * abs(self.ei)))
         return min(max(u, -c.actuator_limit), c.actuator_limit)
 
     def _evolve(self, x, y_r: float) -> bool:

@@ -37,8 +37,7 @@ PAC_PARAMS = dict(
     weight_limit=10.0,
     actuator_limit=20.0,
     sat_limit=10.0,
-    learn_rates=(0.1, 0.5, 0.001),
-    alpha_max=(0.5, 0.5, 0.01),
+    alphas=(0.5, 0.5, 0.01),
 )
 
 DINT_PARAMS = dict(PAC_PARAMS, gamma=1e-3, actuator_limit=10.0)
@@ -300,8 +299,7 @@ def _hexa_cfg(**overrides):
         trajectory="hexacopter_constant",
         duration=100.0,
         dt=0.01,
-        controller_params={**PAC_PARAMS, "learn_rates": list(PAC_PARAMS["learn_rates"]),
-                           "alpha_max": list(PAC_PARAMS["alpha_max"])},
+        controller_params={**PAC_PARAMS, "alphas": list(PAC_PARAMS["alphas"])},
     )
     base.update(overrides)
     return ExperimentConfig(**base)

@@ -11,7 +11,6 @@ from pacsim.controller import (
     ControllerConfig,
     ControllerFault,
     ParsimoniousController,
-    adapt_sliding_params,
     adapt_weights,
     lyapunov_p_matrix,
     p_matrix,
@@ -44,7 +43,7 @@ def test_sliding_value_zero():
 
 
 def test_sliding_value_initial_coefficients():
-    s = ControllerConfig().alphas  # alpha1=1e-2, alpha2=1e-3, alpha3~0
+    s = (1e-2, 1e-3, 1e-9)  # alpha3 ~ 0
     assert sliding_value(1.0, 1.0, 0.0, s) == pytest.approx(1.1, abs=1e-6)
 
 
@@ -56,7 +55,7 @@ def test_sliding_value_ratio_invariance():
 
 
 def test_robustifying_term():
-    c = ControllerConfig(sat_limit=10.0)
+    c = ControllerConfig(sat_limit=10.0, alphas=(1e-2, 1e-3, 1e-9))
     s = c.alphas
     assert robustifying_term(0.0, s, c) == 0.0
     assert robustifying_term(1.1, s, c) == pytest.approx(0.011)
@@ -79,15 +78,12 @@ def test_nonpositive_starting_alpha_rejected(key, value):
         ({"alphas": (1e-2, 1e-3, math.nan)}, "alpha1 and alpha2 must be positive and alpha3 non-negative, all finite"),
         ({"gamma": math.nan}, "gamma must be finite"),
         ({"gamma": -math.inf}, "gamma must be finite"),
-        # the clamp to [start, alpha_max] would drop alpha1 to 1.0 on its first adapting step
-        ({"alphas": (2.0, 1e-3, 1e-9)}, "alpha_max"),
-        ({"alphas": (1e-2, 1e-3, 0.02), "alpha_max": (1.0, 0.5, 0.01)}, "alpha_max"),
-        ({"alpha_max": (1.0, math.nan, 0.01)}, "alpha_max"),
-        # a string or a bool is no number, though float() would take it
+        # a string or a bool is no number, though float() would take it; a bool gamma was a gain of 1
+        ({"gamma": True}, "^gamma must be finite and a real number"),
+        ({"gamma": "50"}, "^gamma must be finite and a real number"),
+        ({"gamma": None}, "^gamma must be finite and a real number"),
         ({"alphas": ["0.01", "1e-3", "0"]}, "^alphas takes three values"),
         ({"alphas": [True, 1e-3, 0.0]}, "^alphas takes three values"),
-        ({"learn_rates": (0.0, "0.5", 0.0)}, "^learn_rates takes three values"),
-        ({"alpha_max": (1.0, 0.5, False)}, "^alpha_max takes three values"),
     ],
 )
 def test_bad_sliding_setting_rejected(params, message):
@@ -98,8 +94,11 @@ def test_bad_sliding_setting_rejected(params, message):
 def test_negative_gamma_and_start_at_the_ceiling_accepted():
     # a negative gamma adapts the other way; it is how a bias overflow is provoked on purpose
     ControllerConfig(gamma=-50.0)
-    ControllerConfig(alphas=(0.5, 0.5, 0.01), alpha_max=(0.5, 0.5, 0.01))
+    # the default alphas sit at the ceiling that the removed self-evolution grew them to
+    assert ControllerConfig().alphas == (0.5, 0.5, 0.01)
     ControllerConfig(alphas=(1e-2, 1e-3, 0.0))
+    # fixed alphas have no ceiling: a PID's attitude gains (kp, kd, ki) are valid alphas
+    ControllerConfig(alphas=(5.0, 0.1, 0.5))
 
 
 def test_p_matrix_published_values():
@@ -295,45 +294,17 @@ def test_clamps_match_np_clip():
             assert u == float(np.clip(_named(cells)["u_src"] - _named(cells)["u_palm"], -limit, limit))
 
 
-def test_adapt_sliding_params_fixed_mode():
-    c = ControllerConfig(learn_rates=(0.0, 0.0, 0.0))
-    before = c.alphas
-    assert adapt_sliding_params(before, 0.0, c, 1.0, 1.0, 2.0, 0.01) == before
-
-
-def test_adapt_sliding_params_grows_and_clamps():
-    c = ControllerConfig(learn_rates=(10.0, 10.0, 10.0), alpha_max=(0.05, 0.02, 0.001))
-    alphas = c.alphas
-    for _ in range(1000):
-        alphas = adapt_sliding_params(alphas, 3.0, c, 1.0, 1.0, 2.0, 0.01)
-    assert alphas[0] == pytest.approx(0.05)
-    assert alphas[1] == pytest.approx(0.02)
-    assert alphas[2] == pytest.approx(0.001)
-
-
-def test_adapt_sliding_params_frozen_at_zero_error():
-    c = ControllerConfig(learn_rates=(1.0, 1.0, 1.0))
-    before = c.alphas
-    assert adapt_sliding_params(before, 0.0, c, 0.0, 0.0, 0.0, 0.01) == before
-
-
-def test_negative_learn_rate_rejected():
-    with pytest.raises(ValueError, match="learn_rates"):
-        ControllerConfig(learn_rates=(0.1, -0.5, 0.001))
-
-
-@pytest.mark.parametrize("name", ["learn_rates", "alpha_max", "alphas"])
 @pytest.mark.parametrize("values", [(0.1, 0.5), (0.1, 0.5, 0.001, 0.2), 0.01], ids=["two", "four", "scalar"])
-def test_learn_rates_and_alpha_max_need_three_values(name, values):
-    # each holds one value per alpha; a wrong count would only fail to unpack on the first step
-    with pytest.raises(ValueError, match=f"^{name} takes three values"):
-        ControllerConfig(**{name: values})
+def test_alphas_need_three_values(values):
+    # one value per alpha; a wrong count would only fail to unpack on the first step
+    with pytest.raises(ValueError, match="^alphas takes three values"):
+        ControllerConfig(alphas=values)
 
 
 @pytest.mark.parametrize("name", ["weight_limit", "sat_limit", "actuator_limit"])
-@pytest.mark.parametrize("value", [-1.0, -1, float("nan"), float("-inf")])
+@pytest.mark.parametrize("value", [-1.0, -1, float("nan"), float("-inf"), "10", True])
 def test_negative_or_nan_limit_rejected(name, value):
-    # the clamp would return the limit itself for every input
+    # the clamp would return the limit itself for every input; a string or a bool is no number, though float() takes it
     with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
         ControllerConfig(**{name: value})
 
@@ -345,7 +316,7 @@ def test_zero_and_infinite_limits_accepted():
 
 
 def test_numpy_dt_keeps_the_step_float():
-    ctl = ParsimoniousController(ControllerConfig(learn_rates=(0.1, 0.5, 0.001)))
+    ctl = ParsimoniousController()
     for y in (0.2, 0.5, 0.7):  # from the second step on, e_dot divides by dt
         u, cells = ctl.step(y, 1.0, np.float64(0.01))
         values = [u, ctl.err_integral, *ctl.net.w]
@@ -365,45 +336,17 @@ def _count_calls(monkeypatch, name, module=controller):
     return calls
 
 
-def test_saturated_alphas_skip_the_sliding_adaptation(monkeypatch):
-    # the alphas only grow, so once all three reach alpha_max the adaptation
-    # and the P rebuild are skipped; a controller made to run them every step
-    # flies the same loop bit for bit
-    adapt_calls = _count_calls(monkeypatch, "adapt_sliding_params")
-    p_calls = _count_calls(monkeypatch, "p_matrix")
-    cfg = ControllerConfig(gamma=1e-3, learn_rates=(10.0, 10.0, 10.0), alpha_max=(0.05, 0.02, 0.001))
-    loops = {}
-    for skip in (True, False):
-        ctl = ParsimoniousController(cfg)
-        plant = DoubleIntegrator()
-        trace, saturated_at, calls_then = [], None, None
-        for i in range(2000):
-            if not skip:
-                ctl._alphas_at_max = False
-            u, cells = ctl.step(plant.output(), 1.0 + math.sin(0.01 * i), 0.01)
-            plant.step(u, 0.01)
-            trace.append(tuple(v.hex() for v in (plant.output(), u, _named(cells)["u_palm"])))
-            if saturated_at is None and ctl.alphas == cfg.alpha_max:
-                saturated_at, calls_then = i, (len(adapt_calls), len(p_calls))
-        loops[skip] = trace, saturated_at, calls_then, (len(adapt_calls), len(p_calls)), ctl.P[1:]
-        del adapt_calls[:], p_calls[:]
-    trace, saturated_at, calls_then, calls_end, p = loops[True]
-    assert saturated_at is not None and saturated_at < 1000
-    assert calls_then == calls_end  # no adaptation and no P rebuild after the step that reached the ceiling
-    assert calls_end[0] == saturated_at + 1
-    ref_trace, ref_saturated_at, _, ref_calls_end, ref_p = loops[False]
-    assert ref_calls_end[0] == 2000 and ref_saturated_at == saturated_at
-    assert trace == ref_trace
-    assert p == ref_p
-
-
 def test_alphas_starting_at_the_ceiling_never_adapt(monkeypatch):
-    adapt_calls = _count_calls(monkeypatch, "adapt_sliding_params")
-    ctl = ParsimoniousController(ControllerConfig(learn_rates=(1.0, 1.0, 1.0), alpha_max=(1e-2, 1e-3, 1e-9)))
+    # the default alphas are the ceiling the self-evolution used to reach; they
+    # stay fixed, so P is built once, before the first step, and never again
+    p_calls = _count_calls(monkeypatch, "p_matrix")
+    ctl = ParsimoniousController()
+    assert len(p_calls) == 1
     for i in range(50):
         ctl.step(0.1 * i, 1.0, 0.01)
-    assert adapt_calls == []
-    assert ctl.alphas == (1e-2, 1e-3, 1e-9)
+    assert len(p_calls) == 1
+    assert ctl.config.alphas == (0.5, 0.5, 0.01)
+    assert ctl.P == p_matrix(0.5, 0.5) == (2.0, 1.0, 3.0)
 
 
 def test_control_step_zero_error_zero_output():
@@ -419,7 +362,7 @@ def test_control_step_first_step_sign():
     ctl = ParsimoniousController(ControllerConfig(gamma=1.0))
     u, cells = ctl.step(0.0, 10.0, 0.01)
     # e = y_r - y = 10 on the first step, with no rate and one step of integral
-    assert _named(cells)["s_l"] == sliding_value(10.0, 0.0, 10.0 * 0.01, ctl.alphas)
+    assert _named(cells)["s_l"] == sliding_value(10.0, 0.0, 10.0 * 0.01, ctl.config.alphas)
     assert u > 0.0
 
 
@@ -462,8 +405,6 @@ def test_closed_loop_matches_independent_reference_simulation():
         weight_limit=10.0,
         actuator_limit=10.0,
         sat_limit=10.0,
-        learn_rates=(0.1, 0.5, 0.001),
-        alpha_max=(1.0, 0.5, 0.01),
     )
     ctl = ParsimoniousController(cfg)
     plant = DoubleIntegrator()
@@ -490,7 +431,7 @@ def test_antecedent_exponent_bounded_by_eta():
 
 def test_controller_run_is_deterministic():
     def run():
-        ctl = ParsimoniousController(ControllerConfig(gamma=3e-3, learn_rates=(0.1, 0.5, 0.001)))
+        ctl = ParsimoniousController(ControllerConfig(gamma=3e-3))
         plant = DoubleIntegrator()
         trace = []
         for _ in range(2000):
@@ -519,7 +460,7 @@ def _bits(value):
 def _controller_bits(ctl):
     """Every value a PAC step reads or writes; of the events, the count and the newest."""
     return _bits(
-        (ctl.net.w, ctl.net.rule_count, ctl.alphas, ctl.err_integral, ctl.P, ctl._alphas_at_max, ctl._e_prev, ctl.steps,
+        (ctl.net.w, ctl.net.rule_count, ctl.err_integral, ctl.P, ctl._e_prev, ctl.steps,
          len(ctl.events), ctl.events[-1:], ctl.mu_e, ctl.grow, ctl.prune)
     )
 
@@ -536,7 +477,7 @@ def _lockstep(fused, staged, y, y_r, dt):
     "cfg",
     [
         ControllerConfig(),
-        ControllerConfig(gamma=3e-3, actuator_limit=0.2, sat_limit=0.05, learn_rates=(0.1, 0.5, 0.001)),
+        ControllerConfig(gamma=3e-3, actuator_limit=0.2, sat_limit=0.05, alphas=(1e-2, 1e-3, 1e-9)),
         ControllerConfig(weight_limit=0.3, evolution_enabled=False),
     ],
     ids=["default", "limits-and-learning", "no-evolution"],
@@ -549,29 +490,25 @@ def test_fused_step_bit_equal_to_staged_oracle_on_random_inputs(cfg):
         _lockstep(fused, staged, y, y_r, float(rng.choice([0.005, 0.01, 0.02])))
 
 
-def test_fused_step_bit_equal_to_staged_oracle_through_grow_prune_clip_and_ceiling():
-    # a closed loop on a staircase that grows and prunes rules, drives the
-    # weights onto both bounds and the sliding coefficients onto their ceiling
+def test_fused_step_bit_equal_to_staged_oracle_through_grow_prune_and_clip():
+    # a closed loop on a staircase that grows and prunes rules and drives the weights onto both bounds
     lim = 0.05
-    cfg = ControllerConfig(gamma=0.01, weight_limit=lim, actuator_limit=5.0, learn_rates=(5.0, 5.0, 5.0),
-                           alpha_max=(0.05, 0.02, 0.001))
+    cfg = ControllerConfig(gamma=0.01, weight_limit=lim, actuator_limit=5.0, alphas=(0.05, 0.02, 0.001))
     fused, staged = ParsimoniousController(cfg), ParsimoniousController(cfg)
     plant = DoubleIntegrator()
-    clipped, at_ceiling = set(), False
+    clipped = set()
     for i in range(3000):
         y_r = (0.0, 2.0, -1.0, 0.5, 3.0)[(i // 300) % 5] + math.sin(0.05 * i)
         u, _ = _lockstep(fused, staged, plant.output(), y_r, 0.01)
         plant.step(u, 0.01)
         clipped.update(v for v in fused.net.w if abs(v) == lim)
-        at_ceiling = at_ceiling or fused.alphas == cfg.alpha_max
     kinds = {kind for _, kind, *_ in fused.events}
     assert kinds == {"GROW", "PRUNE"}
     assert clipped == {lim, -lim}
-    assert at_ceiling
 
 
 def test_fused_step_bit_equal_to_staged_oracle_on_numpy_scalars():
-    cfg = ControllerConfig(gamma=3e-3, learn_rates=(0.1, 0.5, 0.001))
+    cfg = ControllerConfig(gamma=3e-3)
     fused, staged = ParsimoniousController(cfg), ParsimoniousController(cfg)
     rng = np.random.default_rng(62)
     for y, y_r in rng.uniform(-2.0, 2.0, size=(300, 2)):

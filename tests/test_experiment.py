@@ -31,8 +31,7 @@ PAC_PARAMS = {
     "weight_limit": 10.0,
     "actuator_limit": 20.0,
     "sat_limit": 10.0,
-    "learn_rates": [0.1, 0.5, 0.001],
-    "alpha_max": [0.5, 0.5, 0.01],
+    "alphas": [0.5, 0.5, 0.01],
 }
 
 PID_HEXA = {"kp": 0.675, "ki": 0.05, "kd": 0.81, "output_limits": [-20.0, 20.0]}
@@ -411,21 +410,31 @@ def test_cli_name_that_is_no_plain_file_name_is_one_config_error(tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.yaml"]
 
 
+def test_integer_experiment_name_stays_valid(tmp_path):
+    result = run_experiment(ExperimentConfig(name=1, **_SHORT_RUN), out_dir=tmp_path)
+    assert result.config.name == 1
+    assert (tmp_path / "1_steps.csv").exists()
+
+
+_STALE = "ControllerConfig.__init__() got an unexpected keyword argument {!r}"
+
+
 @pytest.mark.parametrize(
     "controller, params, key",
     [
         ("pac", {"weight_limit": -1.0}, "weight_limit"),
         ("pac", {"sat_limit": float("nan")}, "sat_limit"),
         ("pac", {"actuator_limit": -2.5}, "actuator_limit"),
-        ("pac", {"learn_rates": [0.1, 0.5]}, "learn_rates"),
-        ("pac", {"alpha_max": [0.5, 0.5, 0.01, 0.01]}, "alpha_max"),
+        # the sliding coefficients are fixed: a config that still sets their self-evolution fails
+        ("pac", {"learn_rates": [0.1, 0.5, 0.001]}, _STALE.format("learn_rates")),
+        ("pac", {"alphas": [0.5, 0.5, 0.01], "alpha_max": [0.5, 0.5, 0.01]}, _STALE.format("alpha_max")),
         ("pid", {"kp": 1.0, "output_limits": [2.5, -2.5]}, "output_limits"),
         ("pac", {"alphas": [math.nan, 1e-3, 1e-9]}, "alpha1"),
         ("pac", {"alphas": [1e-2, 1e-3, -1.0]}, "alpha1 and alpha2 must be positive and alpha3"),
-        ("pac", {"alphas": [2.0, 1e-3, 1e-9]}, "alpha_max"),
         ("pac", {"gamma": math.nan}, "gamma"),
         ("pid", {"kp": math.nan}, "PID gains"),
         ("pac", {"evolution_enabled": "false"}, "evolution_enabled"),
+        ("pac", {"gamma": True}, "gamma"),
     ],
     ids=[
         "weight_limit",
@@ -436,10 +445,10 @@ def test_cli_name_that_is_no_plain_file_name_is_one_config_error(tmp_path, capsy
         "output_limits",
         "nan_alpha1",
         "negative_alpha3",
-        "alpha1_over_ceiling",
         "nan_gamma",
         "nan_kp",
         "evolution_enabled_string",
+        "bool_gamma",
     ],
 )
 def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, controller, params, key):
@@ -450,7 +459,7 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"CONFIG ERROR: bad: {key} ")
+    assert err[0] == f"CONFIG ERROR: bad: {key}" or err[0].startswith(f"CONFIG ERROR: bad: {key} ")
     assert not out.exists()
 
 
@@ -565,7 +574,7 @@ def test_bias_overflow_diverges_with_partial_log(tmp_path):
         trajectory={"kind": "constant", "level": 1.0},
         duration=100.0,
         dt=0.01,
-        controller_params={"gamma": -50.0, "learn_rates": [0.1, 0.5, 0.001]},
+        controller_params={"gamma": -50.0},
     )
     with pytest.raises(DivergenceError) as info:
         run_experiment(cfg, out_dir=tmp_path)
@@ -589,7 +598,7 @@ def test_event_times_equal_step_log_times(tmp_path):
     # in, so events join to steps on equal times (a running sum of dt drifts:
     # 0.79000000000000048 against a row's 0.79)
     (cfg,) = [c for c in _configs_from_file(CONFIGS / "hexacopter_suite.yaml") if c.name == "hexa_sos_pac"]
-    cfg = dataclasses.replace(cfg, duration=5.0)
+    cfg = dataclasses.replace(cfg, duration=20.0)
     result = run_experiment(cfg, out_dir=tmp_path)
     events = result.controller.events
     assert len(events) > 10

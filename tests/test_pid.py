@@ -36,17 +36,17 @@ def test_integer_limits_saturate_to_a_float():
             assert type(u) is float and u == want
 
 
-@pytest.mark.parametrize("limits", [(1.0, -1.0), (0.5, float("nan")), (float("nan"), 0.5)])
+@pytest.mark.parametrize("limits", [(1.0, -1.0), (0.5, float("nan")), (float("nan"), 0.5), ["10", "9"], (False, True)])
 def test_inverted_or_nan_limits_rejected(limits):
-    # lo > hi used to saturate every output to a limit
+    # lo > hi used to saturate every output to a limit; strings were ordered as strings, so "10" < "9"
     with pytest.raises(ValueError, match="^output_limits must be"):
         PidConfig(output_limits=limits)
 
 
 @pytest.mark.parametrize("gain", ["kp", "ki", "kd"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, "1"])
 def test_non_finite_gain_rejected(gain, value):
-    # a NaN kp used to pin every output to the low limit
+    # a NaN kp used to pin every output to the low limit; a bool gain ran as a gain of 1
     with pytest.raises(ValueError, match="^PID gains kp, ki and kd must be finite"):
         PidConfig(**{gain: value}, output_limits=(-1.0, 1.0))
 
