@@ -9,20 +9,14 @@ term, u = u_src - u_palm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, sqrt
-from numbers import Real
+from math import isfinite, sqrt
 
-from . import evolution
+from . import evolution, settings
 from .palm import DIM, PalmNetwork, network_output
 
 
 class ControllerFault(RuntimeError):
     """Raised when a non-finite value appears anywhere in the control step."""
-
-
-def _is_number(value) -> bool:
-    """A real number that is not a bool: YAML's ``true`` and ``"10"`` are no setting here."""
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def p_matrix(alpha1: float, alpha2: float) -> tuple[float, float, float]:
@@ -78,14 +72,13 @@ def adapt_weights(
         raise ControllerFault("non-finite rule weights after adaptation")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
-    """Controller settings. alphas = (alpha1, alpha2, alpha3) are the sliding
-    coefficients, fixed for the run: a list or tuple of three real numbers
-    with alpha1 and alpha2 positive and alpha3 non-negative, all finite.
-    gamma is a finite real number (a negative gamma is allowed), the three
-    limits are non-negative real numbers and evolution_enabled is a bool. A
-    string or a bool is no number here, though float() would take it.
+    """Controller settings, numbers as ``pacsim.settings`` reads them.
+    alphas = (alpha1, alpha2, alpha3) are the sliding coefficients, fixed for
+    the run: three numbers with alpha1 and alpha2 positive and alpha3
+    non-negative. gamma may be negative, the three limits are non-negative
+    and may be inf, and evolution_enabled is a bool.
     """
 
     gamma: float = 50.0
@@ -97,24 +90,20 @@ class ControllerConfig:
 
     def __post_init__(self):
         alphas = self.alphas
-        if not (isinstance(alphas, (list, tuple)) and len(alphas) == 3 and all(map(_is_number, alphas))):
-            raise ValueError(f"alphas takes three values, one real number per alpha, not {alphas!r}")
-        alphas = self.alphas = tuple(map(float, alphas))
-        a1, a2, a3 = alphas
-        if not (0 < a1 < inf and 0 < a2 < inf and 0 <= a3 < inf):
-            raise ValueError(f"alpha1 and alpha2 must be positive and alpha3 non-negative, all finite, not {alphas!r}")
-        if not (_is_number(self.gamma) and isfinite(self.gamma)):
-            raise ValueError(f"gamma must be finite and a real number, not {self.gamma!r}")
-        self.gamma = float(self.gamma)
+        if not (isinstance(alphas, (list, tuple)) and len(alphas) == 3 and all(map(settings.is_number, alphas))
+                and alphas[0] > 0 and alphas[1] > 0 and alphas[2] >= 0):
+            raise ValueError("alphas takes three values, each a real number: alpha1 and alpha2 must be positive"
+                             f" and alpha3 non-negative, all finite, not {alphas!r}")
+        object.__setattr__(self, "alphas", tuple(map(float, alphas)))
+        settings.set_numbers(self, ("gamma",))
         if not isinstance(self.evolution_enabled, bool):
             raise ValueError(f"evolution_enabled must be true or false, not {self.evolution_enabled!r}")
-        # float keeps the clamps on u, u_src and the weights float-valued; a negative
-        # or NaN limit would make each clamp return the limit whatever its input
-        for name in ("weight_limit", "sat_limit", "actuator_limit"):
-            limit = getattr(self, name)
-            if not (_is_number(limit) and limit >= 0.0):
-                raise ValueError(f"{name} must be non-negative and a real number, not {limit!r}")
-            setattr(self, name, float(limit))
+        # floats keep the clamps on u, u_src and the weights float-valued; a negative
+        # limit would make each clamp return the limit whatever its input
+        limits = ("weight_limit", "sat_limit", "actuator_limit")
+        for name, limit in zip(limits, settings.set_numbers(self, limits, limit=True)):
+            if limit < 0.0:
+                raise ValueError(f"{name} must be non-negative, not {limit!r}")
 
 
 class ParsimoniousController:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
-from . import metrics, trajectories
+from . import metrics, settings, trajectories
 from .controller import ControllerConfig, ControllerFault, ParsimoniousController
 from .pid import PidConfig, PidController
 from .plants import BiFwmav, DoubleIntegrator, GustSpec, Hexacopter, ImpulseSpec
@@ -33,15 +33,11 @@ INT_COLUMNS = ("R",)  # every other step-log column holds floats
 SUMMARY_COLUMNS = ["name", "plant", "trajectory", "controller", *(f.name for f in fields(metrics.MetricsReport))]
 
 
-DISTURBANCE_KEYS = {"gust", "impulse"}
-PLANT_KEYS = {"inertia"}  # the vehicles' other constants are fixed in their plant modules
-
-
 class DivergenceError(RuntimeError):
     """Simulation produced a non-finite value; a partial log was written."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     name: str = "experiment"
     plant: str = "hexacopter"
@@ -63,30 +59,29 @@ class ExperimentConfig:
 
     def _check(self) -> None:
         # the name spells the output file names in --out, so it must not leave that directory
+        if not isinstance(self.name, (str, int)) or isinstance(self.name, bool):
+            raise ValueError(f"experiment name {self.name!r} must be a string or an integer")
         name = str(self.name)
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ValueError(f"experiment name {name!r} must be a plain file name")
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, not {self.dt!r}")
-        if not 0 <= self.duration < math.inf:
-            raise ValueError(f"duration must be non-negative and finite, not {self.duration!r}")
-        steps = self.duration / self.dt
+        dt, duration = settings.set_numbers(self, ("dt", "duration"))
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, not {dt!r}")
+        if not duration >= 0:
+            raise ValueError(f"duration must be non-negative, not {duration!r}")
+        steps = duration / dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integer number of steps")
-        for key, valid in (("disturbances", DISTURBANCE_KEYS), ("plant_params", PLANT_KEYS)):
-            value = getattr(self, key)
-            if not isinstance(value, dict):
-                raise ValueError(f"{key} must be a mapping, not {value!r}")
-            unknown = set(value) - valid
-            if unknown:
-                raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
+        # the vehicles' constants other than inertia are fixed in their plant modules
+        settings.section("plant_params", self.plant_params, ("inertia",))
+        settings.section("disturbances", self.disturbances, ("gust", "impulse"))
         # only the hexacopter has attitude channels; the other plants fly altitude
         if self.channel != "altitude" and self.plant != "hexacopter":
             raise ValueError(f"channel {self.channel!r} needs plant 'hexacopter', not {self.plant!r}")
         # the impulse acts on the measurement, so it stays valid on every plant
         if self.plant == "double_integrator":
-            for key, value in (("plant_params", self.plant_params), ("gust", self.disturbances.get("gust"))):
-                if value:
+            for key, given in (("plant_params", self.plant_params), ("gust", "gust" in self.disturbances)):
+                if given:
                     raise ValueError(f"plant 'double_integrator' takes no {key}")
         build(self)
 
@@ -96,10 +91,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"{raw.get('name', 'experiment')}: unknown config keys: {sorted(unknown)}")
+        try:
+            raw = settings.section("config", raw, ExperimentConfig.__dataclass_fields__)
+        except ValueError as exc:
+            raise ValueError(f"{raw.get('name', 'experiment')}: {exc}") from None
         return ExperimentConfig(**raw)
 
 
@@ -111,14 +106,13 @@ def build_controller(cfg: ExperimentConfig):
     if cfg.controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {cfg.controller!r}")
     config_cls, controller_cls = CONTROLLERS[cfg.controller]
-    return controller_cls(config_cls(**cfg.controller_params))
+    return controller_cls(settings.read("controller_params", cfg.controller_params, config_cls))
 
 
 def build_plant(cfg: ExperimentConfig):
     # a partial inertia takes its missing fields from the plant's own default
-    inertia = cfg.plant_params.get("inertia", {})
-    gust = cfg.disturbances.get("gust")
-    gust = GustSpec(**gust) if gust else None
+    inertia = settings.section("inertia", cfg.plant_params.get("inertia", {}), InertiaSet.__dataclass_fields__)
+    gust = settings.read("gust", cfg.disturbances["gust"], GustSpec) if "gust" in cfg.disturbances else None
     if cfg.plant == "hexacopter":
         return Hexacopter(InertiaSet(**inertia), channel=cfg.channel, gust=gust)
     if cfg.plant == "bifwmav":
@@ -135,7 +129,7 @@ def build(cfg: ExperimentConfig) -> tuple:
         build_controller(cfg),
         build_plant(cfg),
         trajectories.from_config(cfg.trajectory),
-        ImpulseSpec(**impulse) if impulse else None,
+        settings.read("impulse", impulse, ImpulseSpec) if "impulse" in cfg.disturbances else None,
     )
 
 

@@ -6,12 +6,12 @@ harness's own (``log_columns`` is empty), and its ``rule_count`` is None.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
+
+from . import settings
 
 
-@dataclass
+@dataclass(frozen=True)
 class PidConfig:
     kp: float = 1.0
     ki: float = 0.0
@@ -19,18 +19,12 @@ class PidConfig:
     output_limits: tuple[float, float] = (float("-inf"), float("inf"))
 
     def __post_init__(self):
-        # a string or a bool is no number here, though float() would take it; the
-        # limits are floats before they are ordered, since a saturated step returns one
-        gains, limits = (self.kp, self.ki, self.kd), self.output_limits
-        if not all(isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) for v in gains):
-            raise ValueError(f"PID gains kp, ki and kd must be finite real numbers, not {gains!r}")
-        if not (isinstance(limits, (list, tuple)) and len(limits) == 2
-                and all(isinstance(v, Real) and not isinstance(v, bool) for v in limits)):
-            raise ValueError(f"output_limits must be (lo, hi), two real numbers, not {limits!r}")
-        self.kp, self.ki, self.kd = map(float, gains)
-        lo, hi = self.output_limits = tuple(map(float, limits))
+        settings.set_numbers(self, ("kp", "ki", "kd"))
+        # the limits are floats before they are ordered, since a saturated step returns one
+        lo, hi = limits = settings.number_list("output_limits", self.output_limits, 2, limit=True)
         if not lo <= hi:
-            raise ValueError(f"output_limits must be (lo, hi) with lo <= hi, not {self.output_limits!r}")
+            raise ValueError(f"output_limits must be (lo, hi) with lo <= hi, not {limits!r}")
+        object.__setattr__(self, "output_limits", limits)
 
 
 class PidController:

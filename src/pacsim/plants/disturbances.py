@@ -5,16 +5,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .. import settings
 
-@dataclass
+
+@dataclass(frozen=True)
 class GustSpec:
     v_m: float  # gust amplitude, m/s
     d_m: float = 120.0  # gust length, m
     onset_time: float = 0.0  # s
 
     def __post_init__(self):
-        if not (0 <= self.v_m < math.inf and 0 < self.d_m < math.inf and math.isfinite(self.onset_time)):
-            raise ValueError(f"gust v_m must be >= 0, d_m > 0 and every field finite, not {self!r}")
+        v_m, d_m, _ = settings.set_numbers(self, ("v_m", "d_m", "onset_time"), "gust ")
+        if not (v_m >= 0 and d_m > 0):
+            raise ValueError(f"gust v_m must be non-negative and d_m positive, not {self!r}")
 
 
 def gust_velocity(x: float, spec: GustSpec) -> float:
@@ -26,15 +29,16 @@ def gust_velocity(x: float, spec: GustSpec) -> float:
     return 0.5 * spec.v_m * (1.0 - math.cos(math.pi * x / spec.d_m))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImpulseSpec:
     amplitude: float  # added to the measured output
     start: float  # s
     duration: float  # s
 
     def __post_init__(self):
-        if not (0 < self.duration < math.inf and math.isfinite(self.amplitude) and math.isfinite(self.start)):
-            raise ValueError(f"impulse duration must be positive and every field finite, not {self!r}")
+        _, _, duration = settings.set_numbers(self, ("amplitude", "start", "duration"), "impulse ")
+        if not duration > 0:
+            raise ValueError(f"impulse duration must be positive, not {duration!r}")
 
 
 def impulse_noise(t: float, spec: ImpulseSpec) -> float:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import settings
+
 GRAVITY = 9.81  # m/s^2
 
 
@@ -27,9 +29,7 @@ class InertiaSet:
     i_xz: float = 0.0
 
     def __post_init__(self):
-        m, i_x, i_y, i_z, i_xz = self.m, self.i_x, self.i_y, self.i_z, self.i_xz
-        if not all(map(isfinite, (m, i_x, i_y, i_z, i_xz))):
-            raise ValueError(f"inertia must be finite, not {self!r}")
+        m, i_x, i_y, i_z, i_xz = settings.set_numbers(self, ("m", "i_x", "i_y", "i_z", "i_xz"), "inertia ")
         if not (m > 0 and i_x > 0 and i_y > 0 and i_z > 0):
             raise ValueError("mass and principal inertias must be positive")
         det = i_x * i_z - i_xz * i_xz

@@ -12,26 +12,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import settings
+
 
 class _Checked:
-    """Base of every trajectory: checks its settings when it is built. Each
-    number must be finite, a dwell or ramp positive (a ramp at most its
-    dwell), levels not empty and each sine or cosine term an (amplitude,
-    angular frequency, bias) triple."""
+    """Base of every trajectory: reads its settings when it is built. Each
+    number is read as ``pacsim.settings`` reads numbers; a dwell or ramp must
+    be positive (a ramp at most its dwell), levels not empty and each sine or
+    cosine term an (amplitude, angular frequency, bias) triple."""
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            numbers = value if isinstance(value, (tuple, list)) else (value,)
+        for name, value in list(vars(self).items()):
             if name in ("sines", "cosines"):
-                if not all(isinstance(term, (tuple, list)) and len(term) == 3 for term in value):
+                if not isinstance(value, (tuple, list)):
                     raise ValueError(f"{name} must hold (amplitude, angular frequency, bias) triples, not {value!r}")
-                numbers = [x for term in value for x in term]
+                value = tuple(settings.number_list(f"{name} term", term, 3) for term in value)
+            elif name in ("levels", "step_heights"):
+                value = settings.number_list(name, value)
+            else:
+                value = settings.number(name, value)
             if name == "levels" and not value:
                 raise ValueError("levels must hold at least one level")
-            if name in ("dwell", "ramp") and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, not {value!r}")
-            if not all(map(math.isfinite, numbers)):
-                raise ValueError(f"{name} must be finite, not {value!r}")
+            if name in ("dwell", "ramp") and not value > 0:
+                raise ValueError(f"{name} must be positive, not {value!r}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,4 @@ def from_config(spec: str | dict):
     kind = spec.pop("kind", None)
     if kind not in _CLASSES:
         raise ValueError(f"trajectory {spec!r} has no kind" if kind is None else f"unknown trajectory kind {kind!r}")
-    for key in ("levels", "step_heights", "sines", "cosines"):
-        if key in spec:
-            value = spec[key]
-            spec[key] = tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in value)
-    return _CLASSES[kind](**spec)
+    return settings.read("trajectory", spec, _CLASSES[kind])

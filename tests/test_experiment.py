@@ -319,7 +319,8 @@ def test_cli_non_finite_inertia_is_one_config_error(tmp_path, capsys, plant, ine
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("CONFIG ERROR: bad: inertia must be finite")
+    (key,) = inertia
+    assert err[0].startswith(f"CONFIG ERROR: bad: inertia {key} must be finite and a real number, not ")
     assert not out.exists()
 
 
@@ -416,7 +417,8 @@ def test_integer_experiment_name_stays_valid(tmp_path):
     assert (tmp_path / "1_steps.csv").exists()
 
 
-_STALE = "ControllerConfig.__init__() got an unexpected keyword argument {!r}"
+_STALE = "unknown controller_params keys: {!r}"
+_ALPHAS = "alphas takes three values, each a real number: alpha1 and alpha2 must be positive and alpha3 non-negative, all finite,"
 
 
 @pytest.mark.parametrize(
@@ -426,15 +428,17 @@ _STALE = "ControllerConfig.__init__() got an unexpected keyword argument {!r}"
         ("pac", {"sat_limit": float("nan")}, "sat_limit"),
         ("pac", {"actuator_limit": -2.5}, "actuator_limit"),
         # the sliding coefficients are fixed: a config that still sets their self-evolution fails
-        ("pac", {"learn_rates": [0.1, 0.5, 0.001]}, _STALE.format("learn_rates")),
-        ("pac", {"alphas": [0.5, 0.5, 0.01], "alpha_max": [0.5, 0.5, 0.01]}, _STALE.format("alpha_max")),
+        ("pac", {"learn_rates": [0.1, 0.5, 0.001]}, _STALE.format(["learn_rates"])),
+        ("pac", {"alphas": [0.5, 0.5, 0.01], "alpha_max": [0.5, 0.5, 0.01]}, _STALE.format(["alpha_max"])),
         ("pid", {"kp": 1.0, "output_limits": [2.5, -2.5]}, "output_limits"),
-        ("pac", {"alphas": [math.nan, 1e-3, 1e-9]}, "alpha1"),
-        ("pac", {"alphas": [1e-2, 1e-3, -1.0]}, "alpha1 and alpha2 must be positive and alpha3"),
+        ("pac", {"alphas": [math.nan, 1e-3, 1e-9]}, _ALPHAS),
+        ("pac", {"alphas": [1e-2, 1e-3, -1.0]}, _ALPHAS),
         ("pac", {"gamma": math.nan}, "gamma"),
-        ("pid", {"kp": math.nan}, "PID gains"),
+        ("pid", {"kp": math.nan}, "kp must be finite"),
         ("pac", {"evolution_enabled": "false"}, "evolution_enabled"),
         ("pac", {"gamma": True}, "gamma"),
+        # one line names every unknown key, where Python's own message named the first alone
+        ("pid", {"kq": 1, "kz": 2}, "unknown controller_params keys: ['kq', 'kz']"),
     ],
     ids=[
         "weight_limit",
@@ -449,6 +453,7 @@ _STALE = "ControllerConfig.__init__() got an unexpected keyword argument {!r}"
         "nan_kp",
         "evolution_enabled_string",
         "bool_gamma",
+        "two_unknown_keys",
     ],
 )
 def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, controller, params, key):
@@ -480,6 +485,11 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         ("disturbances", ["gust"], "disturbances"),
         # i_x i_z - i_xz^2 = -0.0076 with the default i_x and i_z
         ("plant_params", {"inertia": {"i_xz": 0.1}}, "inertia must be positive"),
+        ("dt", True, "dt"),
+        ("disturbances", {"gust": {"v_m": True}}, "gust v_m"),
+        ("trajectory", {"kind": "constant", "level": 1.0, "lvl": 2.0}, "unknown trajectory keys: ['lvl']"),
+        # a gust key that is present must hold a gust; {} used to run with none
+        ("disturbances", {"gust": {}}, "missing gust keys: ['v_m']"),
     ],
     ids=[
         "empty_levels",
@@ -495,6 +505,10 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         "plant_params_list",
         "disturbances_list",
         "inertia_not_positive_definite",
+        "bool_dt",
+        "bool_gust",
+        "unknown_trajectory_key",
+        "empty_gust",
     ],
 )
 def test_cli_bad_trajectory_or_disturbance_is_one_config_error(tmp_path, capsys, section, value, key):
@@ -505,7 +519,43 @@ def test_cli_bad_trajectory_or_disturbance_is_one_config_error(tmp_path, capsys,
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"CONFIG ERROR: bad: {key} ")
+    assert err[0] == f"CONFIG ERROR: bad: {key}" or err[0].startswith(f"CONFIG ERROR: bad: {key} ")
+    assert not out.exists()
+
+
+_PYTHON_CALL_TEXT = ("unexpected keyword argument", "required positional argument", "argument after ** must be a mapping")
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"controller_params": None},
+        {"controller_params": {"gamma": 1.0, "kq": 1}},
+        {"controller": "pid", "controller_params": {"kq": 1}},
+        {"controller": "pid", "controller_params": []},
+        {"plant_params": {"inertia": {"mass": 1.0}}},
+        {"plant_params": {"inertia": None}},
+        {"plant": "bifwmav", "plant_params": {"inertia": {"mass": 1.0}}},
+        {"disturbances": {"gust": None}},
+        {"disturbances": {"gust": {"v_m": 1.0, "onset": 2.0}}},
+        {"disturbances": {"impulse": {}}},
+        {"disturbances": {"impulse": ["amplitude", 1.0]}},
+        {"trajectory": {"kind": "step"}},
+        {"trajectory": {"kind": "constant", "level": 1.0, "lvl": 2.0}},
+        {"trajectory": {"kind": "sum_of_sines", "sines": 5}},
+        {"name": None},
+        {"name": True},
+    ],
+)
+def test_cli_config_error_never_carries_python_call_text(tmp_path, capsys, changes):
+    # every section is read by pacsim.settings, so no bad key or shape reaches a constructor call
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump({**_SHORT_RUN, "name": "bad", "plant": "hexacopter", **changes}))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("CONFIG ERROR: ")
+    assert not any(text in err[0] for text in _PYTHON_CALL_TEXT), err[0]
     assert not out.exists()
 
 

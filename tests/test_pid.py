@@ -47,7 +47,7 @@ def test_inverted_or_nan_limits_rejected(limits):
 @pytest.mark.parametrize("value", [math.nan, math.inf, True, "1"])
 def test_non_finite_gain_rejected(gain, value):
     # a NaN kp used to pin every output to the low limit; a bool gain ran as a gain of 1
-    with pytest.raises(ValueError, match="^PID gains kp, ki and kd must be finite"):
+    with pytest.raises(ValueError, match=f"^{gain} must be finite and a real number, not "):
         PidConfig(**{gain: value}, output_limits=(-1.0, 1.0))
 
 

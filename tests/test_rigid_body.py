@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from rigid_body_oracles import staged_rk4_step
 from scipy.integrate import solve_ivp
+from settings_cases import SETTINGS
 
 from pacsim.plants.rigid_body import (
     GRAVITY,
@@ -136,7 +137,7 @@ def test_singular_inertia_rejected():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["m", "i_x", "i_y", "i_z", "i_xz"])
 def test_non_finite_inertia_rejected(name, value):
-    with pytest.raises(ValueError, match="inertia must be finite"):
+    with pytest.raises(ValueError, match=f"^inertia {name} must be finite and a real number, not "):
         InertiaSet(**{name: value})
 
 
@@ -147,11 +148,14 @@ def test_non_positive_mass_or_principal_inertia_rejected(name, value):
         InertiaSet(**{name: value})
 
 
-def test_inertia_set_is_frozen():
-    inertia = InertiaSet()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        inertia.m = 2.0
-    assert inertia == InertiaSet()
+@pytest.mark.parametrize("cls", SETTINGS, ids=lambda cls: cls.__name__)
+def test_inertia_set_is_frozen(cls):
+    # every settings class checks its values once, at construction: an assignment after it would skip the checks
+    settings = cls(**SETTINGS[cls])
+    for field in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(settings, field.name, True)
+    assert settings == cls(**SETTINGS[cls])
 
 
 @pytest.mark.parametrize("changes", [{"m": 2.0}, {"i_x": 0.05}, {"i_z": 0.07}, {"i_xz": -0.003}, {"i_y": 0.02, "m": 0.5}])
