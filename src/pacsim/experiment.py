@@ -124,12 +124,11 @@ def build_plant(cfg: ExperimentConfig):
 
 def build(cfg: ExperimentConfig) -> tuple:
     """The controller, plant, trajectory and measurement impulse (None without one) that ``cfg`` runs."""
-    impulse = cfg.disturbances.get("impulse")
     return (
         build_controller(cfg),
         build_plant(cfg),
         trajectories.from_config(cfg.trajectory),
-        settings.read("impulse", impulse, ImpulseSpec) if "impulse" in cfg.disturbances else None,
+        settings.read("impulse", cfg.disturbances["impulse"], ImpulseSpec) if "impulse" in cfg.disturbances else None,
     )
 
 
