@@ -2,9 +2,7 @@
 
 from .controller import (
     ControllerConfig,
-    ControllerFault,
     ParsimoniousController,
-    lyapunov_p_matrix,
     p_matrix,
 )
 from .palm import DIM, N_INPUTS, PalmNetwork, network_output
@@ -12,9 +10,7 @@ from .pid import PidConfig, PidController
 
 __all__ = [
     "ControllerConfig",
-    "ControllerFault",
     "ParsimoniousController",
-    "lyapunov_p_matrix",
     "p_matrix",
     "DIM",
     "N_INPUTS",

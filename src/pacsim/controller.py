@@ -15,25 +15,14 @@ from . import evolution, settings
 from .palm import DIM, PalmNetwork, network_output
 
 
-class ControllerFault(RuntimeError):
-    """Raised when a non-finite value appears anywhere in the control step."""
-
-
 def p_matrix(alpha1: float, alpha2: float) -> tuple[float, float, float]:
-    """(p11, p12, p22) of the symmetric P for Q = I2 as published:
-    p11 = a2/a1 + 1/(2 a2), p12 = 1/(2 a1), p22 = (1 + a1)/(2 a1 a2).
+    """(p11, p12, p22), the exact solution of A'P + PA = -I2 for A = [[0, 1], [-a1, -a2]]:
+    p11 = a2/(2 a1) + (1 + a1)/(2 a2), p12 = 1/(2 a1), p22 = (1 + a1)/(2 a1 a2).
 
-    Note: this published p11 solves the Lyapunov equation only when
-    alpha1 == alpha2; see lyapunov_p_matrix for the exact solution. The
-    adaptation law reads only p12 and p22, which the two agree on.
+    p12 and p22, the entries the adaptation law reads, are the paper's printed
+    forms. Its printed p11 = a2/a1 + 1/(2 a2) equals this one only when
+    alpha1 == alpha2.
     """
-    if alpha1 <= 0 or alpha2 <= 0:
-        raise ValueError("sliding coefficients must be positive")
-    return alpha2 / alpha1 + 1.0 / (2.0 * alpha2), 1.0 / (2.0 * alpha1), (1.0 + alpha1) / (2.0 * alpha1 * alpha2)
-
-
-def lyapunov_p_matrix(alpha1: float, alpha2: float) -> tuple[float, float, float]:
-    """(p11, p12, p22), the exact solution of A'P + PA = -I2 for A = [[0, 1], [-a1, -a2]]."""
     if alpha1 <= 0 or alpha2 <= 0:
         raise ValueError("sliding coefficients must be positive")
     p11 = alpha2 / (2.0 * alpha1) + (1.0 + alpha1) / (2.0 * alpha2)
@@ -69,7 +58,7 @@ def adapt_weights(
     w0, w1, w2, w3 = hi if hi < w0 else w0, hi if hi < w1 else w1, hi if hi < w2 else w2, hi if hi < w3 else w3
     net.w = [w0, w1, w2, w3]
     if not (isfinite(w0) and isfinite(w1) and isfinite(w2) and isfinite(w3)):
-        raise ControllerFault("non-finite rule weights after adaptation")
+        raise FloatingPointError("non-finite rule weights after adaptation")
 
 
 @dataclass(frozen=True)
@@ -175,7 +164,7 @@ class ParsimoniousController:
         u_palm = network_output(x_e, net)
         u = u_src - u_palm
         if not isfinite(u):
-            raise ControllerFault(f"non-finite control at step {self.steps}: u_palm={u_palm}")
+            raise FloatingPointError(f"non-finite control at step {self.steps}: u_palm={u_palm}")
 
         bias = variance = 0.0
         if c.evolution_enabled:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
 from . import metrics, settings, trajectories
-from .controller import ControllerConfig, ControllerFault, ParsimoniousController
+from .controller import ControllerConfig, ParsimoniousController
 from .pid import PidConfig, PidController
 from .plants import BiFwmav, DoubleIntegrator, GustSpec, Hexacopter, ImpulseSpec
 from .plants.disturbances import impulse_noise
@@ -90,10 +91,12 @@ class ExperimentConfig:
         return int(round(self.duration / self.dt))
 
     @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
+    def from_dict(raw: Mapping) -> "ExperimentConfig":
         try:
             raw = settings.section("config", raw, ExperimentConfig.__dataclass_fields__)
         except ValueError as exc:
+            if not isinstance(raw, Mapping):  # it has no name to prefix
+                raise
             raise ValueError(f"{raw.get('name', 'experiment')}: {exc}") from None
         return ExperimentConfig(**raw)
 
@@ -176,7 +179,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             for add, cell in zip(add_cells, cells):
                 add(cell)
             plant.step(u, dt)
-    except (ControllerFault, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         cause = exc
 
     rep = metrics.report(cols["y"], cols["y_r"], dt, final_rule_count=controller.rule_count)

@@ -13,7 +13,6 @@ sigma rule written with the builtin ``max``. The tests hold the fused step and
 import math
 
 from pacsim import evolution
-from pacsim.controller import ControllerFault
 from pacsim.palm import network_output
 
 
@@ -48,7 +47,7 @@ def adapt_weights(net, e: float, e_dot: float, c, P, x_e, dt: float) -> None:
     lim = c.weight_limit
     w = net.w = [min(max(v - k * x, -lim), lim) for v, x in zip(net.w, x_e)]
     if not all(map(math.isfinite, w)):
-        raise ControllerFault("non-finite rule weights after adaptation")
+        raise FloatingPointError("non-finite rule weights after adaptation")
 
 
 def sigma_rule_fires(rule, x: float, factor: float) -> bool:
@@ -110,7 +109,7 @@ def staged_step(ctl, y: float, y_r: float, dt: float):
     u = u_src - u_palm
 
     if not math.isfinite(u):
-        raise ControllerFault(f"non-finite control at step {ctl.steps}: u_palm={u_palm}")
+        raise FloatingPointError(f"non-finite control at step {ctl.steps}: u_palm={u_palm}")
 
     bias = variance = 0.0
     if c.evolution_enabled:

@@ -9,10 +9,8 @@ import scipy.linalg
 from pacsim import controller, evolution
 from pacsim.controller import (
     ControllerConfig,
-    ControllerFault,
     ParsimoniousController,
     adapt_weights,
-    lyapunov_p_matrix,
     p_matrix,
 )
 from pacsim.palm import PalmNetwork
@@ -103,7 +101,8 @@ def test_negative_gamma_and_start_at_the_ceiling_accepted():
 
 def test_p_matrix_published_values():
     p11, p12, p22 = p_matrix(1e-2, 1e-3)
-    assert p11 == pytest.approx(500.1, abs=1e-9)
+    # the exact p11; the paper prints 500.1, its p11 form being exact only when alpha1 == alpha2
+    assert p11 == pytest.approx(505.05, abs=1e-9)
     assert p12 == pytest.approx(50.0, abs=1e-9)
     assert p22 == pytest.approx(50500.0, abs=1e-9)
 
@@ -119,11 +118,11 @@ def test_p_matrix_rejects_nonpositive():
         p_matrix(0.0, 1e-3)
 
 
-def test_lyapunov_p_matrix_solves_lyapunov_equation():
+def test_p_matrix_solves_lyapunov_equation():
     rng = np.random.default_rng(21)
     for _ in range(100):
         a1, a2 = rng.uniform(1e-3, 2.0, size=2)
-        p11, p12, p22 = lyapunov_p_matrix(a1, a2)
+        p11, p12, p22 = p_matrix(a1, a2)
         A = np.array([[0.0, 1.0], [-a1, -a2]])
         M = np.array([[p11, p12], [p12, p22]])
         residual = A.T @ M + M @ A + np.eye(2)
@@ -131,24 +130,32 @@ def test_lyapunov_p_matrix_solves_lyapunov_equation():
         assert p11 > 0 and p11 * p22 - p12 * p12 > 0
 
 
-def test_lyapunov_p_matrix_matches_scipy_solver():
+def test_p_matrix_matches_scipy_solver():
     rng = np.random.default_rng(22)
     for _ in range(20):
         a1, a2 = rng.uniform(1e-3, 2.0, size=2)
         A = np.array([[0.0, 1.0], [-a1, -a2]])
         ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(2))
-        p11, p12, p22 = lyapunov_p_matrix(a1, a2)
+        p11, p12, p22 = p_matrix(a1, a2)
         np.testing.assert_allclose([[p11, p12], [p12, p22]], ref, rtol=1e-9)
 
 
-def test_published_p_agrees_with_lyapunov_solution_on_adaptation_entries():
-    # only p12 and p22 enter the adaptation law; those the two formulas share
+def printed_p_matrix(a1: float, a2: float) -> tuple[float, float, float]:
+    """(p11, p12, p22) as the paper prints them, kept as a reference."""
+    return a2 / a1 + 1.0 / (2.0 * a2), 1.0 / (2.0 * a1), (1.0 + a1) / (2.0 * a1 * a2)
+
+
+def test_p_matrix_against_the_printed_form():
+    # the adaptation law reads only p12 and p22, which are the printed ones;
+    # the printed p11 is exact only when alpha1 == alpha2
     rng = np.random.default_rng(23)
-    for _ in range(50):
+    for _ in range(100):
         a1, a2 = rng.uniform(1e-3, 2.0, size=2)
-        (_, pub_p12, pub_p22), (_, p12, p22) = p_matrix(a1, a2), lyapunov_p_matrix(a1, a2)
+        (pub_p11, pub_p12, pub_p22), (p11, p12, p22) = printed_p_matrix(a1, a2), p_matrix(a1, a2)
         assert pub_p12 == pytest.approx(p12, rel=1e-14)
         assert pub_p22 == pytest.approx(p22, rel=1e-14)
+        assert p11 != pytest.approx(pub_p11, rel=1e-9)
+        assert printed_p_matrix(a1, a1)[0] == pytest.approx(p_matrix(a1, a1)[0], rel=1e-14)
 
 
 def test_adapt_weights_no_error_no_change():
@@ -226,7 +233,7 @@ def test_adapt_weights_bit_equal_to_outer_and_clip_reference():
 def test_adapt_weights_nan_input_raises():
     for r in (1, 3):
         net = PalmNetwork(rule_count=r)
-        with pytest.raises(ControllerFault):
+        with pytest.raises(FloatingPointError):
             adapt_weights(net, 1.0, 0.0, ControllerConfig(gamma=1.0, weight_limit=10.0), p_matrix(1e-2, 1e-3), np.array([1.0, np.nan, 0, 1.0]), 0.01)
 
 
@@ -271,7 +278,7 @@ def test_adapt_weights_finite_check_is_entrywise():
     for r in (1, 2):
         net = PalmNetwork(rule_count=r)
         net.w[2] = np.inf
-        with pytest.raises(ControllerFault):
+        with pytest.raises(FloatingPointError):
             adapt_weights(net, 0.0, 0.0, ControllerConfig(gamma=1.0, weight_limit=float("inf")), p_matrix(1e-2, 1e-3), np.ones(4), 0.01)
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 from array import array
 from pathlib import Path
 from types import SimpleNamespace
@@ -224,6 +225,13 @@ def test_unknown_config_key_rejected():
     for key in ("bogus", "seed"):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"name": "x", "plant": "hexacopter", key: 1})
+
+
+@pytest.mark.parametrize("raw", [[1, 2], None, "x"], ids=["list", "none", "str"])
+def test_from_dict_rejects_a_non_mapping(raw):
+    # a non-mapping has no name to prefix the message with; it gets the section rule's own message
+    with pytest.raises(ValueError, match=f"^{re.escape(f'config must be a mapping, not {raw!r}')}$"):
+        ExperimentConfig.from_dict(raw)
 
 
 @pytest.mark.parametrize("plant, channel", [("bifwmav", "roll"), ("bifwmav", "pitch"), ("double_integrator", "roll")])
@@ -632,6 +640,26 @@ def test_bias_overflow_diverges_with_partial_log(tmp_path):
     assert isinstance(cause, FloatingPointError)
     assert str(cause).startswith("bias signal overflowed")
     log = tmp_path / "bias_overflow_steps.csv"
+    assert len(log.read_text().splitlines()) > 1
+
+
+def test_controller_divergence_keeps_the_cause_and_a_partial_log(tmp_path):
+    # unbounded weights under a negative gain drive the network output to inf at the control step
+    cfg = ExperimentConfig(
+        name="control_overflow",
+        plant="double_integrator",
+        controller="pac",
+        trajectory={"kind": "constant", "level": 1.0},
+        duration=100.0,
+        dt=0.01,
+        controller_params={"gamma": -50.0, "weight_limit": math.inf, "evolution_enabled": False},
+    )
+    with pytest.raises(DivergenceError) as info:
+        run_experiment(cfg, out_dir=tmp_path)
+    cause = info.value.__cause__
+    assert isinstance(cause, FloatingPointError)
+    assert str(cause).startswith("non-finite control at step ")
+    log = tmp_path / "control_overflow_steps.csv"
     assert len(log.read_text().splitlines()) > 1
 
 
