@@ -13,6 +13,7 @@ the rule count ``R``. ``np.asarray`` reads a packed column without a copy.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from array import array
@@ -52,9 +53,13 @@ class ExperimentConfig:
     disturbances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a config owns its sections: rows merged from one YAML anchor would otherwise share one dict
+        for key in ("trajectory", "controller_params", "plant_params", "disturbances"):
+            object.__setattr__(self, key, copy.deepcopy(getattr(self, key)))
         # every part is built once here, so a bad name stops the config, not a suite halfway through
         try:
             self._check()
+            build(self)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{self.name}: {exc}") from exc
 
@@ -70,21 +75,9 @@ class ExperimentConfig:
             raise ValueError(f"dt must be positive, not {dt!r}")
         if not duration >= 0:
             raise ValueError(f"duration must be non-negative, not {duration!r}")
-        steps = duration / dt
-        if abs(steps - round(steps)) > 1e-9:
+        steps = duration / dt  # inf once the quotient leaves the float range
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integer number of steps")
-        # the vehicles' constants other than inertia are fixed in their plant modules
-        settings.section("plant_params", self.plant_params, ("inertia",))
-        settings.section("disturbances", self.disturbances, ("gust", "impulse"))
-        # only the hexacopter has attitude channels; the other plants fly altitude
-        if self.channel != "altitude" and self.plant != "hexacopter":
-            raise ValueError(f"channel {self.channel!r} needs plant 'hexacopter', not {self.plant!r}")
-        # the impulse acts on the measurement, so it stays valid on every plant
-        if self.plant == "double_integrator":
-            for key, given in (("plant_params", self.plant_params), ("gust", "gust" in self.disturbances)):
-                if given:
-                    raise ValueError(f"plant 'double_integrator' takes no {key}")
-        build(self)
 
     @property
     def n_steps(self) -> int:
@@ -105,34 +98,36 @@ class ExperimentConfig:
 CONTROLLERS = {"pac": (ControllerConfig, ParsimoniousController), "pid": (PidConfig, PidController)}
 
 
-def build_controller(cfg: ExperimentConfig):
-    if cfg.controller not in CONTROLLERS:
-        raise ValueError(f"unknown controller {cfg.controller!r}")
-    config_cls, controller_cls = CONTROLLERS[cfg.controller]
-    return controller_cls(settings.read("controller_params", cfg.controller_params, config_cls))
-
-
-def build_plant(cfg: ExperimentConfig):
-    # a partial inertia takes its missing fields from the plant's own default
-    inertia = settings.section("inertia", cfg.plant_params.get("inertia", {}), InertiaSet.__dataclass_fields__)
-    gust = settings.read("gust", cfg.disturbances["gust"], GustSpec) if "gust" in cfg.disturbances else None
-    if cfg.plant == "hexacopter":
-        return Hexacopter(InertiaSet(**inertia), channel=cfg.channel, gust=gust)
-    if cfg.plant == "bifwmav":
-        return BiFwmav(replace(DEFAULT_INERTIA, **inertia), gust=gust)
-    if cfg.plant == "double_integrator":
-        return DoubleIntegrator()
-    raise ValueError(f"unknown plant {cfg.plant!r}")
-
-
 def build(cfg: ExperimentConfig) -> tuple:
-    """The controller, plant, trajectory and measurement impulse (None without one) that ``cfg`` runs."""
-    return (
-        build_controller(cfg),
-        build_plant(cfg),
-        trajectories.from_config(cfg.trajectory),
-        settings.read("impulse", cfg.disturbances["impulse"], ImpulseSpec) if "impulse" in cfg.disturbances else None,
-    )
+    """The controller, plant, trajectory and measurement impulse (None without one) that ``cfg`` runs.
+
+    Each section of ``cfg`` is read here, once; a config is built when it is made, and once per run.
+    """
+    config_cls, controller_cls = settings.choice("controller", cfg.controller, CONTROLLERS)
+    controller = controller_cls(settings.read("controller_params", cfg.controller_params, config_cls))
+    # the vehicles' constants other than inertia are fixed in their plant modules
+    plant_params = settings.section("plant_params", cfg.plant_params, ("inertia",))
+    # a partial inertia takes its missing fields from the plant's own default
+    inertia = settings.section("inertia", plant_params.get("inertia", {}), InertiaSet.__dataclass_fields__)
+    disturbances = settings.section("disturbances", cfg.disturbances, ("gust", "impulse"))
+    gust = settings.read("gust", disturbances["gust"], GustSpec) if "gust" in disturbances else None
+    if cfg.plant == "hexacopter":
+        plant = Hexacopter(InertiaSet(**inertia), channel=cfg.channel, gust=gust)
+    elif cfg.channel != "altitude":
+        # only the hexacopter has attitude channels; the other plants fly altitude
+        raise ValueError(f"channel {cfg.channel!r} needs plant 'hexacopter', not {cfg.plant!r}")
+    elif cfg.plant == "bifwmav":
+        plant = BiFwmav(replace(DEFAULT_INERTIA, **inertia), gust=gust)
+    elif cfg.plant == "double_integrator":
+        # it has no inertia and no airframe for a gust; the impulse acts on the measurement, so every plant takes it
+        if plant_params or gust:
+            raise ValueError(f"plant 'double_integrator' takes no {'plant_params' if plant_params else 'gust'}")
+        plant = DoubleIntegrator()
+    else:
+        raise ValueError(f"unknown plant {cfg.plant!r}")
+    traj = trajectories.from_config(cfg.trajectory)
+    impulse = settings.read("impulse", disturbances["impulse"], ImpulseSpec) if "impulse" in disturbances else None
+    return controller, plant, traj, impulse
 
 
 @dataclass

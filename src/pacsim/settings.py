@@ -1,6 +1,6 @@
 """How every setting is read. A number is a real number that is not a bool, finite unless it is a
 limit (which may be inf), stored as a float; a section is a mapping whose unknown and missing keys
-one message names. Settings classes are frozen dataclasses that read their numbers here."""
+one message names; a name is a string among a table's keys. Settings classes read numbers here."""
 
 from collections.abc import Mapping
 from dataclasses import MISSING, fields
@@ -52,3 +52,10 @@ def read(name: str, raw, cls):
     """Settings class ``cls`` built from section ``name``, which must give each field without a default."""
     required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
     return cls(**section(name, raw, cls.__dataclass_fields__, required))
+
+
+def choice(name: str, value, table: Mapping):
+    """``table[value]``, once ``value`` is a string that names an entry of ``table``."""
+    if not (isinstance(value, str) and value in table):
+        raise ValueError(f"{name} must be one of {list(table)}, not {value!r}")
+    return table[value]

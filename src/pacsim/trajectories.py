@@ -63,7 +63,7 @@ class SharpSteps(_Checked):
     dwell: float
 
     def __call__(self, t: float) -> float:
-        idx = min(int(t / self.dwell), len(self.levels) - 1)
+        idx = int(min(t / self.dwell, len(self.levels) - 1))
         return self.levels[idx]
 
 
@@ -87,7 +87,7 @@ class SmoothSteps(_Checked):
             raise ValueError(f"ramp must be at most the dwell {self.dwell!r}, not {self.ramp!r}")
 
     def __call__(self, t: float) -> float:
-        idx = min(int(t / self.dwell), len(self.levels) - 1)
+        idx = int(min(t / self.dwell, len(self.levels) - 1))
         level = self.levels[idx]
         if idx == 0:
             return level
@@ -135,7 +135,7 @@ class Staircase(_Checked):
     base: float = 1.0
 
     def __call__(self, t: float) -> float:
-        idx = min(int(t / self.dwell), len(self.step_heights))
+        idx = int(min(t / self.dwell, len(self.step_heights)))
         return self.base + sum(self.step_heights[:idx])
 
 
@@ -177,13 +177,8 @@ _CLASSES = {
 def from_config(spec: str | dict):
     """Build a trajectory from a suite name or a {kind: ..., params...} mapping."""
     if isinstance(spec, str):
-        if spec not in _NAMED:
-            raise ValueError(f"unknown trajectory {spec!r}")
-        spec = _NAMED[spec]
+        spec = settings.choice("trajectory", spec, _NAMED)
     if not isinstance(spec, dict):
         raise ValueError(f"trajectory must be a name or a mapping, not {spec!r}")
     spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind not in _CLASSES:
-        raise ValueError(f"trajectory {spec!r} has no kind" if kind is None else f"unknown trajectory kind {kind!r}")
-    return settings.read("trajectory", spec, _CLASSES[kind])
+    return settings.read("trajectory", spec, settings.choice("trajectory kind", spec.pop("kind", None), _CLASSES))

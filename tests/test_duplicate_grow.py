@@ -19,7 +19,7 @@ import yaml
 
 from palm_oracles import PalmReference
 from pacsim import trajectories
-from pacsim.experiment import ExperimentConfig, build_controller, build_plant, run_experiment
+from pacsim.experiment import ExperimentConfig, build, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUITE_OF = {"hexa_sos_pac": "hexacopter_suite.yaml", "hexa_constant_pac": "hexacopter_suite.yaml",
@@ -42,9 +42,8 @@ def suite_run(name: str):
 def test_evolved_network_matches_one_row_at_gain_over_r(name):
     cfg = suite_config(name)
     result = suite_run(name)
-    ref = PalmReference(build_controller(cfg).config)
-    plant = build_plant(cfg)
-    traj = trajectories.from_config(cfg.trajectory)
+    controller, plant, traj, _ = build(cfg)
+    ref = PalmReference(controller.config)
     ys, rs = [], []
     for i in range(cfg.n_steps):
         y = plant.output()

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import math
 import re
 from array import array
@@ -10,15 +11,14 @@ import numpy as np
 import pytest
 import yaml
 
-from pacsim import experiment, trajectories
+from pacsim import experiment
 from pacsim.cli import _configs_from_file, main
 from pacsim.controller import ParsimoniousController
 from pacsim.experiment import (
     STEP_COLUMNS,
     DivergenceError,
     ExperimentConfig,
-    build_controller,
-    build_plant,
+    build,
     read_step_csv,
     run_experiment,
     run_suite,
@@ -296,9 +296,9 @@ def test_vehicle_constant_is_not_a_plant_param(plant, key):
 
 @pytest.mark.parametrize("plant, trim", [("hexacopter", "hover_trim"), ("bifwmav", "lift_gain")])
 def test_plant_inertia_mass_reaches_the_plant(plant, trim):
-    default = build_plant(ExperimentConfig(plant=plant))
+    default = build(ExperimentConfig(plant=plant))[1]
     mass = 1.2 * default.inertia.m
-    heavy = build_plant(ExperimentConfig(plant=plant, plant_params={"inertia": {"m": mass}}))
+    heavy = build(ExperimentConfig(plant=plant, plant_params={"inertia": {"m": mass}}))[1]
     assert heavy.inertia.m == mass
     # the hover trim (N) and the lift gain (N/rad) carry the weight at u = 0, so both scale with m
     assert getattr(heavy, trim) == pytest.approx(1.2 * getattr(default, trim), rel=1e-15)
@@ -310,8 +310,8 @@ def test_plant_inertia_mass_reaches_the_plant(plant, trim):
 @pytest.mark.parametrize("plant", ["hexacopter", "bifwmav"])
 def test_partial_inertia_keeps_the_plant_default_moments(plant):
     # the missing fields come from the plant's own default, not from InertiaSet's (the hexacopter's)
-    default = build_plant(ExperimentConfig(plant=plant)).inertia
-    heavy = build_plant(ExperimentConfig(plant=plant, plant_params={"inertia": {"m": 1.2 * default.m}})).inertia
+    default = build(ExperimentConfig(plant=plant))[1].inertia
+    heavy = build(ExperimentConfig(plant=plant, plant_params={"inertia": {"m": 1.2 * default.m}}))[1].inertia
     assert heavy == dataclasses.replace(default, m=1.2 * default.m)
     if plant == "bifwmav":
         assert heavy.i_x == 6e-4
@@ -498,6 +498,8 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         ("trajectory", {"kind": "constant", "level": 1.0, "lvl": 2.0}, "unknown trajectory keys: ['lvl']"),
         # a gust key that is present must hold a gust; {} used to run with none
         ("disturbances", {"gust": {}}, "missing gust keys: ['v_m']"),
+        # 1 s over the smallest subnormal step is more steps than a float holds; it escaped as an OverflowError
+        ("dt", 5.0e-324, "duration must be an integer number of steps"),
     ],
     ids=[
         "empty_levels",
@@ -517,6 +519,7 @@ def test_cli_bad_controller_setting_is_one_config_error(tmp_path, capsys, contro
         "bool_gust",
         "unknown_trajectory_key",
         "empty_gust",
+        "subnormal_dt",
     ],
 )
 def test_cli_bad_trajectory_or_disturbance_is_one_config_error(tmp_path, capsys, section, value, key):
@@ -531,7 +534,12 @@ def test_cli_bad_trajectory_or_disturbance_is_one_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
-_PYTHON_CALL_TEXT = ("unexpected keyword argument", "required positional argument", "argument after ** must be a mapping")
+_PYTHON_CALL_TEXT = (
+    "unexpected keyword argument",
+    "required positional argument",
+    "argument after ** must be a mapping",
+    "unhashable type",
+)
 
 
 @pytest.mark.parametrize(
@@ -551,6 +559,9 @@ _PYTHON_CALL_TEXT = ("unexpected keyword argument", "required positional argumen
         {"trajectory": {"kind": "step"}},
         {"trajectory": {"kind": "constant", "level": 1.0, "lvl": 2.0}},
         {"trajectory": {"kind": "sum_of_sines", "sines": 5}},
+        # a name is looked up by pacsim.settings, which takes a string alone
+        {"controller": ["pac"]},
+        {"trajectory": {"kind": ["constant"], "level": 1.0}},
         {"name": None},
         {"name": True},
     ],
@@ -582,14 +593,26 @@ def test_every_config_file_loads_and_builds(path):
     configs = _configs_from_file(str(path))
     assert configs
     for cfg in configs:
-        build_controller(cfg)
-        build_plant(cfg)
-        trajectories.from_config(cfg.trajectory)
+        build(cfg)
 
 
 def test_non_integer_step_count_rejected():
     with pytest.raises(ValueError):
         ExperimentConfig(duration=1.005, dt=0.01)
+
+
+def test_each_config_owns_its_sections():
+    # the suite's rows merge one YAML anchor, whose controller_params dict they would otherwise share
+    path = str(CONFIGS / "hexacopter_suite.yaml")
+    cfgs = _configs_from_file(path)
+    for a, b in itertools.combinations(cfgs, 2):
+        for key in ("trajectory", "controller_params", "plant_params", "disturbances"):
+            assert getattr(a, key) is not getattr(b, key) or isinstance(getattr(a, key), str)
+    first, sibling = cfgs[0], next(cfg for cfg in cfgs[1:] if cfg.controller_params == cfgs[0].controller_params)
+    first.controller_params["gamma"] = 10 * first.controller_params["gamma"]
+    fresh = next(cfg for cfg in _configs_from_file(path) if cfg.name == sibling.name)
+    got, want = (run_experiment(dataclasses.replace(cfg, duration=1.0)) for cfg in (sibling, fresh))
+    assert got.series == want.series
 
 
 def test_divergence_aborts_with_partial_log(tmp_path):

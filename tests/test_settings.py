@@ -1,12 +1,15 @@
 """Every settings class reads its numbers by the one rule of ``pacsim.settings``:
 a real number that is not a bool, stored as a float, and an error that names
-the field otherwise."""
+the field otherwise. A name is read by its one rule too: a string among a
+table's keys."""
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from pacsim import settings
 from settings_cases import SETTINGS
 
 # (class, field) for every field of a settings class that holds numbers
@@ -42,3 +45,11 @@ def test_a_number_field_stores_the_float_it_equals(cls, name):
     exact = Fraction(first) if math.isfinite(first) else first
     stored = _first(getattr(cls(**{**SETTINGS[cls], name: _with_first(value, exact)}), name))
     assert type(stored) is float and stored == first
+
+
+@pytest.mark.parametrize("bad", ["PAC", ["pac"], None, 1], ids=["unknown", "list", "none", "int"])
+def test_a_name_that_is_no_entry_is_one_message(bad):
+    # a list used to reach the table lookup and fail as "unhashable type: 'list'"
+    want = f"controller must be one of ['pac', 'pid'], not {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        settings.choice("controller", bad, {"pac": 1, "pid": 2})

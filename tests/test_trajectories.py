@@ -147,3 +147,18 @@ def test_bad_trajectory_setting_rejected_when_built(spec, key):
 def test_named_trajectories_pass_their_checks():
     for name in tj._NAMED:
         tj.from_config(name)
+
+
+@pytest.mark.parametrize(
+    "spec, last",
+    [
+        ({"kind": "sharp_steps", "levels": [1.0, 2.0], "dwell": 1.0e-320}, 2.0),
+        ({"kind": "smooth_steps", "levels": [1.0, 2.0], "dwell": 1.0e-320, "ramp": 1.0e-320}, 2.0),
+        ({"kind": "staircase", "step_heights": [1.0, 2.0], "dwell": 1.0e-320, "base": 1.0}, 4.0),
+    ],
+    ids=["sharp_steps", "smooth_steps", "staircase"],
+)
+def test_subnormal_dwell_holds_the_last_level(spec, last):
+    # t / dwell is inf here; the index used to be taken by int() before the clamp and raised OverflowError
+    traj = tj.from_config(spec)
+    assert tj.reference(traj, 0.01) == last and tj.reference(traj, 1.0e300) == last
