@@ -1,11 +1,13 @@
 """Evolving hyperplane-fuzzy controller, MAV plant surrogates and benchmark harness."""
 
 from .controller import (
+    DIM,
     ControllerConfig,
     ParsimoniousController,
+    PalmNetwork,
+    network_output,
     p_matrix,
 )
-from .palm import DIM, N_INPUTS, PalmNetwork, network_output
 from .pid import PidConfig, PidController
 
 __all__ = [
@@ -13,7 +15,6 @@ __all__ = [
     "ParsimoniousController",
     "p_matrix",
     "DIM",
-    "N_INPUTS",
     "PalmNetwork",
     "network_output",
     "PidConfig",

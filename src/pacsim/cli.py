@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .experiment import DivergenceError, ExperimentConfig, read_step_csv, run_experiment, run_suite, summary_row
+from .experiment import DivergenceError, ExperimentConfig, check_names, read_step_csv, run_experiment, run_suite, summary_row
 from .stats import wilcoxon_signed_rank
 
 
@@ -37,12 +37,10 @@ def _configs_from_file(path: str) -> list[ExperimentConfig]:
     if not (isinstance(raw_list, list) and all(isinstance(raw, dict) for raw in raw_list)):
         raise ValueError(f"{path}: experiments must be a list of mappings")
     configs = [ExperimentConfig.from_dict(raw) for raw in raw_list]
-    # each experiment writes <name>_steps.csv, so a repeated name would overwrite an earlier run's files;
-    # the names are compared as they spell the file names, so 1 and "1" repeat
-    names = [str(cfg.name) for cfg in configs]
-    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
-    if repeated is not None:
-        raise ValueError(f"{path}: experiment name {repeated!r} appears more than once")
+    try:
+        check_names(configs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return configs
 
 

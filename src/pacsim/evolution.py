@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .palm import PalmNetwork
+if TYPE_CHECKING:
+    from .controller import PalmNetwork
 
 # Floors of the sigma-rule spread. The stored minimum of a standard deviation
 # starts at zero (the first Welford sample always has zero spread), and

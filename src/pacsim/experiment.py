@@ -33,6 +33,8 @@ from .plants.rigid_body import InertiaSet
 STEP_COLUMNS = ("t", "y_r", "y", "e", "u")
 INT_COLUMNS = ("R",)  # every other step-log column holds floats
 SUMMARY_COLUMNS = ["name", "plant", "trajectory", "controller", *(f.name for f in fields(metrics.MetricsReport))]
+# the longest run a config may ask for: 1000 times the longest suite run; its packed log alone takes 0.4 to 0.9 GB
+MAX_STEPS = 10**7
 
 
 class DivergenceError(RuntimeError):
@@ -78,6 +80,8 @@ class ExperimentConfig:
         steps = duration / dt  # inf once the quotient leaves the float range
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integer number of steps")
+        if round(steps) > MAX_STEPS:
+            raise ValueError(f"duration is {steps:.15g} steps, above the limit of {MAX_STEPS}")
 
     @property
     def n_steps(self) -> int:
@@ -267,7 +271,21 @@ def write_summary_csv(rows: list[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
+def check_names(experiments: list[ExperimentConfig]) -> None:
+    """Raise ValueError when two experiments share a name.
+
+    Each experiment writes ``<name>_steps.csv``, so a repeated name would
+    overwrite an earlier run's files; the names are compared as they spell
+    the file names, so 1 and "1" repeat.
+    """
+    names = [str(cfg.name) for cfg in experiments]
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"experiment name {repeated!r} appears more than once")
+
+
 def run_suite(experiments: list[ExperimentConfig], out_dir: str | Path) -> list[ExperimentResult]:
+    check_names(experiments)  # before the first run writes a file
     out_dir = Path(out_dir)
     results = []
     failures = []

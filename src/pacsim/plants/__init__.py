@@ -1,13 +1,7 @@
 from .disturbances import GustSpec, GustTracker, ImpulseSpec, gust_velocity, impulse_noise
-from .flapping import CG, CP, BiFwmav, DoubleIntegrator, bifwmav_force_moment, flapping_actuator
-from .hexacopter import Hexacopter, hexacopter_mixing, rotor_forces_moments
-from .rigid_body import (
-    GRAVITY,
-    InertiaSet,
-    dcm_inertial_to_body,
-    kinetic_energy,
-    rigid_body_step,
-)
+from .flapping import CG, CP, BiFwmav, DoubleIntegrator
+from .hexacopter import Hexacopter
+from .rigid_body import GRAVITY, InertiaSet, rigid_body_step
 
 __all__ = [
     "GustSpec",
@@ -19,14 +13,8 @@ __all__ = [
     "CP",
     "BiFwmav",
     "DoubleIntegrator",
-    "bifwmav_force_moment",
-    "flapping_actuator",
     "Hexacopter",
-    "hexacopter_mixing",
-    "rotor_forces_moments",
     "GRAVITY",
     "InertiaSet",
-    "dcm_inertial_to_body",
-    "kinetic_energy",
     "rigid_body_step",
 ]

@@ -37,45 +37,6 @@ _CP_SUM_X = float(CP[:, 0].sum())
 _CP_SUM_Y = float(CP[:, 1].sum())
 
 
-def flapping_actuator(amplitude: float, lift_gain: float) -> float:
-    """Cycle-averaged lift of one wing for the given flapping amplitude, acting along -z.
-
-    The lift is ``lift_gain * amplitude`` with the amplitude clamped to
-    [0, AMPLITUDE_MAX]; ``lift_gain`` is ``BiFwmav.lift_gain``.
-    """
-    return lift_gain * min(max(amplitude, 0.0), AMPLITUDE_MAX)
-
-
-def bifwmav_force_moment(
-    wing_lifts, attitude: tuple[float, float, float], mass: float
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Total body force (wing lifts + gravity through the DCM) and moment.
-
-    ``wing_lifts`` holds the four lifts as ``flapping_actuator`` gives them,
-    each acting along -z. With the lift at the CP offset r_i = CP_i - CG, the
-    per-wing moment cross(CG - CP_i, (0, 0, -lift)) is (r_y * lift, -r_x * lift, 0).
-    """
-    fz = m_x = m_y = 0.0
-    for lift, (r_x, r_y) in zip(wing_lifts, _WING_ARMS):
-        fz -= lift
-        m_x += r_y * lift
-        m_y -= r_x * lift
-    g_x, g_y, g_z = body_gravity(attitude[0], attitude[1], mass)
-    return (g_x, g_y, fz + g_z), (m_x, m_y, 0.0)
-
-
-def stroke_plane_trim_moment(wing_lifts) -> tuple[float, float, float]:
-    """Counter-moment from the stroke-plane trim.
-
-    The fixed CP table is fore/aft asymmetric, so a pure collective produces
-    a standing pitch moment; on the vehicle this is trimmed by the stroke
-    plane angle. The surrogate cancels exactly the collective-mean part,
-    leaving differential amplitudes as the attitude control authority.
-    """
-    mean_lift = sum(wing_lifts) / len(wing_lifts)
-    return (-_CP_SUM_Y * mean_lift, _CP_SUM_X * mean_lift, 0.0)
-
-
 class BiFwmav:
     """Altitude-channel flapping MAV: u commands collective amplitude about hover."""
 
@@ -112,8 +73,10 @@ class BiFwmav:
         pid_roll, pid_pitch = self._att_pids
         roll_cmd = pid_roll.step(phi, 0.0, dt)[0]
         pitch_cmd = pid_pitch.step(theta, 0.0, dt)[0]
-        # flapping_actuator, bifwmav_force_moment and stroke_plane_trim_moment
-        # in one pass over the wings, with their operations in their order
+        # one pass over the wings (the staged actuator, force/moment and trim functions are in
+        # tests/plant_oracles.py): each lift, k times the clamped amplitude, acts along -z at the CP
+        # offset r = CP - CG, so its moment is (r_y lift, -r_x lift, 0); the stroke-plane trim then
+        # cancels the collective-mean moment that the fore/aft asymmetric CP table leaves standing
         lift_sum = fz = m_x = m_y = 0.0
         for (a, b, c), (r_x, r_y) in zip(self._allocation, _WING_ARMS):
             amp = a * collective + b * roll_cmd + c * pitch_cmd

@@ -43,33 +43,6 @@ _ROTORS = tuple(
 )
 
 
-def hexacopter_mixing(thrust_cmd: float, roll_cmd: float, pitch_cmd: float, yaw_cmd: float) -> tuple[float, ...]:
-    """Allocate total thrust (N) and body moments (N*m) to six rotor speeds.
-
-    Pseudo-inverse of the linear allocation in per-rotor thrust space, then
-    converted to speeds through the quadratic law and clamped to [0, max].
-    """
-    w_max = ROTOR_SPEED_MAX
-    return tuple(
-        [
-            min(sqrt(max(a * thrust_cmd + b * roll_cmd + c * pitch_cmd + d * yaw_cmd, 0.0) / K_THRUST), w_max)
-            for a, b, c, d, *_ in _ROTORS
-        ]
-    )
-
-
-def rotor_forces_moments(speeds) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Body-frame force and moment produced by the given six rotor speeds."""
-    total = roll = pitch = yaw = 0.0
-    for w, (*_, a, b, c, d) in zip(speeds, _ROTORS):
-        w2 = w * w
-        total += a * w2
-        roll += b * w2
-        pitch += c * w2
-        yaw += d * w2
-    return (0.0, 0.0, -total), (roll, pitch, yaw)
-
-
 class Hexacopter:
     """Closed inner loops around the rigid body; exposes one outer channel.
 
@@ -115,8 +88,10 @@ class Hexacopter:
         roll_cmd = pid_p.step(p, p_ref, dt)[0]
         pitch_cmd = pid_q.step(q, q_ref, dt)[0]
         yaw_cmd = pid_r.step(r, -psi, dt)[0]
-        # hexacopter_mixing and rotor_forces_moments in one pass, with their operations in their order;
-        # each clamp is the comparison max/min make, so -0.0 and NaN come out as they do there
+        # mixer and rotor law in one pass over the rotors: the pseudo-inverse row gives the rotor's thrust,
+        # the quadratic law its speed clamped to [0, max], the forward column its force and moments (the
+        # staged functions are in tests/plant_oracles.py); each clamp is the comparison max/min make, so
+        # -0.0 and NaN come out as they do there
         k_t, w_max = K_THRUST, ROTOR_SPEED_MAX
         total = roll = pitch = yaw = 0.0
         for a, b, c, d, fa, fb, fc, fd in _ROTORS:

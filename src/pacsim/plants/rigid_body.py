@@ -9,8 +9,6 @@ import math
 from math import cos, isfinite, pi, sin, tan
 from dataclasses import dataclass
 
-import numpy as np
-
 from .. import settings
 
 GRAVITY = 9.81  # m/s^2
@@ -41,20 +39,6 @@ class InertiaSet:
 # The state is one list of 12 Python floats: position (inertial, m), velocity
 # (body, m/s), attitude (rad) and rates (rad/s), in this order.
 _STATE_NAMES = ("x", "y", "z", "u", "v", "w", "phi", "theta", "psi", "p", "q", "r")
-
-
-def dcm_inertial_to_body(phi: float, theta: float, psi: float) -> np.ndarray:
-    """Z-Y-X Euler direction cosine matrix mapping inertial vectors into the body frame."""
-    cph, sph = math.cos(phi), math.sin(phi)
-    cth, sth = math.cos(theta), math.sin(theta)
-    cps, sps = math.cos(psi), math.sin(psi)
-    return np.array(
-        [
-            [cth * cps, cth * sps, -sth],
-            [sph * sth * cps - cph * sps, sph * sth * sps + cph * cps, sph * cth],
-            [cph * sth * cps + sph * sps, cph * sth * sps - sph * cps, cph * cth],
-        ]
-    )
 
 
 def body_gravity(phi: float, theta: float, mass: float) -> tuple[float, float, float]:
@@ -160,10 +144,3 @@ def rigid_body_step(x: list[float], inertia: InertiaSet, forces, moments, dt: fl
     if not (-pi < phi <= pi and -pi < theta <= pi and -pi < psi <= pi):
         x_new[6:9] = map(_wrap_angle, x_new[6:9])
     return x_new
-
-
-def kinetic_energy(x: list[float], inertia: InertiaSet) -> float:
-    """Translational plus rotational kinetic energy of the 12-float state."""
-    _, _, _, u, v, w, _, _, _, p, q, r = x
-    rot = inertia.i_x * p * p + inertia.i_y * q * q + inertia.i_z * r * r - 2.0 * inertia.i_xz * p * r
-    return 0.5 * inertia.m * (u * u + v * v + w * w) + 0.5 * rot

@@ -141,10 +141,20 @@ class Staircase(_Checked):
 
 def reference(spec, t: float) -> float:
     """Reference of trajectory ``spec`` at time t >= 0: the harness reads every
-    step's reference through this module attribute, so a tracer can wrap it."""
+    step's reference through this module attribute, so a tracer can wrap it.
+
+    A sine or cosine argument (frequency times t) that leaves the float range
+    makes ``math`` raise ValueError; that is a divergence of the run, so it
+    is raised as FloatingPointError naming the kind and t.
+    """
     if t < 0:
         raise ValueError("time must be non-negative")
-    return spec(t)
+    try:
+        return spec(t)
+    except ValueError:
+        # no generator over spec here: closing over it would put spec in a cell on every call
+        kind = {cls: kind for kind, cls in _CLASSES.items()}.get(type(spec), type(spec).__name__)
+        raise FloatingPointError(f"{kind} reference left the float range at t = {t!r}") from None
 
 
 # Suite trajectories by name, each a config mapping resolved through its kind.

@@ -13,7 +13,7 @@ sigma rule written with the builtin ``max``. The tests hold the fused step and
 import math
 
 from pacsim import evolution
-from pacsim.palm import network_output
+from pacsim.controller import network_output
 
 
 def sliding_value(e: float, e_dot: float, err_integral: float, alphas) -> float:

@@ -1,7 +1,7 @@
 """Oracles for the hyperplane network: PALM's rules one at a time, its R-row
 network output, and a PAC controller that keeps PALM's R-row rule base.
 
-``pacsim.palm`` holds the rule base as one shared hyperplane and a rule
+``pacsim.controller`` holds the rule base as one shared hyperplane and a rule
 count. The tests check it against PALM written out in full: rows in a list,
 each firing ``exp(-eta * d / d_max)`` on its point-to-plane distance, a grow
 that copies the highest-firing row and a prune that drops the row of least

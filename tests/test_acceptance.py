@@ -14,21 +14,19 @@ import time
 import numpy as np
 import pytest
 
-from pacsim.controller import ControllerConfig, ParsimoniousController, p_matrix
+from pacsim.controller import ControllerConfig, PalmNetwork, ParsimoniousController, network_output, p_matrix
 from pacsim.evolution import SigmaRule, check_grow, check_prune, growth_factor, pruning_factor
 from pacsim.experiment import ExperimentConfig, run_experiment, run_suite
-from pacsim.palm import PalmNetwork, network_output
 from palm_oracles import matrix_network_output, point_to_plane_distance
+from plant_oracles import bifwmav_force_moment, kinetic_energy
 from pacsim.pid import PidConfig, PidController
 from pacsim.plants import (
     DoubleIntegrator,
     GustSpec,
     InertiaSet,
     gust_velocity,
-    kinetic_energy,
     rigid_body_step,
 )
-from pacsim.plants.flapping import bifwmav_force_moment
 from pacsim.plants.hexacopter import Hexacopter
 from pacsim.stats import _midranks, wilcoxon_signed_rank
 

@@ -9,11 +9,11 @@ import scipy.linalg
 from pacsim import controller, evolution
 from pacsim.controller import (
     ControllerConfig,
+    PalmNetwork,
     ParsimoniousController,
     adapt_weights,
     p_matrix,
 )
-from pacsim.palm import PalmNetwork
 from pacsim.pid import PidConfig, PidController
 from pacsim.plants import DoubleIntegrator
 from controller_oracles import extended_input, robustifying_term, sliding_value, staged_step

@@ -5,7 +5,7 @@ import pytest
 
 from controller_oracles import extended_input, sigma_rule_fires, update_input_mean
 from pacsim import evolution
-from pacsim.controller import ControllerConfig, ParsimoniousController
+from pacsim.controller import DIM, ControllerConfig, PalmNetwork, ParsimoniousController
 from pacsim.evolution import (
     SigmaRule,
     check_grow,
@@ -14,7 +14,6 @@ from pacsim.evolution import (
     network_bias_variance,
     pruning_factor,
 )
-from pacsim.palm import DIM, PalmNetwork
 
 
 def _input_mean(samples) -> tuple[float, ...]:

@@ -15,6 +15,7 @@ from pacsim import experiment
 from pacsim.cli import _configs_from_file, main
 from pacsim.controller import ParsimoniousController
 from pacsim.experiment import (
+    MAX_STEPS,
     STEP_COLUMNS,
     DivergenceError,
     ExperimentConfig,
@@ -368,6 +369,11 @@ _BAD_EXPERIMENTS = {
     ),
     "entry_not_a_mapping-": ([[1, 2]], "suite.yaml: experiments must be a list of mappings"),
     "experiments_not_a_list-": (5, "suite.yaml: experiments must be a list of mappings"),
+    # a run that could never end
+    "endless-": (
+        [{**_SHORT_RUN, "name": "second", "duration": 1.0e300}],
+        "second: duration is 1e+302 steps, above the limit of 10000000",
+    ),
 }
 
 
@@ -404,6 +410,15 @@ def test_cli_repeated_experiment_name_is_one_config_error(tmp_path, capsys, name
     err = capsys.readouterr().err.splitlines()
     assert err == [f"CONFIG ERROR: {path}: experiment name {repeated!r} appears more than once"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("names, repeated", [(("a", "b", "a"), "a"), ((1, "b", "1"), "1")], ids=["same", "int_and_str"])
+def test_suite_with_a_repeated_name_raises_before_any_file(tmp_path, names, repeated):
+    # the second run of a name overwrote the first one's step log, and summary.csv held both rows
+    configs = [ExperimentConfig(**{**_SHORT_RUN, "name": name}) for name in names]
+    with pytest.raises(ValueError, match=f"^experiment name {repeated!r} appears more than once$"):
+        run_suite(configs, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["run", "suite"])
@@ -601,6 +616,14 @@ def test_non_integer_step_count_rejected():
         ExperimentConfig(duration=1.005, dt=0.01)
 
 
+def test_step_count_is_at_most_max_steps():
+    # the configs are only built: a run of MAX_STEPS steps would take minutes
+    dt = 0.01
+    assert ExperimentConfig(plant="double_integrator", duration=MAX_STEPS * dt, dt=dt).n_steps == MAX_STEPS
+    with pytest.raises(ValueError, match=f"^longest: duration is {MAX_STEPS + 1} steps, above the limit of {MAX_STEPS}$"):
+        ExperimentConfig(name="longest", plant="double_integrator", duration=(MAX_STEPS + 1) * dt, dt=dt)
+
+
 def test_each_config_owns_its_sections():
     # the suite's rows merge one YAML anchor, whose controller_params dict they would otherwise share
     path = str(CONFIGS / "hexacopter_suite.yaml")
@@ -684,6 +707,26 @@ def test_controller_divergence_keeps_the_cause_and_a_partial_log(tmp_path):
     assert str(cause).startswith("non-finite control at step ")
     log = tmp_path / "control_overflow_steps.csv"
     assert len(log.read_text().splitlines()) > 1
+
+
+@pytest.mark.parametrize(
+    "trajectory",
+    [
+        {"kind": "square_wave", "low": 0.0, "high": 1.0, "freq_rad_s": 1.0e308},
+        {"kind": "sum_of_sines", "sines": [[1.0, 1.0e308, 0.0]]},
+    ],
+    ids=lambda trajectory: trajectory["kind"],
+)
+def test_reference_overflow_diverges_with_partial_log(tmp_path, capsys, trajectory):
+    # freq * t leaves the float range at t = 1.8 s, where math.sin raised a domain error and no log was written
+    path = tmp_path / "run.yaml"
+    raw = dict(name="overflow", plant="double_integrator", controller="pid", duration=3.0, trajectory=trajectory)
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    cause = f"{trajectory['kind']} reference left the float range at t = 1.8"
+    assert capsys.readouterr().err == f"DIVERGED: overflow: diverged at step 180: {cause}\n"
+    log = read_step_csv(tmp_path / "out" / "overflow_steps.csv")
+    assert list(log["t"]) == [i * 0.01 for i in range(180)]
 
 
 def test_rule_snapshot_output(tmp_path):

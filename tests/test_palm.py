@@ -12,8 +12,7 @@ from palm_oracles import (
     point_to_plane_distance,
     rule_consequent,
 )
-from pacsim.controller import ParsimoniousController
-from pacsim.palm import DIM, PalmNetwork, network_output
+from pacsim.controller import DIM, PalmNetwork, ParsimoniousController, network_output
 
 
 def test_distance_zero_when_point_on_plane():

@@ -4,6 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from plant_oracles import (
+    bifwmav_force_moment,
+    dcm_inertial_to_body,
+    flapping_actuator,
+    hexacopter_mixing,
+    rotor_forces_moments,
+    stroke_plane_trim_moment,
+)
+
 from pacsim.plants import (
     CG,
     CP,
@@ -13,15 +22,11 @@ from pacsim.plants import (
     Hexacopter,
     ImpulseSpec,
     InertiaSet,
-    bifwmav_force_moment,
-    flapping_actuator,
     gust_velocity,
-    hexacopter_mixing,
     impulse_noise,
-    rotor_forces_moments,
 )
 from pacsim.plants import flapping, hexacopter
-from pacsim.plants.rigid_body import GRAVITY, body_gravity, dcm_inertial_to_body, rigid_body_step
+from pacsim.plants.rigid_body import GRAVITY, body_gravity, rigid_body_step
 
 
 # --- hexacopter mixing --------------------------------------------------------
@@ -246,7 +251,7 @@ def test_gust_path_matches_direct_rigid_body_step(monkeypatch, make_plant, modul
 
 
 def test_fused_rotor_loop_equals_mixing_then_forces(monkeypatch):
-    # Hexacopter.step fuses hexacopter_mixing and rotor_forces_moments; the two public functions are the reference
+    # Hexacopter.step fuses hexacopter_mixing and rotor_forces_moments; the two staged functions are the reference
     calls = []
 
     def recorder(state, inertia, forces, moments, dt):
@@ -308,7 +313,7 @@ def test_fused_wing_pass_equals_actuator_then_force_moment(monkeypatch):
         amps = [a * collective + b * cmds[0] + c * cmds[1] for a, b, c in plant._allocation]
         lifts = [flapping_actuator(a, k) for a in amps]
         want_f, m_wings = bifwmav_force_moment(lifts, attitude, mass)
-        want_m = [m + t for m, t in zip(m_wings, flapping.stroke_plane_trim_moment(lifts))]
+        want_m = [m + t for m, t in zip(m_wings, stroke_plane_trim_moment(lifts))]
         _, got_f, got_m = calls[-1]  # recorded before the RK4 step runs
         assert [float(v).hex() for v in got_f] == [v.hex() for v in want_f]
         assert [float(v).hex() for v in got_m] == [v.hex() for v in want_m]

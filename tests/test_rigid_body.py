@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from plant_oracles import dcm_inertial_to_body, kinetic_energy
 from rigid_body_oracles import staged_rk4_step
 from scipy.integrate import solve_ivp
 from settings_cases import SETTINGS
@@ -13,8 +14,6 @@ from pacsim.plants.rigid_body import (
     GRAVITY,
     InertiaSet,
     _wrap_angle,
-    dcm_inertial_to_body,
-    kinetic_energy,
     rigid_body_step,
 )
 
