@@ -11,7 +11,8 @@ four Python floats, and the rule count R.
 The controller combines the network with sliding-mode weight adaptation and
 the bias/variance structure learning. The control signal splits into a
 robustifying term u_src = alpha1 * s_l (saturated) and the learned network
-term, u = u_src - u_palm.
+term, u = u_src - u_palm; u_src is the PID core of ``pacsim.pid`` at gains
+(kp, ki, kd) = (alpha1, alpha3, alpha2) with output limits +-sat_limit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from math import isfinite, sqrt
 
 from . import evolution, settings
+from .pid import PidConfig, PidController
 
 DIM = 4  # intercept slot, then e, de/dt, y_r
 
@@ -141,14 +143,14 @@ class ParsimoniousController:
         self.config = config or ControllerConfig()
         c = self.config
         self.net = PalmNetwork()
-        # P = (p11, p12, p22) of the fixed alphas, and the error integral
-        self.P = p_matrix(c.alphas[0], c.alphas[1])
-        self.err_integral = 0.0
+        a1, a2, a3 = c.alphas
+        # the robustifying term's PID core, and P = (p11, p12, p22) of the fixed alphas
+        self.pid = PidController(PidConfig(kp=a1, ki=a3, kd=a2, output_limits=(-c.sat_limit, c.sat_limit)))
+        self.P = p_matrix(a1, a2)
         # the running mean of x_e over the steps, and the two drift detectors
         self.mu_e = (0.0,) * DIM
         self.grow = evolution.SigmaRule()
         self.prune = evolution.SigmaRule()
-        self._e_prev: float | None = None
         self.steps = 0
         self.events: list[tuple[float, str, int, float, float]] = []
 
@@ -161,37 +163,25 @@ class ParsimoniousController:
         return self.net.parameter_count
 
     def step(self, y: float, y_r: float, dt: float) -> tuple[float, tuple]:
-        """One control step in one pass: sliding surface, network output,
-        structure learning (grow first, prune otherwise, never both and
-        never the last rule), then the adaptation.
+        """One control step in one pass: the PID core's robustifying term,
+        network output, structure learning (grow first, prune otherwise,
+        never both and never the last rule), then the adaptation.
 
         The network output, the weight adaptation, the bias/variance and the
         two drift detectors stay calls through the ``pacsim.controller`` and
         ``pacsim.evolution`` globals, so a tracer that replaces them there
-        sees every call. The saturations are the two comparisons of
-        ``min(max(x, lo), hi)``.
+        sees every call. The actuator saturation is the two comparisons of
+        ``min(max(u, lo), hi)``.
         """
-        y, y_r, dt = float(y), float(y_r), float(dt)  # a caller's numpy scalar stays out of the float path
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        # u_src = alpha1 s_l, saturated to suppress chattering, with
+        # s_l = e + (a2/a1) de/dt + (a3/a1) int(e) the core's unclamped sum over alpha1
+        pid = self.pid
+        u_src, _ = pid.step(y, y_r, dt)  # raises on a dt that is not positive
+        y_r, dt = float(y_r), float(dt)  # a caller's numpy scalar stays out of the float path
         c = self.config
         net = self.net
-
-        e = y_r - y
-        e_dot = 0.0 if self._e_prev is None else (e - self._e_prev) / dt
-        self._e_prev = e
-        err_integral = self.err_integral = self.err_integral + e * dt
-
-        # s_l = e + (a2/a1) de/dt + (a3/a1) int(e); u_src = alpha1 s_l, saturated to suppress chattering
-        a1, a2, a3 = c.alphas
-        s_l = e + (a2 / a1) * e_dot + (a3 / a1) * err_integral
-        hi = c.sat_limit
-        lo = -hi
-        u_src = a1 * s_l
-        if lo > u_src:
-            u_src = lo
-        if hi < u_src:
-            u_src = hi
+        e, e_dot = pid.e, pid.e_dot
+        s_l = pid.u_sum / c.alphas[0]
 
         x_e = (1.0, e, e_dot, y_r)
         u_palm = network_output(x_e, net)

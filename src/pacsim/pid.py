@@ -1,7 +1,10 @@
-"""PID baseline with conditional anti-windup.
+"""PID baseline with conditional anti-windup, and the PID core of the PAC controller.
 
 Offers the harness the controller surface: it logs no column beyond the
 harness's own (``log_columns`` is empty), and its ``rule_count`` is None.
+After a step, ``e``, ``e_dot`` and ``u_sum`` hold that step's error, its
+finite-difference rate and the unclamped sum, which
+``pacsim.controller.ParsimoniousController`` reads.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ class PidController:
     def __init__(self, config: PidConfig | None = None):
         self.config = config or PidConfig()
         self.err_integral = 0.0
-        self._e_prev: float | None = None
+        self.e: float | None = None  # None until the first step
+        self.e_dot = self.u_sum = 0.0
 
     def step(self, y: float, y_r: float, dt: float) -> tuple[float, tuple]:
         dt = float(dt)  # a caller's numpy scalar stays out of the float path, like y and y_r
@@ -42,15 +46,17 @@ class PidController:
             raise ValueError("dt must be positive")
         c = self.config
         e = float(y_r) - float(y)
-        e_dot = 0.0 if self._e_prev is None else (e - self._e_prev) / dt
-        self._e_prev = e
+        e_dot = self.e_dot = 0.0 if self.e is None else (e - self.e) / dt
+        self.e = e
         lo, hi = c.output_limits
-        u_unclamped = c.kp * e + c.ki * (self.err_integral + e * dt) + c.kd * e_dot
-        if lo <= u_unclamped <= hi:
+        u = self.u_sum = c.kp * e + c.ki * (self.err_integral + e * dt) + c.kd * e_dot
+        if lo <= u <= hi:
             # integrate only while the output is unsaturated
             self.err_integral += e * dt
-            return u_unclamped, ()
-        return (hi if u_unclamped > hi else lo), ()
+            return u, ()
+        if u != u:
+            raise FloatingPointError(f"PID sum is NaN at e={e!r}, e_dot={e_dot!r}")
+        return (hi if u > hi else lo), ()
 
     def write_artifacts(self, out_dir, name: str) -> None:
         """A PID run writes no file beyond its step log."""

@@ -2,9 +2,9 @@
 
 ``pacsim.controller.ParsimoniousController.step`` runs the step in one method
 on local floats. This is the same step written as the functions it was built
-from, called one after the other: the sliding value, the robustifying term,
-the extended input, the input-mean update and the structure learning, then
-the weight adaptation as a ``min``/``max`` list comprehension and the log
+from, called one after the other: the PID sum with its conditional integral,
+the sliding value, the robustifying term, the extended input, the input-mean
+update and the structure learning, then the weight adaptation as a ``min``/``max`` list comprehension and the log
 cells as a tuple. The drift detectors push through ``sigma_rule_fires``, the
 sigma rule written with the builtin ``max``. The tests hold the fused step and
 ``SigmaRule.fires`` bit-equal to them.
@@ -16,15 +16,21 @@ from pacsim import evolution
 from pacsim.controller import network_output
 
 
-def sliding_value(e: float, e_dot: float, err_integral: float, alphas) -> float:
-    """s_l = e + (a2/a1) de/dt + (a3/a1) int(e)."""
+def pid_sum(e: float, e_dot: float, err_integral: float, alphas) -> float:
+    """a1 e + a3 int(e) + a2 de/dt, added in that order: the unclamped PID sum at
+    gains (kp, ki, kd) = (a1, a3, a2), with int(e) taken through this step."""
     a1, a2, a3 = alphas
-    return e + (a2 / a1) * e_dot + (a3 / a1) * err_integral
+    return a1 * e + a3 * err_integral + a2 * e_dot
 
 
-def robustifying_term(s_l: float, alphas, c) -> float:
-    """alpha1 * s_l, saturated to suppress chattering."""
-    return min(max(alphas[0] * s_l, -c.sat_limit), c.sat_limit)
+def sliding_value(e: float, e_dot: float, err_integral: float, alphas) -> float:
+    """s_l = e + (a2/a1) de/dt + (a3/a1) int(e), as the PID sum over a1."""
+    return pid_sum(e, e_dot, err_integral, alphas) / alphas[0]
+
+
+def robustifying_term(u_sum: float, c) -> float:
+    """The PID sum alpha1 * s_l, saturated to suppress chattering."""
+    return min(max(u_sum, -c.sat_limit), c.sat_limit)
 
 
 def extended_input(e: float, e_dot: float, y_r: float) -> tuple[float, float, float, float]:
@@ -90,19 +96,28 @@ def _evolve(ctl, x_e, y_r: float, t: float) -> tuple[float, float]:
 
 def staged_step(ctl, y: float, y_r: float, dt: float):
     """One step of the ``ParsimoniousController`` ``ctl``, function by function, on its own state;
-    returns (u, cells) with the cells of its ``log_columns``."""
+    returns (u, cells) with the cells of its ``log_columns``. The error state
+    lives on ``ctl.pid``: the last error ``e``, its rate ``e_dot``, the
+    unclamped sum ``u_sum`` and ``err_integral``, which takes this step's
+    e dt only when the sum is within the saturation (conditional anti-windup)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     c = ctl.config
+    core = ctl.pid
 
-    y, y_r = float(y), float(y_r)
+    y, y_r, dt = float(y), float(y_r), float(dt)
     e = y_r - y
-    e_dot = 0.0 if ctl._e_prev is None else (e - ctl._e_prev) / dt
-    ctl._e_prev = e
-    ctl.err_integral += e * dt
+    e_dot = 0.0 if core.e is None else (e - core.e) / dt
+    core.e, core.e_dot = e, e_dot
+    err_integral = core.err_integral + e * dt
 
-    s_l = sliding_value(e, e_dot, ctl.err_integral, c.alphas)
-    u_src = robustifying_term(s_l, c.alphas, c)
+    u_sum = core.u_sum = pid_sum(e, e_dot, err_integral, c.alphas)
+    if math.isnan(u_sum):
+        raise FloatingPointError(f"PID sum is NaN at e={e!r}, e_dot={e_dot!r}")
+    if abs(u_sum) <= c.sat_limit:
+        core.err_integral = err_integral
+    s_l = sliding_value(e, e_dot, err_integral, c.alphas)
+    u_src = robustifying_term(u_sum, c)
 
     x_e = extended_input(e, e_dot, y_r)
     u_palm = network_output(x_e, ctl.net)

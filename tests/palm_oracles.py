@@ -95,7 +95,8 @@ class PalmReference:
     """PAC with PALM's R-row rule base, written out straight-line on Python floats.
 
     Only the settings are read from ``c`` (a ``ControllerConfig``): the
-    sliding-mode law, the P matrix, the input mean and both sigma rules are
+    sliding-mode law as a PID sum (a1 e + a3 int(e) + a2 de/dt, in that order)
+    whose integral holds on a step where the sum saturates, the P matrix, the input mean and both sigma rules are
     written out here. The rows are kept in a list and each step fires them
     through ``palm_network_output``. Under evolution a grow appends a copy
     of the highest-firing row and a prune, never of the last row, drops the
@@ -125,10 +126,12 @@ class PalmReference:
         e = y_r - y
         ed = 0.0 if self.e_prev is None else (e - self.e_prev) / dt
         self.e_prev = e
-        self.ei += e * dt
         a1, a2, a3 = c.alphas
-        sl = e + (a2 / a1) * ed + (a3 / a1) * self.ei
-        u_src = min(max(a1 * sl, -c.sat_limit), c.sat_limit)
+        ei = self.ei + e * dt
+        u_sum = a1 * e + a3 * ei + a2 * ed
+        u_src = min(max(u_sum, -c.sat_limit), c.sat_limit)
+        if abs(u_sum) <= c.sat_limit:
+            self.ei = ei
         x = [1.0, e, ed, y_r]
         u_palm, self.raw, lam = palm_network_output(x, self.rows, self.eta, y_r)
         u = u_src - u_palm

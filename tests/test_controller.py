@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import yaml
 
 from pacsim import controller, evolution
 from pacsim.controller import (
@@ -14,11 +16,20 @@ from pacsim.controller import (
     adapt_weights,
     p_matrix,
 )
+from pacsim.experiment import ExperimentConfig, run_experiment
 from pacsim.pid import PidConfig, PidController
 from pacsim.plants import DoubleIntegrator
 from controller_oracles import extended_input, robustifying_term, sliding_value, staged_step
 from palm_oracles import PalmReference
 
+
+ROOT = Path(__file__).resolve().parent.parent
+SUITE_PIDS = [
+    raw
+    for suite in ("hexacopter_suite.yaml", "bifwmav_suite.yaml")
+    for raw in yaml.safe_load((ROOT / "configs" / suite).read_text())["experiments"]
+    if raw["controller"] == "pid"
+]
 
 # the type of each cell a PAC step returns: R counts rules, every other cell is a float
 CELL_TYPES = [int if c == "R" else float for c in ParsimoniousController.log_columns]
@@ -55,10 +66,10 @@ def test_sliding_value_ratio_invariance():
 def test_robustifying_term():
     c = ControllerConfig(sat_limit=10.0, alphas=(1e-2, 1e-3, 1e-9))
     s = c.alphas
-    assert robustifying_term(0.0, s, c) == 0.0
-    assert robustifying_term(1.1, s, c) == pytest.approx(0.011)
-    assert robustifying_term(1e8, s, c) == 10.0
-    assert robustifying_term(-1e8, s, c) == -10.0
+    assert robustifying_term(0.0, c) == 0.0
+    assert robustifying_term(s[0] * 1.1, c) == pytest.approx(0.011)
+    assert robustifying_term(1e8, c) == 10.0
+    assert robustifying_term(-1e8, c) == -10.0
 
 
 @pytest.mark.parametrize("key, value", [("alpha1", 0.0), ("alpha2", -1e-3)])
@@ -259,11 +270,11 @@ def test_numpy_scalar_inputs_leave_python_floats_in_both_controllers():
     pac, pid = ParsimoniousController(), PidController(PidConfig(kp=2.0, ki=0.5, kd=0.1))
     for y in np.linspace(0.0, 1.0, 20):
         u, cells = pac.step(y, np.float64(1.0), 0.01)
-        values = [u, *pac.mu_e, *pac.net.w, pac.err_integral, pac._e_prev]
+        values = [u, *pac.mu_e, *pac.net.w, pac.pid.err_integral, pac.pid.e, pac.pid.e_dot, pac.pid.u_sum]
         assert [type(v) for v in values] == [float] * len(values)
         assert [type(v) for v in cells] == CELL_TYPES
         u, _ = pid.step(y, np.float64(1.0), 0.01)
-        values = [u, pid.err_integral, pid._e_prev]
+        values = [u, pid.err_integral, pid.e, pid.e_dot, pid.u_sum]
         assert [type(v) for v in values] == [float] * len(values)
 
 
@@ -286,9 +297,8 @@ def test_clamps_match_np_clip():
     values = [0.0, -0.0, 0.3, -0.3, 7.0, -7.0, 1e8, -1e8, float("inf"), float("-inf")]
     for limit in (5, 5.0, float("inf")):
         c = ControllerConfig(alphas=(1.0, 1e-3, 1e-9), sat_limit=limit)
-        s = c.alphas
         for v in values:
-            got = robustifying_term(v, s, c)
+            got = robustifying_term(v, c)
             want = float(np.clip(v, -limit, limit))
             assert type(got) is float
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
@@ -326,7 +336,7 @@ def test_numpy_dt_keeps_the_step_float():
     ctl = ParsimoniousController()
     for y in (0.2, 0.5, 0.7):  # from the second step on, e_dot divides by dt
         u, cells = ctl.step(y, 1.0, np.float64(0.01))
-        values = [u, ctl.err_integral, *ctl.net.w]
+        values = [u, ctl.pid.err_integral, *ctl.net.w]
         assert [type(v) for v in values] == [float] * len(values)
         assert [type(v) for v in cells] == CELL_TYPES
 
@@ -381,6 +391,36 @@ def test_control_step_u_identity():
         cells = _named(cells)
         assert u == min(max(cells["u_src"] - cells["u_palm"], -0.05), 0.05)
         assert abs(u) <= 0.05
+
+
+def test_saturated_step_holds_the_integral_and_logs_the_unclamped_sum():
+    # gamma 0 keeps the weights at zero, so u = u_src: the PID core at (kp, ki, kd) = (a1, a3, a2)
+    ctl = ParsimoniousController(ControllerConfig(gamma=0.0, sat_limit=1.0, alphas=(0.5, 0.5, 0.01)))
+    u, cells = ctl.step(0.0, 1.0, 0.01)
+    assert u == _named(cells)["u_src"] == 0.5 * 1.0 + 0.01 * (0.0 + 1.0 * 0.01) + 0.5 * 0.0
+    assert ctl.pid.err_integral == 1.0 * 0.01
+    # e jumps from 1 to 10: the sum is far past sat_limit, so u_src saturates and the integral holds
+    u, cells = ctl.step(0.0, 10.0, 0.01)
+    u_sum = 0.5 * 10.0 + 0.01 * (0.01 + 10.0 * 0.01) + 0.5 * ((10.0 - 1.0) / 0.01)
+    assert u == _named(cells)["u_src"] == 1.0
+    assert _named(cells)["s_l"] == u_sum / 0.5
+    assert ctl.pid.err_integral == 0.01
+
+
+@pytest.mark.parametrize("raw", SUITE_PIDS, ids=lambda raw: raw["name"])
+def test_matched_pac_at_gamma_zero_flies_as_the_pid_bit_for_bit(raw):
+    # alphas (kp, kd, ki) and both limits at the PID's: with gamma 0 the network term stays zero and u is
+    # the PID core's output; 30 s take in saturated steps on 10 of the 16 rows
+    gains = raw["controller_params"]
+    lo, hi = gains["output_limits"]
+    assert lo == -hi
+    matched = {"gamma": 0.0, "alphas": [gains["kp"], gains["kd"], gains["ki"]], "sat_limit": hi, "actuator_limit": hi}
+    pid, pac = (
+        run_experiment(ExperimentConfig.from_dict({**raw, "duration": 30.0, **changes})).series
+        for changes in ({}, {"name": raw["name"] + "_matched_pac", "controller": "pac", "controller_params": matched})
+    )
+    for column in ("y", "u"):
+        assert np.asarray(pac[column]).tobytes() == np.asarray(pid[column]).tobytes(), column
 
 
 def test_prune_never_fires_on_single_rule_controller():
@@ -465,9 +505,11 @@ def _bits(value):
 
 
 def _controller_bits(ctl):
-    """Every value a PAC step reads or writes; of the events, the count and the newest."""
+    """Every value a PAC step reads or writes, the PID core's error state included; of the events, the count
+    and the newest."""
+    core = ctl.pid
     return _bits(
-        (ctl.net.w, ctl.net.rule_count, ctl.err_integral, ctl.P, ctl._e_prev, ctl.steps,
+        (ctl.net.w, ctl.net.rule_count, core.err_integral, core.e, core.e_dot, core.u_sum, ctl.P, ctl.steps,
          len(ctl.events), ctl.events[-1:], ctl.mu_e, ctl.grow, ctl.prune)
     )
 
@@ -520,7 +562,7 @@ def test_fused_step_bit_equal_to_staged_oracle_on_numpy_scalars():
     rng = np.random.default_rng(62)
     for y, y_r in rng.uniform(-2.0, 2.0, size=(300, 2)):
         u, cells = _lockstep(fused, staged, y, np.float32(y_r), 0.01)
-        values = [u, *fused.net.w, *fused.mu_e, fused.err_integral]
+        values = [u, *fused.net.w, *fused.mu_e, fused.pid.err_integral]
         assert [type(v) for v in values] == [float] * len(values)
         assert [type(v) for v in cells] == CELL_TYPES
 

@@ -113,3 +113,12 @@ def test_every_step_returns_the_one_empty_diagnostics_object():
     assert cells == [()] * 4 and len(set(map(id, cells))) == 1
     assert PidController.log_columns == ()
     assert PidController.rule_count is None
+
+
+def test_nan_sum_raises_naming_the_error_and_its_rate():
+    # an infinite error makes ki * (I + e dt) = 0 * inf a NaN, which fails both limit comparisons:
+    # the step used to command the low limit, of the wrong sign
+    pid = PidController(PidConfig(kp=1.0, kd=1.0, output_limits=(-2.0, 2.0)))
+    pid.step(0.0, 1.0, 0.01)
+    with pytest.raises(FloatingPointError, match=r"^PID sum is NaN at e=inf, e_dot=inf$"):
+        pid.step(-1e308, 1e308, 0.01)
