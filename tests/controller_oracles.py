@@ -4,10 +4,11 @@
 on local floats. This is the same step written as the functions it was built
 from, called one after the other: the PID sum with its conditional integral,
 the sliding value, the robustifying term, the extended input, the input-mean
-update and the structure learning, then the weight adaptation as a ``min``/``max`` list comprehension and the log
-cells as a tuple. The drift detectors push through ``sigma_rule_fires``, the
-sigma rule written with the builtin ``max``. The tests hold the fused step and
-``SigmaRule.fires`` bit-equal to them.
+update and the structure learning, then the weight adaptation as a
+``min``/``max`` list comprehension and the log cells as a tuple. The drift
+detectors push through ``sigma_rule_fires``, the sigma rule written with the
+builtin ``max``. The tests hold the fused step and ``SigmaRule.fires``
+bit-equal to them.
 """
 
 import math

@@ -95,14 +95,15 @@ class PalmReference:
     """PAC with PALM's R-row rule base, written out straight-line on Python floats.
 
     Only the settings are read from ``c`` (a ``ControllerConfig``): the
-    sliding-mode law as a PID sum (a1 e + a3 int(e) + a2 de/dt, in that order)
-    whose integral holds on a step where the sum saturates, the P matrix, the input mean and both sigma rules are
-    written out here. The rows are kept in a list and each step fires them
-    through ``palm_network_output``. Under evolution a grow appends a copy
-    of the highest-firing row and a prune, never of the last row, drops the
-    row of least |w_j . mu_e|; ties go to the lowest index, and either edit
-    restarts both detectors and fires the edited rows again. Each row then
-    moves by dt * gamma * (e p12 + de p22) * lam_j * x_e, clipped.
+    sliding-mode law as a PID sum (a1 e + a3 int(e) + a2 de/dt, in that
+    order) whose integral holds on a step where the sum saturates, the P
+    matrix, the input mean and both sigma rules are written out here. The
+    rows are kept in a list and each step fires them through
+    ``palm_network_output``. Under evolution a grow appends a copy of the
+    highest-firing row and a prune, never of the last row, drops the row of
+    least |w_j . mu_e|; ties go to the lowest index, and either edit restarts
+    both detectors and fires the edited rows again. Each row then moves by
+    dt * gamma * (e p12 + de p22) * lam_j * x_e, clipped.
     """
 
     def __init__(self, c, eta: float = 5.0):
