@@ -17,31 +17,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .experiment import DivergenceError, ExperimentConfig, check_names, read_step_csv, run_experiment, run_suite, summary_row
+from .experiment import DivergenceError, read_step_csv, read_suite, run_experiment, run_suite, summary_row
 from .stats import wilcoxon_signed_rank
-
-
-def _load_yaml(path: str) -> dict:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a mapping at the top level")
-    return data
-
-
-def _configs_from_file(path: str) -> list[ExperimentConfig]:
-    data = _load_yaml(path)
-    raw_list = data["experiments"] if "experiments" in data else [data]
-    if not (isinstance(raw_list, list) and all(isinstance(raw, dict) for raw in raw_list)):
-        raise ValueError(f"{path}: experiments must be a list of mappings")
-    configs = [ExperimentConfig.from_dict(raw) for raw in raw_list]
-    try:
-        check_names(configs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return configs
 
 
 def _cmd_run(args) -> int:
@@ -118,8 +96,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "config" in args:  # run and suite: check every experiment before the first one runs
         try:
-            args.configs = _configs_from_file(args.config)
-        except (OSError, yaml.YAMLError, ValueError) as exc:
+            args.configs = read_suite(args.config)
+        except (OSError, ValueError) as exc:
             print(f"CONFIG ERROR: {' '.join(str(exc).split())}", file=sys.stderr)
             return 2
     return args.func(args)

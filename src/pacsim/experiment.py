@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
+import yaml
+
 from . import metrics, settings, trajectories
 from .controller import ControllerConfig, ParsimoniousController
 from .pid import PidConfig, PidController
@@ -242,6 +244,33 @@ def read_step_csv(path) -> dict:
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed cell: {exc}") from exc
     return cols
+
+
+def read_suite(path) -> list[ExperimentConfig]:
+    """The experiments of a YAML config file, each checked and built before any of them runs.
+
+    The top level is one experiment's mapping, or holds ``experiments:`` alone, a
+    non-empty list of such mappings. A YAML error, a bad top level and a repeated
+    name each raise a ValueError that names the file; a bad experiment names itself.
+    """
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("expected a mapping at the top level")
+        raw_list = settings.section("suite", data, ("experiments",))["experiments"] if "experiments" in data else [data]
+        if not (isinstance(raw_list, list) and all(isinstance(raw, dict) for raw in raw_list)):
+            raise ValueError("experiments must be a list of mappings")
+        if not raw_list:
+            raise ValueError("experiments is empty, so the suite would run nothing")
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    configs = [ExperimentConfig.from_dict(raw) for raw in raw_list]
+    try:
+        check_names(configs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return configs
 
 
 def write_outputs(result: ExperimentResult, out_dir: Path) -> None:

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import yaml
 
 from pacsim import controller, evolution
 from pacsim.controller import (
@@ -16,7 +15,7 @@ from pacsim.controller import (
     adapt_weights,
     p_matrix,
 )
-from pacsim.experiment import ExperimentConfig, run_experiment
+from pacsim.experiment import read_suite, run_experiment
 from pacsim.pid import PidConfig, PidController
 from pacsim.plants import DoubleIntegrator
 from controller_oracles import extended_input, robustifying_term, sliding_value, staged_step
@@ -25,10 +24,10 @@ from palm_oracles import PalmReference
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE_PIDS = [
-    raw
+    cfg
     for suite in ("hexacopter_suite.yaml", "bifwmav_suite.yaml")
-    for raw in yaml.safe_load((ROOT / "configs" / suite).read_text())["experiments"]
-    if raw["controller"] == "pid"
+    for cfg in read_suite(ROOT / "configs" / suite)
+    if cfg.controller == "pid"
 ]
 
 # the type of each cell a PAC step returns: R counts rules, every other cell is a float
@@ -407,17 +406,17 @@ def test_saturated_step_holds_the_integral_and_logs_the_unclamped_sum():
     assert ctl.pid.err_integral == 0.01
 
 
-@pytest.mark.parametrize("raw", SUITE_PIDS, ids=lambda raw: raw["name"])
-def test_matched_pac_at_gamma_zero_flies_as_the_pid_bit_for_bit(raw):
+@pytest.mark.parametrize("cfg", SUITE_PIDS, ids=lambda cfg: cfg.name)
+def test_matched_pac_at_gamma_zero_flies_as_the_pid_bit_for_bit(cfg):
     # alphas (kp, kd, ki) and both limits at the PID's: with gamma 0 the network term stays zero and u is
     # the PID core's output; 30 s take in saturated steps on 10 of the 16 rows
-    gains = raw["controller_params"]
+    gains = cfg.controller_params
     lo, hi = gains["output_limits"]
     assert lo == -hi
     matched = {"gamma": 0.0, "alphas": [gains["kp"], gains["kd"], gains["ki"]], "sat_limit": hi, "actuator_limit": hi}
     pid, pac = (
-        run_experiment(ExperimentConfig.from_dict({**raw, "duration": 30.0, **changes})).series
-        for changes in ({}, {"name": raw["name"] + "_matched_pac", "controller": "pac", "controller_params": matched})
+        run_experiment(dataclasses.replace(cfg, duration=30.0, **changes)).series
+        for changes in ({}, {"name": cfg.name + "_matched_pac", "controller": "pac", "controller_params": matched})
     )
     for column in ("y", "u"):
         assert np.asarray(pac[column]).tobytes() == np.asarray(pid[column]).tobytes(), column

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pacsim.cli import _configs_from_file
-from pacsim.experiment import run_experiment
+from pacsim.experiment import read_suite, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUITES = {"bif": "bifwmav_suite.yaml", "hexa": "hexacopter_suite.yaml"}
@@ -39,7 +38,7 @@ def _pac_drifts(rmse: str):
 )
 def test_rmse_spread_across_step_sizes(name):
     suite = CONFIGS / SUITES[name.split("_")[0]]
-    (cfg,) = [c for c in _configs_from_file(suite) if c.name == name]
+    (cfg,) = [c for c in read_suite(suite) if c.name == name]
     assert cfg.duration == 100.0
     rmse = [run_experiment(dataclasses.replace(cfg, dt=dt)).report.rmse for dt in STEP_SIZES]
     spread = (max(rmse) - min(rmse)) / min(rmse)

@@ -10,16 +10,16 @@ hold the controller to it. A grow that gives a new rule capacity of its own
 is meant to make them fail.
 """
 
+import dataclasses
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
 from palm_oracles import PalmReference
 from pacsim import trajectories
-from pacsim.experiment import ExperimentConfig, build, run_experiment
+from pacsim.experiment import ExperimentConfig, build, read_suite, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUITE_OF = {"hexa_sos_pac": "hexacopter_suite.yaml", "hexa_constant_pac": "hexacopter_suite.yaml",
@@ -28,9 +28,8 @@ DURATION = 30.0
 
 
 def suite_config(name: str) -> ExperimentConfig:
-    raws = yaml.safe_load((CONFIGS / SUITE_OF[name]).read_text())["experiments"]
-    raw = next(r for r in raws if r["name"] == name)
-    return ExperimentConfig.from_dict({**raw, "duration": DURATION})
+    cfg = next(cfg for cfg in read_suite(CONFIGS / SUITE_OF[name]) if cfg.name == name)
+    return dataclasses.replace(cfg, duration=DURATION)
 
 
 @lru_cache(maxsize=None)

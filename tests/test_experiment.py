@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from pacsim import experiment
-from pacsim.cli import _configs_from_file, main
+from pacsim.cli import main
 from pacsim.controller import ParsimoniousController
 from pacsim.experiment import (
     MAX_STEPS,
@@ -21,6 +21,7 @@ from pacsim.experiment import (
     ExperimentConfig,
     build,
     read_step_csv,
+    read_suite,
     run_experiment,
     run_suite,
     summary_row,
@@ -399,6 +400,34 @@ def test_cli_config_error_is_one_line_before_any_run(tmp_path, capsys, command, 
     assert not out.exists()  # no step log, no summary
 
 
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize(
+    "top, want",
+    [
+        # a key beside experiments: was dropped, so this suite ran at dt 0.01
+        ({"dt": 0.005, "experiments": [{**_SHORT_RUN, "name": "a"}]}, "unknown suite keys: ['dt']"),
+        ({"grid": {"dt": [0.01, 0.005]}, "experiments": [{**_SHORT_RUN, "name": "a"}]}, "unknown suite keys: ['grid']"),
+        # an empty suite wrote a summary.csv of its header alone and exited 0
+        ({"experiments": []}, "experiments is empty, so the suite would run nothing"),
+    ],
+    ids=["stray_key", "grid", "empty"],
+)
+def test_cli_bad_suite_top_level_is_one_config_error(tmp_path, capsys, command, top, want):
+    path = tmp_path / "suite.yaml"
+    path.write_text(yaml.safe_dump(top))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"CONFIG ERROR: {path}: {want}"]
+    assert not out.exists()
+
+
+def test_read_suite_names_the_file_of_a_yaml_error(tmp_path):
+    path = tmp_path / "exp.yaml"
+    path.write_text("name: [unclosed")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: while parsing "):
+        read_suite(path)
+
+
 @pytest.mark.parametrize("names, repeated", [(("a", "b", "a"), "a"), ((1, "b", "1"), "1")], ids=["same", "int_and_str"])
 def test_cli_repeated_experiment_name_is_one_config_error(tmp_path, capsys, names, repeated):
     # the second run of a name would overwrite the first one's step log while summary.csv kept both rows
@@ -605,7 +634,7 @@ def test_cli_unreadable_config_file_is_one_line(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
 def test_every_config_file_loads_and_builds(path):
-    configs = _configs_from_file(str(path))
+    configs = read_suite(path)
     assert configs
     for cfg in configs:
         build(cfg)
@@ -626,14 +655,14 @@ def test_step_count_is_at_most_max_steps():
 
 def test_each_config_owns_its_sections():
     # the suite's rows merge one YAML anchor, whose controller_params dict they would otherwise share
-    path = str(CONFIGS / "hexacopter_suite.yaml")
-    cfgs = _configs_from_file(path)
+    path = CONFIGS / "hexacopter_suite.yaml"
+    cfgs = read_suite(path)
     for a, b in itertools.combinations(cfgs, 2):
         for key in ("trajectory", "controller_params", "plant_params", "disturbances"):
             assert getattr(a, key) is not getattr(b, key) or isinstance(getattr(a, key), str)
     first, sibling = cfgs[0], next(cfg for cfg in cfgs[1:] if cfg.controller_params == cfgs[0].controller_params)
     first.controller_params["gamma"] = 10 * first.controller_params["gamma"]
-    fresh = next(cfg for cfg in _configs_from_file(path) if cfg.name == sibling.name)
+    fresh = next(cfg for cfg in read_suite(path) if cfg.name == sibling.name)
     got, want = (run_experiment(dataclasses.replace(cfg, duration=1.0)) for cfg in (sibling, fresh))
     assert got.series == want.series
 
@@ -656,10 +685,9 @@ def test_divergence_aborts_with_partial_log(tmp_path):
 
 
 def test_divergence_keeps_the_cause():
-    suite = yaml.safe_load((Path(__file__).parent.parent / "configs" / "hexacopter_suite.yaml").read_text())
-    raw = next(e for e in suite["experiments"] if e["name"] == "hexa_roll_pid")
+    roll = next(cfg for cfg in read_suite(CONFIGS / "hexacopter_suite.yaml") if cfg.name == "hexa_roll_pid")
     # a roll PID with a huge negative gain drives the rigid body off the finite range
-    cfg = ExperimentConfig.from_dict(dict(raw, duration=20.0, controller_params={"kp": -1e6}))
+    cfg = dataclasses.replace(roll, duration=20.0, controller_params={"kp": -1e6})
     with pytest.raises(DivergenceError) as info:
         run_experiment(cfg)
     cause = info.value.__cause__
@@ -741,7 +769,7 @@ def test_event_times_equal_step_log_times(tmp_path):
     # a GROW/PRUNE event carries the t = i * dt of the step row it happened
     # in, so events join to steps on equal times (a running sum of dt drifts:
     # 0.79000000000000048 against a row's 0.79)
-    (cfg,) = [c for c in _configs_from_file(CONFIGS / "hexacopter_suite.yaml") if c.name == "hexa_sos_pac"]
+    (cfg,) = [c for c in read_suite(CONFIGS / "hexacopter_suite.yaml") if c.name == "hexa_sos_pac"]
     cfg = dataclasses.replace(cfg, duration=20.0)
     result = run_experiment(cfg, out_dir=tmp_path)
     events = result.controller.events

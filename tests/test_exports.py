@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -31,3 +32,15 @@ def test_float_step_modules_import_no_numpy(name):
     module = importlib.import_module(name)
     held = [key for key, value in vars(module).items() if inspect.ismodule(value) and value.__name__.split(".")[0] == "numpy"]
     assert held == []
+
+
+def test_only_the_experiment_module_reads_yaml():
+    # a config file has one reader, pacsim.experiment.read_suite; every other module takes configs from it
+    names = [info.name for info in pkgutil.walk_packages(pacsim.__path__, "pacsim.")]
+    assert "pacsim.cli" in names
+    held = [
+        name
+        for name in names
+        if any(inspect.ismodule(value) and value.__name__ == "yaml" for value in vars(importlib.import_module(name)).values())
+    ]
+    assert held == ["pacsim.experiment"]

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from pacsim import experiment, stats
-from pacsim.cli import _configs_from_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,7 +32,7 @@ def tracing(monkeypatch):
 
 
 def _config(suite: str, name: str, seconds: float):
-    cfg = next(cfg for cfg in _configs_from_file(str(ROOT / "configs" / suite)) if cfg.name == name)
+    cfg = next(cfg for cfg in experiment.read_suite(ROOT / "configs" / suite) if cfg.name == name)
     return dataclasses.replace(cfg, duration=seconds)
 
 

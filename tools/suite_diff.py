@@ -49,6 +49,7 @@ ATOL = 1e-9
 
 def suite_configs(checkout: Path) -> list[dict]:
     """The raw experiment mappings of both suites of ``checkout``, in suite order."""
+    # read here, not by pacsim.experiment.read_suite: a checkout older than read_suite must snapshot too
     return [
         raw for suite in SUITES for raw in yaml.safe_load((checkout / "configs" / suite).read_text())["experiments"]
     ]
